@@ -16,9 +16,9 @@ import numpy as np
 from scipy.special import erf
 
 from .ds import DSParams, subnetwork_at
-from .encoder import (ATTN_MASK_FILL, KIND_HEAD, KIND_HIDDEN, KIND_RANK,
-                      GateSet, Model, ModelConfig, component_universe,
-                      component_weights, count_params, encoder_sparsity)
+from .encoder import (ATTN_MASK_FILL, GateSet, Model, ModelConfig,
+                      component_weights, count_params, encoder_sparsity,
+                      retained_fraction)
 from .exceptions import ContractError, InputError, NumericError, RunError
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -47,13 +47,6 @@ def layer_profile(gateset: GateSet) -> list[dict]:
     return rows
 
 
-def _flat_gates(gateset: GateSet) -> np.ndarray:
-    parts = [np.asarray(h) for h in gateset.heads]
-    parts += [np.asarray(h) for h in gateset.hiddens]
-    parts.append(np.asarray(gateset.ranks))
-    return np.concatenate(parts)
-
-
 def hamming_matrix(gatesets: dict[str, GateSet]) -> tuple[list[str], np.ndarray]:
     """Normalized Hamming distance between per-language hard gate sets.
 
@@ -64,17 +57,12 @@ def hamming_matrix(gatesets: dict[str, GateSet]) -> tuple[list[str], np.ndarray]
         raise InputError("hamming_matrix: no gate sets given")
     langs = sorted(gatesets)
     vecs = {}
-    shapes = None
     for lang in langs:
         gs = gatesets[lang]
         _require_hard(gs, "hamming_matrix")
-        shape = (tuple(len(h) for h in gs.heads), tuple(len(h) for h in gs.hiddens),
-                 len(gs.ranks))
-        if shapes is None:
-            shapes = shape
-        elif shape != shapes:
+        if gs.slices != gatesets[langs[0]].slices:
             raise ContractError("hamming_matrix: gate sets cover different component universes")
-        vecs[lang] = _flat_gates(gs)
+        vecs[lang] = gs.values
     n = len(langs)
     out = np.zeros((n, n))
     for i in range(n):
@@ -101,35 +89,24 @@ def size_curve(ds: DSParams, config: ModelConfig, language: str | None = None) -
             raise InputError(f"size_curve: pick one of the languages {langs}")
         language = langs[0]
     weights = component_weights(config)
-    universe = component_universe(config)
-    wvec = np.array([weights[c] for c in universe])
-    kinds = np.array([c.kind for c in universe])
     rows = []
     for t in ds.grid:
         gs = subnetwork_at(ds, float(t), language, config)
         counts = count_params(config, gs)
-        vec = gs.to_vector(config)
         row = {
             "t": float(t),
             "total_params": counts["total_params"],
             "embedding_params": counts["embedding_params"],
             "encoder_params": counts["encoder_params"],
             "encoder_sparsity": encoder_sparsity(gs, weights),
-            "overall_sparsity": 1.0 - float((vec * wvec).sum() / wvec.sum()),
+            "overall_sparsity": 1.0 - retained_fraction(gs.values, weights),
+            "head_sparsity": 1.0 - float(np.concatenate(gs.heads).mean()),
+            "hidden_sparsity": 1.0 - float(np.concatenate(gs.hiddens).mean()),
+            "rank_sparsity": 1.0 - float(gs.ranks.mean()),
         }
-        for kind, name in ((KIND_HEAD, "head_sparsity"), (KIND_HIDDEN, "hidden_sparsity"),
-                           (KIND_RANK, "rank_sparsity")):
-            sel = kinds == kind
-            row[name] = 1.0 - float(vec[sel].mean())
         row["embed_pruning_active"] = row["rank_sparsity"] > 0.0
         rows.append(row)
     return rows
-
-
-def embedding_knee(rows: list[dict]) -> float | None:
-    """Largest grid size at which embedding ranks are already being dropped."""
-    hit = [r["t"] for r in rows if r["embed_pruning_active"]]
-    return max(hit) if hit else None
 
 
 # ---------------------------------------------------------------------------

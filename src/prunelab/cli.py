@@ -22,7 +22,8 @@ from .analysis import (compact_model, corr_accuracy_size, hamming_matrix,
 from .corpus import Corpus, default_language_specs, gen_corpus, probe_batches
 from .ds import DEFAULT_GRID, DSParams, subnetwork_at
 from .encoder import (GateSet, Model, ModelConfig, component_universe,
-                      component_weights, count_params, encoder_sparsity)
+                      component_weights, count_params, encoder_sparsity,
+                      retained_fraction)
 from .exceptions import ConfigError, PrunelabError
 from .grad_prune import NON_SHARED, SHARED
 from .trainer import (TrainSchedule, _git_hash, finetune_probe,
@@ -368,8 +369,6 @@ def cmd_sweep(args) -> int:
     splits = probe_batches(corpus, batch_size=cfg["schedule"]["batch_size"],
                            seq_len=cfg["schedule"]["seq_len"], seed=cfg["seed"])
     weights = component_weights(model.config)
-    universe = component_universe(model.config)
-    wvec = np.array([weights[c] for c in universe])
     bench_seq = args.seq_len or cfg["schedule"]["seq_len"]
     rows = []
     for t in grid:
@@ -377,13 +376,12 @@ def cmd_sweep(args) -> int:
             res = finetune_probe(model, gs, splits, seed=cfg["seed"], epochs=args.epochs)
             acc = res.per_language.get(lang, res.mean)
             counts = count_params(model.config, gs)
-            vec = gs.to_vector(model.config)
             sps = time_forward(compact_model(model, gs), model.config.vocab_size,
                                bench_seq, reps=args.reps)
             rows.append({
                 "t": float(t),
                 "language": lang,
-                "overall_sparsity": 1.0 - float((vec * wvec).sum() / wvec.sum()),
+                "overall_sparsity": 1.0 - retained_fraction(gs.values, weights),
                 "encoder_sparsity": encoder_sparsity(gs, weights),
                 "total_params": counts["total_params"],
                 "probe_accuracy": acc,
@@ -407,12 +405,9 @@ def cmd_bench(args) -> int:
     model = _load_run_model(run_dir)
     ds = _run_ds(run_dir, model.config)
     weights = component_weights(model.config)
-    universe = component_universe(model.config)
-    wvec = np.array([weights[c] for c in universe])
 
     def overall(gs):
-        vec = gs.to_vector(model.config)
-        return 1.0 - float((vec * wvec).sum() / wvec.sum())
+        return 1.0 - retained_fraction(gs.values, weights)
 
     gatesets: dict[float, GateSet] = {}
     if ds is not None:

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .encoder import ComponentId, GateSet
+from .encoder import ComponentId, GateSet, component_index, _parse_floats
 from .exceptions import ContractError, InputError
-from .grad_prune import ImportanceTable, ranked_components
+from .grad_prune import ImportanceTable, rank_order
 from .l0 import DEFAULT_HC, HardConcrete
 
 # widening of the logit targets, relative to f_inv(1) - f_inv(0); large
@@ -44,6 +44,9 @@ from .l0 import DEFAULT_HC, HardConcrete
 BOUNDARY_MARGIN = 1e-6
 
 DEFAULT_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
+
+DS_COLUMNS = ("alpha", "theta", "t_hat", "delta")
+DS_HEADER = "language,kind,layer,index," + ",".join(DS_COLUMNS)
 
 
 def check_grid(grid) -> tuple[float, ...]:
@@ -55,11 +58,17 @@ def check_grid(grid) -> tuple[float, ...]:
     return grid
 
 
-def solve_ds_params(t_hat: float, delta: float,
-                    constants: HardConcrete = DEFAULT_HC) -> tuple[float, float]:
-    """Closed-form (alpha, theta) for boundary size t_hat and width delta."""
-    if not 0.0 < delta <= t_hat <= 1.0:
-        raise ContractError(f"need 0 < delta <= t_hat <= 1, got t_hat={t_hat}, delta={delta}")
+def solve_ds_params(t_hat, delta, constants: HardConcrete = DEFAULT_HC):
+    """Closed-form (alpha, theta) for boundary sizes t_hat and widths delta.
+
+    Scalars or matching arrays; every pair needs 0 < delta <= t_hat <= 1.
+    """
+    t_hat = np.asarray(t_hat, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    ok = (0.0 < delta) & (delta <= t_hat) & (t_hat <= 1.0)
+    if not np.all(ok):
+        t_bad, d_bad = (a[~ok][0] for a in np.broadcast_arrays(t_hat, delta))
+        raise ContractError(f"need 0 < delta <= t_hat <= 1, got t_hat={t_bad}, delta={d_bad}")
     lo, hi = constants.zero_threshold, constants.one_threshold
     margin = BOUNDARY_MARGIN * (hi - lo)
     hi += margin
@@ -77,45 +86,35 @@ def ds_gate(alpha, theta, t: float, constants: HardConcrete = DEFAULT_HC):
     return np.clip(z * (constants.r - constants.l) + constants.l, 0.0, 1.0)
 
 
-@dataclass
-class BucketAssignment:
-    """Boundary size and width per component, from one importance ranking."""
+def bucketize(scores: np.ndarray, weights: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary size t_hat and ramp width delta per component, by cumulative weight.
 
-    order: list[ComponentId]
-    t_hat: dict[ComponentId, float]
-    delta: dict[ComponentId, float]
-
-
-def bucketize(table: ImportanceTable, weights: dict[ComponentId, float],
-              grid) -> BucketAssignment:
-    """Assign each component a grid boundary by cumulative normalized weight.
-
-    Components are walked in score order (ties by canonical id); a component
-    whose cumulative size lands in (grid[i-1], grid[i]] activates at grid[i].
-    Zero-score components still get a bucket, at the tail of the walk.
+    scores and weights are vectors in one component order; so are the
+    results.  Components are walked in score order (ties by position); a
+    component whose cumulative normalized weight lands in (grid[i-1], grid[i]]
+    activates at grid[i].  Zero-score components still get a bucket, at the
+    tail of the walk.
     """
-    grid = check_grid(grid)
-    if set(table.scores) != set(weights):
+    arr = np.asarray(check_grid(grid))
+    scores = np.asarray(scores, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if scores.shape != weights.shape:
         raise ContractError("importance table and weight table cover different components")
-    total = sum(weights.values())
+    total = weights.sum()
     if total <= 0.0:
         raise ContractError("total component weight must be positive")
-    order = ranked_components(table)
-    t_hat: dict[ComponentId, float] = {}
-    delta: dict[ComponentId, float] = {}
-    cum = 0.0
-    arr = np.asarray(grid)
-    for cid in order:
-        w = weights[cid] / total
-        cum += w
-        # snap to the smallest grid size covering the cumulative size; guard
-        # the final component against rounding past 1.0
-        pos = int(np.searchsorted(arr, min(cum, 1.0), side="left"))
-        t_hat[cid] = float(arr[pos])
-        # cap the ramp width at the grid cell so the gate saturates before the
-        # previous grid point; pos >= 1 because cum > 0 and grid[0] == 0
-        delta[cid] = min(w, float(arr[pos] - arr[pos - 1]))
-    return BucketAssignment(order, t_hat, delta)
+    order = rank_order(scores)
+    w = weights[order] / total
+    # snap to the smallest grid size covering the cumulative size; guard the
+    # final component against rounding past 1.0
+    pos = np.searchsorted(arr, np.minimum(np.cumsum(w), 1.0), side="left")
+    t_hat = np.empty(scores.size)
+    delta = np.empty(scores.size)
+    t_hat[order] = arr[pos]
+    # cap the ramp width at the grid cell so the gate saturates before the
+    # previous grid point; pos >= 1 because cum > 0 and grid[0] == 0
+    delta[order] = np.minimum(w, arr[pos] - arr[pos - 1])
+    return t_hat, delta
 
 
 @dataclass
@@ -131,63 +130,62 @@ class DSParams:
         return sorted(self.tables)
 
     def save_csv(self, path):
+        names = [str(cid) for cid in self.components]
         with open(path, "w") as f:
-            f.write("language,kind,layer,index,alpha,theta,t_hat,delta\n")
+            f.write(f"{DS_HEADER}\n")
             for lang in self.languages():
                 tab = self.tables[lang]
-                for i, cid in enumerate(self.components):
-                    f.write(
-                        f"{lang},{cid},{float(tab['alpha'][i])!r},{float(tab['theta'][i])!r},"
-                        f"{float(tab['t_hat'][i])!r},{float(tab['delta'][i])!r}\n"
-                    )
+                for name, a, th, t, d in zip(names, *(tab[k].tolist() for k in DS_COLUMNS)):
+                    f.write(f"{lang},{name},{a!r},{th!r},{t!r},{d!r}\n")
 
     @classmethod
     def load_csv(cls, path, components, grid, constants: HardConcrete = DEFAULT_HC):
-        index = {str(cid): i for i, cid in enumerate(components)}
-        tables: dict[str, dict[str, np.ndarray]] = {}
+        """Read save_csv output; each language must list every component exactly once."""
+        index = component_index(components)
+        rows: dict[str, np.ndarray] = {}
         with open(path) as f:
             header = f.readline().strip()
-            if header != "language,kind,layer,index,alpha,theta,t_hat,delta":
+            if header != DS_HEADER:
                 raise InputError(f"{path}: unexpected header {header!r}")
-            for line in f:
+            for lineno, line in enumerate(f, 2):
                 line = line.strip()
                 if not line:
                     continue
-                lang, kind, layer, idx, alpha, theta, t_hat, delta = line.split(",")
-                key = f"{kind},{layer},{idx}"
+                parts = line.split(",")
+                if len(parts) != 8:
+                    raise InputError(f"{path}:{lineno}: expected {DS_HEADER}")
+                key = ",".join(parts[1:4])
                 if key not in index:
-                    raise InputError(f"{path}: unknown component {key}")
-                tab = tables.setdefault(
-                    lang,
-                    {k: np.zeros(len(components)) for k in ("alpha", "theta", "t_hat", "delta")},
-                )
-                i = index[key]
-                tab["alpha"][i] = float(alpha)
-                tab["theta"][i] = float(theta)
-                tab["t_hat"][i] = float(t_hat)
-                tab["delta"][i] = float(delta)
+                    raise InputError(f"{path}:{lineno}: unknown component {key}")
+                if parts[0] not in rows:
+                    rows[parts[0]] = np.full((len(DS_COLUMNS), len(components)), np.nan)
+                tab, i = rows[parts[0]], index[key]
+                if not np.isnan(tab[0, i]):
+                    raise InputError(f"{path}:{lineno}: second row for {parts[0]} {key}")
+                tab[:, i] = _parse_floats(path, lineno, parts[4:])
+        for lang, tab in rows.items():
+            if np.isnan(tab[0]).any():
+                raise InputError(f"{path}: language {lang!r} does not list every component")
+        tables = {lang: dict(zip(DS_COLUMNS, tab)) for lang, tab in rows.items()}
         return cls(list(components), check_grid(grid), tables, constants)
 
 
-def init_ds(tables: dict[str, ImportanceTable], weights: dict[ComponentId, float],
+def init_ds(tables: dict[str, ImportanceTable], weights: np.ndarray,
             grid, constants: HardConcrete = DEFAULT_HC) -> DSParams:
-    """Bucketize each language's ranking and solve every component's params."""
+    """Bucketize each language's ranking and solve every component's params.
+
+    weights is in canonical order; the tables name the components, and all
+    of them must cover the same ones.
+    """
     grid = check_grid(grid)
     if not tables:
         raise InputError("init_ds: no importance tables supplied")
-    components = sorted(weights, key=ComponentId.sort_key)
+    components = sorted(next(iter(tables.values())).scores, key=ComponentId.sort_key)
     out: dict[str, dict[str, np.ndarray]] = {}
     for lang, table in tables.items():
-        assignment = bucketize(table, weights, grid)
-        n = len(components)
-        tab = {k: np.zeros(n) for k in ("alpha", "theta", "t_hat", "delta")}
-        for i, cid in enumerate(components):
-            alpha, theta = solve_ds_params(assignment.t_hat[cid], assignment.delta[cid], constants)
-            tab["alpha"][i] = alpha
-            tab["theta"][i] = theta
-            tab["t_hat"][i] = assignment.t_hat[cid]
-            tab["delta"][i] = assignment.delta[cid]
-        out[lang] = tab
+        t_hat, delta = bucketize(table.vector(components), weights, grid)
+        alpha, theta = solve_ds_params(t_hat, delta, constants)
+        out[lang] = {"alpha": alpha, "theta": theta, "t_hat": t_hat, "delta": delta}
     return DSParams(components, grid, out, constants)
 
 
@@ -199,9 +197,7 @@ def subnetwork_at(ds: DSParams, t: float, language: str, config) -> GateSet:
         raise ContractError(f"size t must be in [0, 1], got {t}")
     tab = ds.tables[language]
     values = ds_gate(tab["alpha"], tab["theta"], t, ds.constants)
-    hard = (values >= 0.5).astype(np.float64)
-    mapping = dict(zip(ds.components, hard))
-    return GateSet.from_values(config, mapping, hard=True)
+    return GateSet(config, (values >= 0.5).astype(np.float64), hard=True)
 
 
 def gate_values_at(ds: DSParams, t: float, language: str) -> np.ndarray:

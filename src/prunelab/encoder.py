@@ -19,6 +19,7 @@ a bias/layernorm residue.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ KIND_HEAD = "head"
 KIND_HIDDEN = "hidden"
 KIND_RANK = "rank"
 _KIND_ORDER = {KIND_HEAD: 0, KIND_HIDDEN: 1, KIND_RANK: 2}
-KINDS = (KIND_HEAD, KIND_HIDDEN, KIND_RANK)
 
 
 @dataclass(frozen=True)
@@ -105,118 +105,112 @@ class ComponentId:
 
 
 def component_universe(config: ModelConfig) -> list[ComponentId]:
-    """All prunable components of a model, in canonical order."""
-    out = []
-    for layer in range(config.n_layers):
-        for h in range(config.n_heads):
-            out.append(ComponentId(KIND_HEAD, layer, h))
-    for layer in range(config.n_layers):
-        for j in range(config.ffn_dim):
-            out.append(ComponentId(KIND_HIDDEN, layer, j))
-    for k in range(config.model_dim):
-        out.append(ComponentId(KIND_RANK, None, k))
-    return sorted(out, key=ComponentId.sort_key)
+    """All prunable components of a model, in canonical order.
+
+    Canonical order is heads layer-major, then FFN units layer-major, then
+    embedding ranks; every per-component vector and file row follows it.
+    """
+    return ([ComponentId(KIND_HEAD, layer, h)
+             for layer in range(config.n_layers) for h in range(config.n_heads)]
+            + [ComponentId(KIND_HIDDEN, layer, j)
+               for layer in range(config.n_layers) for j in range(config.ffn_dim)]
+            + [ComponentId(KIND_RANK, None, k) for k in range(config.model_dim)])
 
 
-def component_weights(config: ModelConfig) -> dict[ComponentId, float]:
-    """Size weight per component: heads 4*d/H, hidden units 2, ranks 1."""
-    head_w = 4.0 * config.model_dim / config.n_heads
+def component_slices(config: ModelConfig) -> dict:
+    """Where each layer's heads, each layer's FFN units and the ranks sit in canonical order.
+
+    Returns ``{"heads": [slice per layer], "hiddens": [slice per layer],
+    "ranks": slice}``, the layout the forward passes take their gates in.
+    """
+    nl, nh, nf = config.n_layers, config.n_heads, config.ffn_dim
+    off = nl * nh
+    end = off + nl * nf
     return {
-        cid: head_w if cid.kind == KIND_HEAD else (2.0 if cid.kind == KIND_HIDDEN else 1.0)
-        for cid in component_universe(config)
+        "heads": [slice(i * nh, (i + 1) * nh) for i in range(nl)],
+        "hiddens": [slice(off + i * nf, off + (i + 1) * nf) for i in range(nl)],
+        "ranks": slice(end, end + config.model_dim),
     }
 
 
-class GateSet:
-    """Gate values for every component of one model.
+def component_weights(config: ModelConfig) -> np.ndarray:
+    """Size weight per component in canonical order: heads 4*d/H, hidden units 2, ranks 1."""
+    head_w = 4.0 * config.model_dim / config.n_heads
+    return np.concatenate([np.full(config.n_layers * config.n_heads, head_w),
+                           np.full(config.n_layers * config.ffn_dim, 2.0),
+                           np.ones(config.model_dim)])
 
-    ``heads`` is a list of per-layer arrays of length n_heads, ``hiddens``
-    a list of per-layer arrays of length ffn_dim, ``ranks`` one array of
-    length model_dim.  ``hard`` asserts every value is exactly 0 or 1.
+
+def component_index(components) -> dict[str, int]:
+    """Position of each component by its text key ``kind,layer,index``."""
+    return {str(cid): i for i, cid in enumerate(components)}
+
+
+def _parse_floats(path, lineno: int, cells) -> list[float]:
+    """Finite floats from the text cells of one file row, or InputError naming the row."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        raise InputError(f"{path}:{lineno}: non-numeric value in {','.join(cells)!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{path}:{lineno}: non-finite value in {','.join(cells)!r}")
+    return values
+
+
+class GateSet:
+    """Gate values for every component of one model, as one canonical-order vector.
+
+    ``values`` is the float64 vector over component_universe order;
+    ``heads`` and ``hiddens`` are per-layer views into it and ``ranks`` the
+    view of the embedding ranks, so writing through a view writes ``values``.
+    ``hard`` asserts every value is exactly 0 or 1.
     """
 
-    def __init__(self, heads, hiddens, ranks, hard: bool):
-        self.heads = [np.asarray(h, dtype=np.float64) for h in heads]
-        self.hiddens = [np.asarray(h, dtype=np.float64) for h in hiddens]
-        self.ranks = np.asarray(ranks, dtype=np.float64)
+    def __init__(self, config: ModelConfig, values: np.ndarray, hard: bool):
+        """Wrap ``values`` without copying it; from_values copies."""
+        self.slices = component_slices(config)
+        self.values = np.asarray(values, dtype=np.float64)
+        if self.values.shape != (self.slices["ranks"].stop,):
+            raise ContractError(f"GateSet: expected {self.slices['ranks'].stop} gate values, "
+                                f"got shape {self.values.shape}")
+        self.heads = [self.values[s] for s in self.slices["heads"]]
+        self.hiddens = [self.values[s] for s in self.slices["hiddens"]]
+        self.ranks = self.values[self.slices["ranks"]]
         self.hard = bool(hard)
-        self._validate()
-
-    def _validate(self):
-        if len(self.heads) != len(self.hiddens):
-            raise ContractError("GateSet: per-layer lists must have equal length")
-        values = np.concatenate([*self.heads, *self.hiddens, self.ranks])
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ContractError("GateSet: gate values must lie in [0, 1]")
-        if self.hard and values.size and not np.all((values == 0.0) | (values == 1.0)):
+        if self.hard and not np.all((self.values == 0.0) | (self.values == 1.0)):
             raise ContractError("GateSet: hard gates must be exactly 0 or 1")
 
     @classmethod
     def ones(cls, config: ModelConfig) -> "GateSet":
-        return cls(
-            [np.ones(config.n_heads) for _ in range(config.n_layers)],
-            [np.ones(config.ffn_dim) for _ in range(config.n_layers)],
-            np.ones(config.model_dim),
-            hard=True,
-        )
+        return cls(config, np.ones(component_slices(config)["ranks"].stop), hard=True)
 
     @classmethod
     def zeros(cls, config: ModelConfig) -> "GateSet":
-        return cls(
-            [np.zeros(config.n_heads) for _ in range(config.n_layers)],
-            [np.zeros(config.ffn_dim) for _ in range(config.n_layers)],
-            np.zeros(config.model_dim),
-            hard=True,
-        )
+        return cls(config, np.zeros(component_slices(config)["ranks"].stop), hard=True)
 
     @classmethod
-    def from_values(cls, config: ModelConfig, values: dict, hard: bool) -> "GateSet":
-        """Build from a ComponentId -> value mapping covering the universe."""
-        gs = cls.zeros(config)
-        gs.hard = hard
-        for cid in component_universe(config):
-            if cid not in values:
-                raise InputError(f"missing gate value for component {cid}")
-            gs.set_value(cid, float(values[cid]))
-        gs._validate()
-        return gs
+    def from_values(cls, config: ModelConfig, values, hard: bool) -> "GateSet":
+        """Build from a copy of a canonical-order value vector."""
+        return cls(config, np.array(values, dtype=np.float64), hard)
 
-    def value(self, cid: ComponentId) -> float:
-        if cid.kind == KIND_HEAD:
-            return float(self.heads[cid.layer][cid.index])
-        if cid.kind == KIND_HIDDEN:
-            return float(self.hiddens[cid.layer][cid.index])
-        return float(self.ranks[cid.index])
-
-    def set_value(self, cid: ComponentId, value: float):
-        if cid.kind == KIND_HEAD:
-            self.heads[cid.layer][cid.index] = value
-        elif cid.kind == KIND_HIDDEN:
-            self.hiddens[cid.layer][cid.index] = value
-        else:
-            self.ranks[cid.index] = value
-
-    def to_vector(self, config: ModelConfig) -> np.ndarray:
-        """Gate values aligned with component_universe order."""
-        return np.array([self.value(cid) for cid in component_universe(config)])
-
-    def copy(self) -> "GateSet":
-        return GateSet(
-            [h.copy() for h in self.heads],
-            [h.copy() for h in self.hiddens],
-            self.ranks.copy(),
-            self.hard,
-        )
+    def to_vector(self) -> np.ndarray:
+        """A copy of the gate values in canonical order."""
+        return self.values.copy()
 
     def save_text(self, path, config: ModelConfig):
         """One line per component: kind,layer,index,value."""
         with open(path, "w") as f:
-            for cid in component_universe(config):
-                f.write(f"{cid},{np.format_float_positional(self.value(cid), trim='-')}\n")
+            for cid, v in zip(component_universe(config), self.values.tolist()):
+                f.write(f"{cid},{np.format_float_positional(v, trim='-')}\n")
 
     @classmethod
     def load_text(cls, path, config: ModelConfig) -> "GateSet":
-        values = {}
+        """Read save_text output; every component of the model exactly once, values in [0, 1]."""
+        universe = component_universe(config)
+        index = component_index(universe)
+        values = np.full(len(universe), np.nan)
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
@@ -225,35 +219,20 @@ class GateSet:
                 parts = line.split(",")
                 if len(parts) != 4:
                     raise InputError(f"{path}:{lineno}: expected kind,layer,index,value")
-                kind, layer, index, value = parts
-                if kind not in _KIND_ORDER:
-                    raise InputError(f"{path}:{lineno}: unknown kind {kind!r}")
-                cid = ComponentId(kind, None if layer == "" else int(layer), int(index))
-                values[cid] = float(value)
-        vals = np.array(list(values.values()))
-        hard = bool(np.all((vals == 0.0) | (vals == 1.0)))
-        return cls.from_values(config, values, hard)
-
-    def save_bitset(self, path, config: ModelConfig):
-        """Hard masks packed LSB-first into bytes after a u32 length prefix."""
-        if not self.hard:
-            raise ContractError("bitset export requires a hard GateSet")
-        bits = self.to_vector(config).astype(np.uint8)
-        packed = np.packbits(bits, bitorder="little")
-        with open(path, "wb") as f:
-            f.write(len(bits).to_bytes(4, "little"))
-            f.write(packed.tobytes())
-
-    @classmethod
-    def load_bitset(cls, path, config: ModelConfig) -> "GateSet":
-        with open(path, "rb") as f:
-            n = int.from_bytes(f.read(4), "little")
-            packed = np.frombuffer(f.read(), dtype=np.uint8)
-        universe = component_universe(config)
-        if n != len(universe):
-            raise InputError(f"bitset length {n} does not match model with {len(universe)} components")
-        bits = np.unpackbits(packed, bitorder="little")[:n].astype(np.float64)
-        return cls.from_values(config, dict(zip(universe, bits)), hard=True)
+                key = ",".join(parts[:3])
+                if key not in index:
+                    raise InputError(f"{path}:{lineno}: component {key} is not in the model")
+                i = index[key]
+                if not np.isnan(values[i]):
+                    raise InputError(f"{path}:{lineno}: second row for component {key}")
+                (value,) = _parse_floats(path, lineno, parts[3:])
+                if not 0.0 <= value <= 1.0:
+                    raise InputError(f"{path}:{lineno}: gate value {value} outside [0, 1]")
+                values[i] = value
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            raise InputError(f"{path}: missing gate value for component {universe[missing[0]]}")
+        return cls(config, values, hard=bool(np.all((values == 0.0) | (values == 1.0))))
 
 
 def gate_tensors(gateset: GateSet) -> dict:
@@ -455,7 +434,7 @@ def mlm_loss(logits: Tensor, mask_positions: np.ndarray, gold_ids: np.ndarray) -
     gold = gold_ids.reshape(-1)[flat_idx]
     if gold.min() < 0 or gold.max() >= v:
         raise InputError("mlm_loss: gold token id out of vocabulary range")
-    rows = T.take_rows(logits.reshape((b * s, v)), flat_idx)
+    rows = T.embedding_gather(logits.reshape((b * s, v)), flat_idx)
     logp = T.log_softmax(rows)
     onehot = np.zeros((flat_idx.size, v))
     onehot[np.arange(flat_idx.size), gold] = 1.0
@@ -503,17 +482,19 @@ def count_params(config: ModelConfig, gateset: GateSet) -> dict[str, int]:
     }
 
 
-def encoder_sparsity(gateset: GateSet, weights: dict[ComponentId, float]) -> float:
+def encoder_sparsity(gateset: GateSet, weights: np.ndarray) -> float:
     """Weighted fraction of encoder units removed; embedding ranks excluded."""
     if not gateset.hard:
         raise ContractError("encoder_sparsity requires a hard GateSet")
-    total = 0.0
-    active = 0.0
-    for cid, w in weights.items():
-        if cid.kind == KIND_RANK:
-            continue
-        total += w
-        active += w * gateset.value(cid)
+    encoder = slice(0, gateset.slices["ranks"].start)
+    w = np.asarray(weights, dtype=np.float64)[encoder]
+    total = float(w.sum())
     if total == 0.0:
         raise ContractError("encoder_sparsity: weight table has no encoder components")
+    active = float((w * gateset.values[encoder]).sum())
     return 1.0 - active / total
+
+
+def retained_fraction(values: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted fraction of all components kept, embedding ranks included."""
+    return float((values * weights).sum() / weights.sum())

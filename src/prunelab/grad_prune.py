@@ -20,14 +20,13 @@ from . import tensor as T
 from .encoder import (
     ComponentId,
     GateSet,
-    KIND_HEAD,
-    KIND_HIDDEN,
-    KIND_RANK,
     Model,
     component_universe,
+    component_weights,
     encoder_forward,
     mlm_loss,
     ones_gate_tensors,
+    _parse_floats,
 )
 from .exceptions import ContractError, InputError
 
@@ -42,6 +41,15 @@ class ImportanceTable:
     scores: dict[ComponentId, float]
     language: str
     n_batches: int
+
+    def vector(self, components) -> np.ndarray:
+        """Scores in the order of ``components``, which the table must cover exactly."""
+        if len(self.scores) != len(components):
+            raise ContractError("importance table and weight table cover different components")
+        try:
+            return np.array([self.scores[cid] for cid in components], dtype=np.float64)
+        except KeyError as e:
+            raise ContractError(f"importance table has no score for component {e.args[0]}") from None
 
     def save_csv(self, path):
         with open(path, "w") as f:
@@ -60,9 +68,17 @@ class ImportanceTable:
                 line = line.strip()
                 if not line:
                     continue
-                kind, layer, index, score = line.split(",")
-                cid = ComponentId(kind, None if layer == "" else int(layer), int(index))
-                scores[cid] = float(score)
+                parts = line.split(",")
+                if len(parts) != 4:
+                    raise InputError(f"{path}:{lineno}: expected kind,layer,index,score")
+                kind, layer, index = parts[:3]
+                try:
+                    cid = ComponentId(kind, None if layer == "" else int(layer), int(index))
+                except (ValueError, ContractError):
+                    raise InputError(f"{path}:{lineno}: bad component in {line!r}") from None
+                if cid in scores:
+                    raise InputError(f"{path}:{lineno}: second row for component {cid}")
+                (scores[cid],) = _parse_floats(path, lineno, parts[3:])
         return cls(scores, language, n_batches=0)
 
 
@@ -85,37 +101,30 @@ def importance_scores(model: Model, batches, language: str = SHARED) -> Importan
     """
     config = model.config
     universe = component_universe(config)
-    acc = {cid: 0.0 for cid in universe}
+    acc = np.zeros(len(universe))
     n = 0
     for batch in batches:
         gates = ones_gate_tensors(config, requires_grad=True)
         logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
         loss = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
         T.backward(loss)
-        for layer in range(config.n_layers):
-            gh = np.abs(gates["heads"][layer].grad)
-            gf = np.abs(gates["hiddens"][layer].grad)
-            for h in range(config.n_heads):
-                acc[ComponentId(KIND_HEAD, layer, h)] += gh[h]
-            for j in range(config.ffn_dim):
-                acc[ComponentId(KIND_HIDDEN, layer, j)] += gf[j]
-        gr = np.abs(gates["ranks"].grad)
-        for k in range(config.model_dim):
-            acc[ComponentId(KIND_RANK, None, k)] += gr[k]
+        # the gate dict lists heads, then hidden units, then ranks: canonical order
+        leaves = [*gates["heads"], *gates["hiddens"], gates["ranks"]]
+        acc += np.abs(np.concatenate([g.grad for g in leaves]))
         for p in model.params.values():
             p.zero_grad()
         n += 1
     if n == 0:
         raise InputError("importance_scores: no evaluation batches supplied")
-    return ImportanceTable({cid: float(acc[cid]) / n for cid in universe}, language, n)
+    return ImportanceTable(dict(zip(universe, (acc / n).tolist())), language, n)
 
 
-def ranked_components(table: ImportanceTable) -> list[ComponentId]:
-    """Components sorted by score descending, canonical id order on ties."""
-    return sorted(table.scores, key=lambda cid: (-table.scores[cid], cid.sort_key()))
+def rank_order(scores: np.ndarray) -> np.ndarray:
+    """Positions by score descending; equal scores keep canonical order."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
-def select_threshold(table: ImportanceTable, weights: dict[ComponentId, float],
+def select_threshold(table: ImportanceTable, weights: np.ndarray,
                      target_size: float, config) -> GateSet:
     """Keep top-scoring components until the weighted size reaches the target.
 
@@ -125,19 +134,18 @@ def select_threshold(table: ImportanceTable, weights: dict[ComponentId, float],
     """
     if not 0.0 <= target_size <= 1.0:
         raise ContractError(f"target_size must be in [0, 1], got {target_size}")
-    if set(table.scores) != set(weights):
+    scores = table.vector(component_universe(config))
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != scores.shape:
         raise ContractError("importance table and weight table cover different components")
-    total = sum(weights.values())
-    goal = target_size * total
-    values = {cid: 0.0 for cid in table.scores}
-    cum = 0.0
+    goal = target_size * weights.sum()
+    values = np.zeros(scores.size)
     if goal > 0.0:
-        for cid in ranked_components(table):
-            values[cid] = 1.0
-            cum += weights[cid]
-            if cum >= goal:
-                break
-    return GateSet.from_values(config, values, hard=True)
+        order = rank_order(scores)
+        # the first position whose cumulative weight reaches the goal is kept too
+        last = int(np.searchsorted(np.cumsum(weights[order]), goal, side="left"))
+        values[order[:last + 1]] = 1.0
+    return GateSet(config, values, hard=True)
 
 
 def build_profile(model: Model, batches_by_language: dict, setting: str,
@@ -148,8 +156,6 @@ def build_profile(model: Model, batches_by_language: dict, setting: str,
     setting scores one table over all batches pooled in language order; the
     non-shared setting scores each language separately on the same model.
     """
-    from .encoder import component_weights
-
     if setting not in (SHARED, NON_SHARED):
         raise ContractError(f"unknown setting {setting!r}")
     if not batches_by_language:

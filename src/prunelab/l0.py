@@ -20,7 +20,6 @@ masked so same-family pairs and the diagonal are exempt.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,25 +92,6 @@ class HardConcreteParams:
                 for cid, a in zip(component_ids, values):
                     f.write(f"{lang},{cid},{float(a)!r}\n")
 
-    @classmethod
-    def load_csv(cls, path, component_ids, constants: HardConcrete = DEFAULT_HC):
-        index = {str(cid): i for i, cid in enumerate(component_ids)}
-        rows: dict[str, np.ndarray] = {}
-        with open(path) as f:
-            header = f.readline().strip()
-            if header != "language,kind,layer,index,alpha":
-                raise InputError(f"{path}: unexpected header {header!r}")
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                lang, kind, layer, idx, alpha = line.split(",")
-                key = f"{kind},{layer},{idx}"
-                if key not in index:
-                    raise InputError(f"{path}: unknown component {key}")
-                rows.setdefault(lang, np.zeros(len(component_ids)))[index[key]] = float(alpha)
-        return cls({lang: Tensor(v, requires_grad=True) for lang, v in rows.items()}, constants)
-
 
 def _check_u(u: np.ndarray):
     u = np.asarray(u, dtype=np.float64)
@@ -152,12 +132,6 @@ def l0_penalty(alpha: Tensor, weights, constants: HardConcrete = DEFAULT_HC) -> 
         raise ContractError("component weights must be positive")
     probs = T.sigmoid(T.add(alpha, -constants.penalty_shift))
     return T.multiply(probs, Tensor(weights)).sum()
-
-
-def expected_size(alpha: Tensor, weights, constants: HardConcrete = DEFAULT_HC) -> Tensor:
-    """Expected retained fraction of the total component weight."""
-    total = float(np.sum(np.asarray(weights, dtype=np.float64)))
-    return T.multiply(l0_penalty(alpha, weights, constants), 1.0 / total)
 
 
 def sparsity_constraint_loss(sizes, target: float) -> Tensor:
@@ -208,20 +182,6 @@ def build_prior(families: dict[str, str]) -> PriorMatrix:
             if i == j or same:
                 mat[i, j] = 0.0
     return PriorMatrix(languages, mat)
-
-
-def load_prior(path) -> PriorMatrix:
-    """Read a two-column language,family file (header optional)."""
-    families: dict[str, str] = {}
-    with open(path) as f:
-        reader = csv.reader(f)
-        for row in reader:
-            if not row or (row[0] == "language" and row[1] == "family"):
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path}: expected two columns, got {row}")
-            families[row[0].strip()] = row[1].strip()
-    return build_prior(families)
 
 
 def diversity_loss(gate_matrix: Tensor, prior: np.ndarray) -> Tensor:

@@ -394,11 +394,6 @@ def embedding_gather(table, ids) -> Tensor:
     return _make("embedding_gather", value, (table,), grad)
 
 
-def take_rows(x, idx) -> Tensor:
-    """Row selection from a 2-d tensor; alias of embedding_gather."""
-    return embedding_gather(x, idx)
-
-
 def clamp(x, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; zero gradient strictly outside the interval."""
     if not lo < hi:

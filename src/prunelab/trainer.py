@@ -20,10 +20,10 @@ import numpy as np
 from . import tensor as T
 from .corpus import PAD_ID, Corpus, ProbeSplits, mlm_batches
 from .ds import DEFAULT_GRID, DSParams, check_grid, gate_values_at, init_ds
-from .encoder import (GateSet, Model, ModelConfig, component_universe,
+from .encoder import (GateSet, Model, ModelConfig, component_slices,
                       component_weights, cross_entropy, encoder_forward,
                       encoder_hidden, gate_tensors, mlm_loss,
-                      ones_gate_tensors)
+                      ones_gate_tensors, retained_fraction)
 from .exceptions import ConfigError, ContractError, InputError, RunError
 from .grad_prune import NON_SHARED, SHARED, PruningProfile, build_profile, importance_scores
 from .l0 import (DEFAULT_HC, HardConcreteParams, build_prior, diversity_loss,
@@ -210,35 +210,18 @@ def _check_finite(value: float, step: int):
         raise RunError(f"loss diverged at step {step}")
 
 
-def _slice_flat(flat: Tensor, lo: int, hi: int) -> Tensor:
+def _slice_flat(flat: Tensor, part: slice) -> Tensor:
     """Differentiable contiguous slice of a 1-d tensor."""
-    col = flat.reshape((flat.shape[0], 1))
-    return T.take_rows(col, np.arange(lo, hi)).reshape((hi - lo,))
+    rows = np.arange(part.start, part.stop)
+    return T.embedding_gather(flat.reshape((flat.shape[0], 1)), rows).reshape((rows.size,))
 
 
 def gate_dict_from_vector(config: ModelConfig, flat: Tensor) -> dict:
     """Split a component-ordered gate vector into the forward-pass layout."""
-    nl, nh, nf, d = config.n_layers, config.n_heads, config.ffn_dim, config.model_dim
-    heads = [_slice_flat(flat, i * nh, (i + 1) * nh) for i in range(nl)]
-    off = nl * nh
-    hiddens = [_slice_flat(flat, off + i * nf, off + (i + 1) * nf) for i in range(nl)]
-    off += nl * nf
-    ranks = _slice_flat(flat, off, off + d)
-    return {"heads": heads, "hiddens": hiddens, "ranks": ranks}
-
-
-def _gate_dict_from_values(config: ModelConfig, values: np.ndarray) -> dict:
-    """Constant gate tensors from a component-ordered value vector."""
-    nl, nh, nf, d = config.n_layers, config.n_heads, config.ffn_dim, config.model_dim
-    heads = [Tensor(values[i * nh: (i + 1) * nh]) for i in range(nl)]
-    off = nl * nh
-    hiddens = [Tensor(values[off + i * nf: off + (i + 1) * nf]) for i in range(nl)]
-    off += nl * nf
-    return {"heads": heads, "hiddens": hiddens, "ranks": Tensor(values[off: off + d])}
-
-
-def _retained_fraction(values: np.ndarray, wvec: np.ndarray) -> float:
-    return float((values * wvec).sum() / wvec.sum())
+    slices = component_slices(config)
+    return {"heads": [_slice_flat(flat, s) for s in slices["heads"]],
+            "hiddens": [_slice_flat(flat, s) for s in slices["hiddens"]],
+            "ranks": _slice_flat(flat, slices["ranks"])}
 
 
 def _per_language_streams(corpus, schedule, salt: int) -> dict[str, list]:
@@ -291,12 +274,11 @@ def run_grad_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -
     model = baseline.copy()
     config = model.config
     weights = component_weights(config)
-    wvec = np.array([weights[c] for c in component_universe(config)])
     profile = build_profile(model, _importance_batch_dict(corpus, schedule, 4),
                             schedule.setting, schedule.target_size, weights)
     langs = sorted(profile.gatesets)
     fixed = {lang: gate_tensors(profile.gatesets[lang]) for lang in langs}
-    sparsity = {lang: 1.0 - _retained_fraction(profile.gatesets[lang].to_vector(config), wvec)
+    sparsity = {lang: 1.0 - retained_fraction(profile.gatesets[lang].values, weights)
                 for lang in langs}
     achieved = {lang: 1.0 - sparsity[lang] for lang in langs}
     records: list[dict] = []
@@ -340,11 +322,10 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
         raise ConfigError("improved l0 requires at least two languages")
     model = baseline.copy()
     config = model.config
-    universe = component_universe(config)
-    wvec = np.array([component_weights(config)[c] for c in universe])
-    total_w = float(wvec.sum())
+    weights = component_weights(config)
+    total_w = float(weights.sum())
     langs = corpus.languages() if schedule.setting == NON_SHARED else [SHARED]
-    hc = HardConcreteParams.init(langs, len(universe), seed=[schedule.seed, 6])
+    hc = HardConcreteParams.init(langs, weights.size, seed=[schedule.seed, 6])
     prior_sub = None
     if improved:
         prior_sub = build_prior({s.id: s.family for s in corpus.specs}).submatrix(langs)
@@ -364,20 +345,20 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
     for k in range(schedule.total_steps):
         lang = langs[k % n_lang]
         batch = streams[lang][k // n_lang] if schedule.setting == NON_SHARED else streams[SHARED][k]
-        u = np.random.default_rng([schedule.seed, 8, k]).uniform(1e-9, 1.0 - 1e-9, size=len(universe))
+        u = np.random.default_rng([schedule.seed, 8, k]).uniform(1e-9, 1.0 - 1e-9, size=weights.size)
         gates = gate_dict_from_vector(config, sample_gate(hc.alphas[lang], u))
         logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
         mlm = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
-        sizes = [T.multiply(l0_penalty(hc.alphas[l], wvec), 1.0 / total_w) for l in langs]
+        sizes = [T.multiply(l0_penalty(hc.alphas[l], weights), 1.0 / total_w) for l in langs]
         if improved:
             l0_term = sparsity_constraint_loss(sizes, schedule.target_size)
-            rows = [expected_gate(hc.alphas[l]).reshape((1, len(universe))) for l in langs]
+            rows = [expected_gate(hc.alphas[l]).reshape((1, weights.size)) for l in langs]
             gmat = T.concatenate(rows, axis=0)
             # mean overlap per language pair per component; keeping the
             # diversity gradient below the size-constraint gradient lets the
             # penalty steer which components differ without shrinking totals
             div = T.multiply(diversity_loss(gmat, prior_sub),
-                             1.0 / (n_lang * (n_lang - 1) * len(universe)))
+                             1.0 / (n_lang * (n_lang - 1) * weights.size))
         else:
             # the vanilla penalty is the mean expected size, so lambda1 is
             # comparable across model scales
@@ -401,8 +382,8 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
     gatesets, achieved = {}, {}
     for l in langs:
         vec = (inference_gate(hc.alphas[l].data) >= 0.5).astype(np.float64)
-        gatesets[l] = GateSet.from_values(config, dict(zip(universe, vec)), hard=True)
-        achieved[l] = _retained_fraction(vec, wvec)
+        gatesets[l] = GateSet(config, vec, hard=True)
+        achieved[l] = retained_fraction(vec, weights)
     profile = PruningProfile(schedule.setting, schedule.target_size, gatesets)
     return TrainResult(model, records, profile=profile, hc=hc, achieved_sizes=achieved)
 
@@ -419,10 +400,8 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
     grid = check_grid(schedule.grid)
     model = baseline.copy()
     config = model.config
-    universe = component_universe(config)
     weights = component_weights(config)
-    wvec = np.array([weights[c] for c in universe])
-    total_w = float(wvec.sum())
+    total_w = float(weights.sum())
     if schedule.setting == SHARED:
         pooled = [b for lang, batches in sorted(_importance_batch_dict(corpus, schedule, 9).items())
                   for b in batches]
@@ -460,15 +439,15 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
             z = T.add(alphas[lang], T.multiply(thetas[lang], t))
             flat = T.clamp(T.add(T.multiply(T.sigmoid(z), hc.r - hc.l), hc.l), 0.0, 1.0)
             gates = gate_dict_from_vector(config, flat)
-            spars = 1.0 - _retained_fraction(flat.data, wvec)
+            spars = 1.0 - retained_fraction(flat.data, weights)
         else:
             values = gate_values_at(ds, t, lang)
-            gates = _gate_dict_from_values(config, values)
-            spars = 1.0 - _retained_fraction(values, wvec)
+            gates = gate_tensors(GateSet(config, values, hard=False))
+            spars = 1.0 - retained_fraction(values, weights)
         logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
         mlm = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
         if trainable:
-            sizes = [T.multiply(l0_penalty(T.add(alphas[l], T.multiply(thetas[l], t)), wvec),
+            sizes = [T.multiply(l0_penalty(T.add(alphas[l], T.multiply(thetas[l], t)), weights),
                                 1.0 / total_w) for l in langs]
             l0_term = sparsity_constraint_loss(sizes, t)
             loss = total_loss(mlm, l0_term, None, lam1, 0.0)

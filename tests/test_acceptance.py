@@ -121,7 +121,7 @@ def _random_hard_gateset(config, rng, p_keep=None):
         p_keep = rng.uniform(0.15, 0.85)
     universe = component_universe(config)
     bits = (rng.random(len(universe)) < p_keep).astype(float)
-    return GateSet.from_values(config, dict(zip(universe, bits)), hard=True)
+    return GateSet.from_values(config, bits, hard=True)
 
 
 @criterion(1, "parameter accounting")
@@ -173,7 +173,7 @@ def test_criterion_03_ds_closed_form():
     scores = dict(zip(universe, np.abs(rng.normal(size=len(universe))) + 1e-9))
     table = ImportanceTable(scores=scores, language="xx", n_batches=1)
     ds = init_ds({"xx": table}, component_weights(big), DEFAULT_GRID)
-    masks = [subnetwork_at(ds, t, "xx", big).to_vector(big).astype(bool)
+    masks = [subnetwork_at(ds, t, "xx", big).to_vector().astype(bool)
              for t in DEFAULT_GRID]
     for lo, hi, t in zip(masks, masks[1:], DEFAULT_GRID[1:]):
         assert not np.any(lo & ~hi), f"mask at smaller size not nested within t={t}"
@@ -195,15 +195,14 @@ def test_criterion_04_sparsity_targeting():
                                       languages=[lang]))
                for i, lang in enumerate(corpus.languages())}
     universe = component_universe(TOY)
-    weights = component_weights(TOY)
-    wvec = np.array([weights[c] for c in universe])
+    wvec = component_weights(TOY)
     enc = np.array([c.kind != KIND_RANK for c in universe])
     wmax = float(wvec.max())
     worst_full = worst_enc = 0.0
     for step in range(1, 10):
         t = step / 10.0
         profile = build_profile(model, batches, SHARED, t)
-        vec = profile.gatesets[SHARED].to_vector(TOY)
+        vec = profile.gatesets[SHARED].to_vector()
         dev_full = abs(float((vec * wvec).sum()) - t * wvec.sum())
         dev_enc = abs(float((vec[enc] * wvec[enc]).sum()) - t * wvec[enc].sum())
         worst_full = max(worst_full, dev_full)
@@ -233,6 +232,7 @@ def test_criterion_05_structural_equivalence():
     return f"50 random hard gate sets: max |logit difference| {worst:.2e} (<= 1e-10)"
 
 
+@pytest.mark.slow
 @criterion(6, "improved L0 hits target with diverse subnetworks")
 def test_criterion_06_improved_l0(improved_run, control_run):
     result, elapsed_main = improved_run
@@ -266,6 +266,7 @@ def test_criterion_06_improved_l0(improved_run, control_run):
             f"{same_mean:.4f} < cross-family {cross_mean:.4f}; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 @criterion(7, "one ds-train run serves every sparsity")
 def test_criterion_07_ds_sweep(tmp_path_factory):
     start = time.perf_counter()
@@ -353,6 +354,7 @@ def test_criterion_09_hamming_metric():
             "inequality, and bitwise-identical recomputation")
 
 
+@pytest.mark.slow
 @criterion(10, "vanilla L0 is uncontrollable; improved hits the target")
 def test_criterion_10_controllability_report(improved_run):
     csv_path = os.path.join(REPORTS_DIR, "vanilla_l0_sweep.csv")

@@ -7,7 +7,6 @@ from prunelab.analysis import (
     CompactModel,
     compact_model,
     corr_accuracy_size,
-    embedding_knee,
     hamming_matrix,
     layer_profile,
     save_plot,
@@ -36,11 +35,9 @@ TOY = ModelConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=6, vocab_size=29, 
 
 def random_hard_gateset(config, seed, p_keep=0.6):
     rng = np.random.default_rng(seed)
-    gs = GateSet.ones(config)
-    for cid in component_universe(config):
-        gs.set_value(cid, float(rng.random() < p_keep))
-    gs.hard = True
-    return gs
+    n = len(component_universe(config))
+    return GateSet.from_values(config, [float(rng.random() < p_keep) for _ in range(n)],
+                               hard=True)
 
 
 def synthetic_ds(config, seed=0):
@@ -85,10 +82,9 @@ def test_layer_profile_requires_hard_gates():
 
 def test_hamming_identical_and_complementary():
     a = random_hard_gateset(TOY, 1)
-    b = GateSet.ones(TOY)
-    for cid in component_universe(TOY):
-        b.set_value(cid, 1.0 - a.value(cid))
-    langs, mat = hamming_matrix({"aa": a, "bb": a.copy(), "cc": b})
+    b = GateSet.from_values(TOY, 1.0 - a.values, hard=True)
+    langs, mat = hamming_matrix({"aa": a, "bb": GateSet.from_values(TOY, a.values, hard=True),
+                                 "cc": b})
     assert langs == ["aa", "bb", "cc"]
     assert mat[0, 1] == 0.0
     assert mat[0, 2] == 1.0
@@ -148,7 +144,7 @@ def test_size_curve_endpoints_and_monotonicity():
 def test_size_curve_flags_embedding_knee():
     ds = synthetic_ds(TOY)
     rows = size_curve(ds, TOY)
-    knee = embedding_knee(rows)
+    knee = max((r["t"] for r in rows if r["embed_pruning_active"]), default=None)
     assert knee is not None
     for row in rows:
         assert row["embed_pruning_active"] == (row["rank_sparsity"] > 0.0)
@@ -228,17 +224,16 @@ BENCH = ModelConfig(n_layers=2, n_heads=4, model_dim=64, ffn_dim=256,
 
 
 def sparse_gateset(config, sparsity):
-    universe = component_universe(config)
     weights = component_weights(config)
-    order = sorted(universe, key=lambda c: weights[c], reverse=True)
-    total = sum(weights.values())
+    order = sorted(range(len(weights)), key=lambda i: weights[i], reverse=True)
+    total = weights.sum()
     gs = GateSet.zeros(config)
     kept = 0.0
-    for cid in order:
+    for i in order:
         if kept / total >= 1.0 - sparsity:
             break
-        gs.set_value(cid, 1.0)
-        kept += weights[cid]
+        gs.values[i] = 1.0
+        kept += weights[i]
     return gs
 
 

@@ -15,6 +15,7 @@ from prunelab.cli import (
     resolve_config,
     serialize_config,
 )
+from prunelab.encoder import GateSet, Model, ModelConfig
 from prunelab.exceptions import ConfigError
 
 # --- grid parsing -----------------------------------------------------------
@@ -226,3 +227,14 @@ def test_out_root_flag_beats_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "flag_runs" / "pretrain-s5" / "weights.gcpt").exists()
     assert not (tmp_path / "env_runs").exists()
     capsys.readouterr()
+
+
+def test_report_on_non_numeric_gate_value_exits_1(tmp_path, capsys):
+    config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=3, vocab_size=7,
+                         max_seq_len=4)
+    Model.init(config, 0).save(tmp_path)
+    path = tmp_path / "gates_xx.txt"
+    GateSet.ones(config).save_text(path, config)
+    path.write_text(path.read_text().replace("head,0,1,1", "head,0,1,one"))
+    assert main(["report", "--run", str(tmp_path), "--figure", "layer-profile"]) == 1
+    assert "non-numeric" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from prunelab.ds import (
     solve_ds_params,
     subnetwork_at,
 )
-from prunelab.encoder import ComponentId, ModelConfig, component_weights
+from prunelab.encoder import ModelConfig, component_universe, component_weights
 from prunelab.exceptions import ContractError, InputError
 from prunelab.grad_prune import ImportanceTable
 from prunelab.l0 import DEFAULT_HC
@@ -69,73 +69,59 @@ def test_ds_gate_monotone_in_t():
 
 
 def equal_components(n):
-    cids = [ComponentId("hidden", 0, j) for j in range(n)]
-    weights = {cid: 1.0 for cid in cids}
-    scores = {cid: float(n - j) for j, cid in enumerate(cids)}
-    return cids, weights, ImportanceTable(scores, "shared", 1)
+    """n equal-weight components whose scores fall with their position."""
+    return np.arange(n, 0, -1, dtype=float), np.ones(n)
 
 
 def test_bucketize_equal_weights_hand_case():
     # ten equal components on grid {0, 0.5, 1}: top five snap to 0.5
-    cids, weights, table = equal_components(10)
-    out = bucketize(table, weights, (0.0, 0.5, 1.0))
-    for j, cid in enumerate(cids):
-        assert out.delta[cid] == 0.1
-        assert out.t_hat[cid] == (0.5 if j < 5 else 1.0)
+    scores, weights = equal_components(10)
+    t_hat, delta = bucketize(scores, weights, (0.0, 0.5, 1.0))
+    for j in range(10):
+        assert delta[j] == 0.1
+        assert t_hat[j] == (0.5 if j < 5 else 1.0)
 
 
 def test_bucketize_respects_ranking_not_id_order():
-    cids, weights, table = equal_components(4)
-    table.scores[cids[3]] = 100.0
-    out = bucketize(table, weights, (0.0, 0.25, 0.5, 0.75, 1.0))
-    assert out.t_hat[cids[3]] == 0.25
-    assert out.t_hat[cids[0]] == 0.5
+    scores, weights = equal_components(4)
+    scores[3] = 100.0
+    t_hat, _ = bucketize(scores, weights, (0.0, 0.25, 0.5, 0.75, 1.0))
+    assert t_hat[3] == 0.25
+    assert t_hat[0] == 0.5
 
 
 def test_bucketize_zero_scores_get_tail_buckets():
-    cids, weights, table = equal_components(4)
-    for cid in cids[2:]:
-        table.scores[cid] = 0.0
-    out = bucketize(table, weights, (0.0, 0.5, 1.0))
-    assert out.t_hat[cids[2]] == 1.0
-    assert out.t_hat[cids[3]] == 1.0
-    assert set(out.t_hat) == set(cids)
+    scores, weights = equal_components(4)
+    scores[2:] = 0.0
+    grid = (0.0, 0.5, 1.0)
+    t_hat, _ = bucketize(scores, weights, grid)
+    assert t_hat[2] == 1.0
+    assert t_hat[3] == 1.0
+    assert t_hat.shape == (4,) and np.all(np.isin(t_hat, grid))
+
+
+# canonical order: one head, one hidden unit, one rank
+HEAD_HIDDEN_RANK_WEIGHTS = np.array([6.0, 3.0, 1.0])
 
 
 def test_bucketize_delta_weight_share_capped_at_cell():
-    weights = {
-        ComponentId("head", 0, 0): 6.0,
-        ComponentId("hidden", 0, 0): 3.0,
-        ComponentId("rank", None, 0): 1.0,
-    }
-    scores = {
-        ComponentId("head", 0, 0): 3.0,
-        ComponentId("hidden", 0, 0): 2.0,
-        ComponentId("rank", None, 0): 1.0,
-    }
-    out = bucketize(ImportanceTable(scores, "shared", 1), weights, (0.0, 0.5, 1.0))
+    scores = np.array([3.0, 2.0, 1.0])
+    t_hat, delta = bucketize(scores, HEAD_HIDDEN_RANK_WEIGHTS, (0.0, 0.5, 1.0))
     # cumulative sizes 0.6, 0.9, 1.0 all land in the (0.5, 1.0] cell
-    for cid in weights:
-        assert out.t_hat[cid] == 1.0
+    assert np.all(t_hat == 1.0)
     # the head's 0.6 weight share exceeds the 0.5 cell and gets capped; the
     # lighter components keep their shares
-    assert out.delta[ComponentId("head", 0, 0)] == 0.5
-    assert out.delta[ComponentId("hidden", 0, 0)] == 0.3
-    assert out.delta[ComponentId("rank", None, 0)] == 0.1
+    assert delta[0] == 0.5
+    assert delta[1] == 0.3
+    assert delta[2] == 0.1
 
 
 def test_bucketize_snaps_cumulative_sizes_upward():
-    weights = {
-        ComponentId("head", 0, 0): 6.0,
-        ComponentId("hidden", 0, 0): 3.0,
-        ComponentId("rank", None, 0): 1.0,
-    }
-    scores = {cid: 1.0 for cid in weights}
-    out = bucketize(ImportanceTable(scores, "shared", 1), weights, DEFAULT_GRID)
+    t_hat, _ = bucketize(np.ones(3), HEAD_HIDDEN_RANK_WEIGHTS, DEFAULT_GRID)
     # cumulative sizes 0.6, 0.9, 1.0 snap upward on the default grid
-    assert out.t_hat[ComponentId("head", 0, 0)] == 0.6
-    assert out.t_hat[ComponentId("hidden", 0, 0)] == 0.9
-    assert out.t_hat[ComponentId("rank", None, 0)] == 1.0
+    assert t_hat[0] == 0.6
+    assert t_hat[1] == 0.9
+    assert t_hat[2] == 1.0
 
 
 def test_check_grid_contract():
@@ -151,7 +137,8 @@ def test_check_grid_contract():
 def synthetic_ds(seed=71, grid=DEFAULT_GRID, config=TOY):
     rng = np.random.default_rng(seed)
     weights = component_weights(config)
-    table = ImportanceTable({cid: float(rng.exponential()) for cid in weights}, "shared", 1)
+    table = ImportanceTable({cid: float(rng.exponential()) for cid in component_universe(config)},
+                            "shared", 1)
     return init_ds({"shared": table}, weights, grid), weights
 
 
@@ -191,7 +178,7 @@ def test_off_grid_sizes_binarize():
     assert np.any((raw > 0.0) & (raw < 1.0))
     gs = subnetwork_at(ds, t, "shared", TOY)
     assert gs.hard
-    assert np.array_equal(gs.to_vector(TOY), (raw >= 0.5).astype(float))
+    assert np.array_equal(gs.to_vector(), (raw >= 0.5).astype(float))
 
 
 def test_agreement_with_select_threshold_within_one_bucket():
@@ -199,22 +186,21 @@ def test_agreement_with_select_threshold_within_one_bucket():
 
     rng = np.random.default_rng(75)
     weights = component_weights(TOY)
-    total = sum(weights.values())
-    table = ImportanceTable({cid: float(rng.exponential()) for cid in weights}, "shared", 1)
+    total = weights.sum()
+    table = ImportanceTable({cid: float(rng.exponential()) for cid in component_universe(TOY)},
+                            "shared", 1)
     ds = init_ds({"shared": table}, weights, DEFAULT_GRID)
     for t in ds.grid:
         ds_mask = subnetwork_at(ds, float(t), "shared", TOY)
         th_mask = select_threshold(table, weights, float(t), TOY)
-        ds_size = sum(w for c, w in weights.items() if ds_mask.value(c) == 1.0)
-        th_size = sum(w for c, w in weights.items() if th_mask.value(c) == 1.0)
+        ds_size = weights[ds_mask.values == 1.0].sum()
+        th_size = weights[th_mask.values == 1.0].sum()
         # ds keeps the prefix whose cumulative weight stays at or below t,
         # the walk additionally keeps the crossing component, so the sizes
         # differ by at most one component's weight
-        assert -1e-9 * total <= th_size - ds_size <= max(weights.values()) + 1e-9 * total
+        assert -1e-9 * total <= th_size - ds_size <= weights.max() + 1e-9 * total
         # everything ds keeps, the threshold walk keeps too
-        for cid in weights:
-            if ds_mask.value(cid) == 1.0:
-                assert th_mask.value(cid) == 1.0
+        assert np.all(th_mask.values[ds_mask.values == 1.0] == 1.0)
 
 
 def test_subnetwork_unknown_language_and_bad_t():
@@ -229,7 +215,8 @@ def test_init_ds_per_language_tables():
     rng = np.random.default_rng(77)
     weights = component_weights(TOY)
     tables = {
-        lang: ImportanceTable({cid: float(rng.exponential()) for cid in weights}, lang, 1)
+        lang: ImportanceTable({cid: float(rng.exponential()) for cid in component_universe(TOY)},
+                              lang, 1)
         for lang in ("aa", "bb")
     }
     ds = init_ds(tables, weights, (0.0, 0.25, 0.5, 0.75, 1.0))
@@ -262,3 +249,20 @@ def test_ds_params_csv_round_trip(tmp_path):
     for key in ("alpha", "theta", "t_hat", "delta"):
         assert np.array_equal(loaded.tables["shared"][key], ds.tables["shared"][key])
     assert path.read_text().startswith("language,kind,layer,index,alpha,theta,t_hat,delta\n")
+
+
+def test_ds_params_load_csv_rejects_malformed_tables(tmp_path):
+    ds, _ = synthetic_ds(seed=80)
+    path = tmp_path / "ds.csv"
+    ds.save_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    cases = {
+        "missing row": lines[:-1],
+        "second row": lines + [lines[1]],
+        "non-numeric": lines[:1] + [lines[1].rsplit(",", 1)[0] + ",x\n"] + lines[2:],
+        "short row": lines[:1] + [lines[1].rsplit(",", 1)[0] + "\n"] + lines[2:],
+    }
+    for rows in cases.values():
+        path.write_text("".join(rows))
+        with pytest.raises(InputError):
+            DSParams.load_csv(path, ds.components, ds.grid)

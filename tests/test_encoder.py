@@ -11,6 +11,7 @@ from prunelab.encoder import (
     Model,
     ModelConfig,
     XLMR_BASE,
+    component_index,
     component_universe,
     component_weights,
     count_params,
@@ -91,9 +92,10 @@ def test_component_universe_order_and_size():
 
 def test_component_weights_scheme():
     w = component_weights(XLMR_BASE)
-    assert w[ComponentId("head", 0, 0)] == 256.0
-    assert w[ComponentId("hidden", 3, 17)] == 2.0
-    assert w[ComponentId("rank", None, 5)] == 1.0
+    position = component_index(component_universe(XLMR_BASE))
+    assert w[position["head,0,0"]] == 256.0
+    assert w[position["hidden,3,17"]] == 2.0
+    assert w[position["rank,,5"]] == 1.0
 
 
 def test_forward_matches_reference_all_ones():
@@ -110,12 +112,10 @@ def test_forward_matches_reference_random_gates():
     ids = seeded_batch(TOY, 2)
     rng = np.random.default_rng(3)
     for trial in range(5):
-        gs = GateSet(
-            [rng.uniform(size=TOY.n_heads) for _ in range(TOY.n_layers)],
-            [rng.uniform(size=TOY.ffn_dim) for _ in range(TOY.n_layers)],
-            rng.uniform(size=TOY.model_dim),
-            hard=False,
-        )
+        gs = GateSet.from_values(TOY, np.concatenate(
+            [rng.uniform(size=TOY.n_heads) for _ in range(TOY.n_layers)]
+            + [rng.uniform(size=TOY.ffn_dim) for _ in range(TOY.n_layers)]
+            + [rng.uniform(size=TOY.model_dim)]), hard=False)
         with T.no_grad():
             got = encoder_forward(model, ids, gate_tensors(gs)).data
         want = reference_encoder(model, ids, gs)
@@ -294,7 +294,7 @@ def test_count_params_monotone_in_gates():
     last = count_params(TOY, gs)["total_params"]
     universe = component_universe(TOY)
     for cid in rng.permutation(len(universe))[:30]:
-        gs.set_value(universe[cid], 0.0)
+        gs.values[cid] = 0.0
         now = count_params(TOY, gs)["total_params"]
         assert now <= last
         last = now
@@ -324,38 +324,92 @@ def test_encoder_sparsity_ignores_rank_gates():
 
 
 def test_gateset_validation():
+    n = len(component_universe(TOY))
+    out_of_range = np.ones(n)
+    out_of_range[:2] = [0.5, 1.5]
     with pytest.raises(ContractError):
-        GateSet([[0.5, 1.5]], [[1.0] * 12], np.ones(8), hard=False)
+        GateSet.from_values(TOY, out_of_range, hard=False)
+    fractional = np.ones(n)
+    fractional[0] = 0.5
     with pytest.raises(ContractError):
-        GateSet([[0.5, 1.0], [1.0, 1.0]], [[1.0] * 12] * 2, np.ones(8), hard=True)
+        GateSet.from_values(TOY, fractional, hard=True)
+    with pytest.raises(ContractError):
+        GateSet.from_values(TOY, np.ones(n - 1), hard=True)
 
 
 def test_gateset_text_round_trip(tmp_path):
     rng = np.random.default_rng(21)
-    gs = GateSet(
-        [rng.integers(0, 2, TOY.n_heads).astype(float) for _ in range(TOY.n_layers)],
-        [rng.integers(0, 2, TOY.ffn_dim).astype(float) for _ in range(TOY.n_layers)],
-        rng.integers(0, 2, TOY.model_dim).astype(float),
-        hard=True,
-    )
+    gs = GateSet.from_values(TOY, np.concatenate(
+        [rng.integers(0, 2, TOY.n_heads).astype(float) for _ in range(TOY.n_layers)]
+        + [rng.integers(0, 2, TOY.ffn_dim).astype(float) for _ in range(TOY.n_layers)]
+        + [rng.integers(0, 2, TOY.model_dim).astype(float)]), hard=True)
     path = tmp_path / "gates.csv"
     gs.save_text(path, TOY)
     loaded = GateSet.load_text(path, TOY)
     assert loaded.hard
-    assert np.array_equal(loaded.to_vector(TOY), gs.to_vector(TOY))
+    assert np.array_equal(loaded.to_vector(), gs.to_vector())
     first = path.read_text().splitlines()[0]
     assert first == "head,0,0," + ("1" if gs.heads[0][0] else "0")
 
 
-def test_gateset_bitset_round_trip(tmp_path):
-    rng = np.random.default_rng(22)
-    vec = rng.integers(0, 2, len(component_universe(TOY))).astype(float)
-    gs = GateSet.from_values(TOY, dict(zip(component_universe(TOY), vec)), hard=True)
-    path = tmp_path / "gates.bits"
-    gs.save_bitset(path, TOY)
-    loaded = GateSet.load_bitset(path, TOY)
-    assert np.array_equal(loaded.to_vector(TOY), vec)
-    assert path.stat().st_size == 4 + (len(vec) + 7) // 8
+def test_gateset_views_share_the_value_vector():
+    gs = GateSet.ones(TOY)
+    gs.heads[1][0] = 0.0
+    gs.hiddens[0][3] = 0.0
+    gs.ranks[7] = 0.0
+    position = component_index(component_universe(TOY))
+    off = np.flatnonzero(gs.values == 0.0).tolist()
+    assert off == [position["head,1,0"], position["hidden,0,3"], position["rank,,7"]]
+    copy = gs.to_vector()
+    copy[:] = 0.0
+    assert gs.values.sum() == len(position) - 3
+
+
+def _gates_file(tmp_path, edit):
+    path = tmp_path / "gates.txt"
+    GateSet.ones(TOY).save_text(path, TOY)
+    path.write_text(edit(path.read_text()))
+    return path
+
+
+def test_load_text_rejects_head_outside_the_model(tmp_path):
+    path = _gates_file(tmp_path, lambda text: text + "head,0,7,1\n")
+    with pytest.raises(InputError, match="head,0,7"):
+        GateSet.load_text(path, TOY)
+
+
+def test_load_text_rejects_layer_outside_the_model(tmp_path):
+    path = _gates_file(tmp_path, lambda text: text + "hidden,5,0,1\n")
+    with pytest.raises(InputError, match="hidden,5,0"):
+        GateSet.load_text(path, TOY)
+
+
+def test_load_text_rejects_duplicate_rows(tmp_path):
+    path = _gates_file(tmp_path, lambda text: text + "head,1,1,0\n")
+    with pytest.raises(InputError, match="head,1,1"):
+        GateSet.load_text(path, TOY)
+
+
+def test_load_text_rejects_non_numeric_values(tmp_path):
+    path = _gates_file(tmp_path, lambda text: text.replace("head,0,1,1", "head,0,1,yes"))
+    with pytest.raises(InputError, match="yes"):
+        GateSet.load_text(path, TOY)
+
+
+def test_load_text_rejects_rank_with_a_layer(tmp_path):
+    path = _gates_file(tmp_path, lambda text: text + "rank,1,0,1\n")
+    with pytest.raises(InputError, match="rank,1,0"):
+        GateSet.load_text(path, TOY)
+
+
+def test_load_text_rejects_missing_and_out_of_range_values(tmp_path):
+    path = _gates_file(tmp_path, lambda text: text.replace("rank,,7,1\n", ""))
+    with pytest.raises(InputError, match="rank,,7"):
+        GateSet.load_text(path, TOY)
+    for bad in ("1.5", "nan", "-0.5"):
+        path = _gates_file(tmp_path, lambda text: text.replace("rank,,7,1", f"rank,,7,{bad}"))
+        with pytest.raises(InputError):
+            GateSet.load_text(path, TOY)
 
 
 def test_forward_determinism_and_finiteness_random_hard_gates():
@@ -364,7 +418,7 @@ def test_forward_determinism_and_finiteness_random_hard_gates():
     rng = np.random.default_rng(25)
     for _ in range(5):
         vec = rng.integers(0, 2, len(component_universe(TOY))).astype(float)
-        gs = GateSet.from_values(TOY, dict(zip(component_universe(TOY), vec)), hard=True)
+        gs = GateSet.from_values(TOY, vec, hard=True)
         with T.no_grad():
             a = encoder_forward(model, ids, gate_tensors(gs)).data
             b = encoder_forward(model, ids, gate_tensors(gs)).data

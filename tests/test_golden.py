@@ -1,8 +1,9 @@
 """Golden run: a small seeded CLI sequence must reproduce its artifacts byte for byte.
 
-The digests below were recorded from this exact sequence.  A refactor that
-keeps behaviour leaves every one of them unchanged; a change that moves one
-on purpose must say so and record the new digest.
+The digests below were recorded from this exact sequence with numpy 2.4.6 on
+OpenBLAS 0.3.31.  A refactor that keeps behaviour leaves every one of them
+unchanged; a change that moves one on purpose must say so and record the new
+digest.  Another BLAS build may round matrix products differently.
 """
 
 import hashlib

@@ -1,5 +1,6 @@
 """Gradient-based pruning: scores vs finite differences, thresholding."""
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,7 @@ from prunelab.encoder import (
     ComponentId,
     Model,
     ModelConfig,
+    component_universe,
     component_weights,
     encoder_forward,
     gate_tensors,
@@ -21,7 +23,7 @@ from prunelab.grad_prune import (
     ImportanceTable,
     build_profile,
     importance_scores,
-    ranked_components,
+    rank_order,
     select_threshold,
 )
 
@@ -49,8 +51,6 @@ def test_scores_match_finite_differences_on_gates():
     model = Model.init(TOY, seed=31)
     batch = make_batch(32)
     table = importance_scores(model, [batch])
-    from prunelab.encoder import component_universe
-
     rng = np.random.default_rng(33)
     universe = component_universe(TOY)
     h = 1e-5
@@ -126,18 +126,18 @@ def test_select_threshold_cumulative_walk_by_hand():
     # and the 8 ranks 1 each, total 42. scores rank the heads first.
     cfg = ModelConfig(n_layers=1, n_heads=4, model_dim=8, ffn_dim=1, vocab_size=5, max_seq_len=4)
     weights = component_weights(cfg)
-    scores = {cid: 0.0 for cid in weights}
+    scores = {cid: 0.0 for cid in component_universe(cfg)}
     for i, s in enumerate([0.9, 0.5, 0.1, 0.05]):
         scores[ComponentId("head", 0, i)] = s
     table = ImportanceTable(scores, "shared", 1)
     # goal 0.38*42 = 15.96 is first reached at cumulative weight 16: top two
     gs = select_threshold(table, weights, 0.38, cfg)
-    kept = [gs.value(ComponentId("head", 0, i)) for i in range(4)]
+    kept = gs.heads[0].tolist()
     assert kept == [1.0, 1.0, 0.0, 0.0]
-    assert sum(weights[c] for c in weights if gs.value(c) == 1.0) == 16.0
+    assert weights[gs.values == 1.0].sum() == 16.0
     # goal 0.41*42 = 17.22 needs the third head as well
     gs = select_threshold(table, weights, 0.41, cfg)
-    assert [gs.value(ComponentId("head", 0, i)) for i in range(4)] == [1.0, 1.0, 1.0, 0.0]
+    assert gs.heads[0].tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
 def test_select_threshold_extremes():
@@ -145,33 +145,34 @@ def test_select_threshold_extremes():
     weights = component_weights(model_cfg)
     rng = np.random.default_rng(43)
     table = ImportanceTable(
-        {cid: float(rng.uniform()) for cid in weights}, "shared", 1
+        {cid: float(rng.uniform()) for cid in component_universe(model_cfg)}, "shared", 1
     )
     all_on = select_threshold(table, weights, 1.0, model_cfg)
-    assert all_on.to_vector(model_cfg).min() == 1.0
+    assert all_on.to_vector().min() == 1.0
     all_off = select_threshold(table, weights, 0.0, model_cfg)
-    assert all_off.to_vector(model_cfg).max() == 0.0
+    assert all_off.to_vector().max() == 0.0
 
 
 def test_select_threshold_tie_break_canonical():
     cfg, table = equal_weight_table([0.7, 0.7, 0.7, 0.7])
     weights = component_weights(cfg)
-    for cid in weights:
+    for cid in component_universe(cfg):
         if cid.kind != "head":
             table.scores[cid] = 0.0
     gs = select_threshold(table, weights, 0.4, cfg)
     # equal scores resolve by canonical id order: heads 0.. kept first;
     # 0.4 * total = 0.4 * (4*8 + 2 + 8) = 16.8 -> heads 0 and 1 (w=8 each)
-    assert [gs.value(ComponentId("head", 0, i)) for i in range(4)] == [1, 1, 1, 0]
+    assert gs.heads[0].tolist() == [1, 1, 1, 0]
 
 
 def test_select_threshold_nesting():
     weights = component_weights(TOY)
     rng = np.random.default_rng(44)
-    table = ImportanceTable({cid: float(rng.uniform()) for cid in weights}, "shared", 1)
+    table = ImportanceTable({cid: float(rng.uniform()) for cid in component_universe(TOY)},
+                            "shared", 1)
     prev = None
     for t in np.linspace(0.0, 1.0, 11):
-        mask = select_threshold(table, weights, float(t), TOY).to_vector(TOY)
+        mask = select_threshold(table, weights, float(t), TOY).to_vector()
         if prev is not None:
             assert np.all(mask >= prev)
         prev = mask
@@ -180,44 +181,48 @@ def test_select_threshold_nesting():
 def test_select_threshold_scale_invariance():
     weights = component_weights(TOY)
     rng = np.random.default_rng(45)
-    table = ImportanceTable({cid: float(rng.uniform()) for cid in weights}, "shared", 1)
+    table = ImportanceTable({cid: float(rng.uniform()) for cid in component_universe(TOY)},
+                            "shared", 1)
     doubled = ImportanceTable({c: 2.0 * s for c, s in table.scores.items()}, "shared", 1)
     for t in (0.2, 0.5, 0.8):
-        a = select_threshold(table, weights, t, TOY).to_vector(TOY)
-        b = select_threshold(doubled, weights, t, TOY).to_vector(TOY)
+        a = select_threshold(table, weights, t, TOY).to_vector()
+        b = select_threshold(doubled, weights, t, TOY).to_vector()
         assert np.array_equal(a, b)
 
 
 def test_select_threshold_weighted_size_guarantee():
     weights = component_weights(TOY)
-    total = sum(weights.values())
-    wmax = max(weights.values())
+    total = weights.sum()
+    wmax = weights.max()
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        table = ImportanceTable({cid: float(rng.exponential()) for cid in weights}, "shared", 1)
+        table = ImportanceTable({cid: float(rng.exponential()) for cid in component_universe(TOY)},
+                                "shared", 1)
         for t in rng.uniform(0, 1, size=5):
             gs = select_threshold(table, weights, float(t), TOY)
-            achieved = sum(w for cid, w in weights.items() if gs.value(cid) == 1.0)
+            achieved = weights[gs.values == 1.0].sum()
             assert abs(achieved - t * total) <= wmax
 
 
 def test_select_threshold_rejects_bad_target_and_mismatch():
     weights = component_weights(TOY)
-    table = ImportanceTable({cid: 1.0 for cid in weights}, "shared", 1)
+    universe = component_universe(TOY)
+    table = ImportanceTable({cid: 1.0 for cid in universe}, "shared", 1)
     with pytest.raises(ContractError):
         select_threshold(table, weights, 1.5, TOY)
-    short = dict(list(weights.items())[:-1])
-    bad = ImportanceTable({cid: 1.0 for cid in short}, "shared", 1)
+    bad = ImportanceTable({cid: 1.0 for cid in universe[:-1]}, "shared", 1)
     with pytest.raises(ContractError):
         select_threshold(bad, weights, 0.5, TOY)
+    with pytest.raises(ContractError):
+        select_threshold(table, weights[:-1], 0.5, TOY)
 
 
 def test_ranked_components_deterministic_ties():
     cfg, table = equal_weight_table([0.3, 0.3, 0.9, 0.3])
-    order = ranked_components(table)
-    heads = [c for c in order if c.kind == "head"]
-    assert heads[0].index == 2
-    assert [c.index for c in heads[1:]] == [0, 1, 3]
+    heads = [ComponentId("head", 0, i) for i in range(4)]
+    order = rank_order(table.vector(heads))
+    assert order[0] == 2
+    assert order[1:].tolist() == [0, 1, 3]
 
 
 def test_build_profile_shared_vs_single_language():
@@ -226,8 +231,8 @@ def test_build_profile_shared_vs_single_language():
     shared = build_profile(model, {"xx": batches}, "shared", 0.5)
     non_shared = build_profile(model, {"xx": batches}, "non-shared", 0.5)
     assert np.array_equal(
-        shared.gatesets["shared"].to_vector(TOY),
-        non_shared.gatesets["xx"].to_vector(TOY),
+        shared.gatesets["shared"].to_vector(),
+        non_shared.gatesets["xx"].to_vector(),
     )
 
 
@@ -259,3 +264,23 @@ def test_importance_table_csv_round_trip(tmp_path):
     for cid in table.scores:
         assert loaded.scores[cid] == table.scores[cid]
     assert path.read_text().startswith("kind,layer,index,score\n")
+
+
+def _scores_file(tmp_path, edit):
+    model = Model.init(TOY, seed=57)
+    path = tmp_path / "scores.csv"
+    importance_scores(model, [make_batch(58)]).save_csv(path)
+    path.write_text(edit(path.read_text()))
+    return path
+
+
+def test_importance_table_load_rejects_short_rows(tmp_path):
+    path = _scores_file(tmp_path, lambda text: text + "head,0,0\n")
+    with pytest.raises(InputError, match="kind,layer,index,score"):
+        ImportanceTable.load_csv(path)
+
+
+def test_importance_table_load_rejects_non_finite_scores(tmp_path):
+    path = _scores_file(tmp_path, lambda text: re.sub(r"rank,,3,.*", "rank,,3,nan", text))
+    with pytest.raises(InputError, match="nan"):
+        ImportanceTable.load_csv(path)

@@ -11,6 +11,7 @@ from prunelab import tensor as T
 from prunelab.corpus import LanguageSpec, gen_corpus, probe_batches
 from prunelab.ds import DEFAULT_GRID, gate_values_at, init_ds
 from prunelab.encoder import (
+    ComponentId,
     GateSet,
     Model,
     ModelConfig,
@@ -266,8 +267,8 @@ def test_grad_pruning_achieved_size_within_component_granularity():
     base = toy_baseline().model
     res = run_grad_pruning(base, toy_corpus(), grad_schedule(target_size=0.5))
     weights = component_weights(base.config)
-    wmax = max(weights.values())
-    total = sum(weights.values())
+    wmax = weights.max()
+    total = weights.sum()
     achieved = res.achieved_sizes[SHARED]
     assert 0.5 <= achieved + 1e-12
     assert achieved <= 0.5 + wmax / total + 1e-12
@@ -282,7 +283,7 @@ def test_grad_pruning_non_shared_round_robin_and_per_language_gates():
     assert sorted(res.profile.gatesets) == langs
     seen = [r["language"] for r in res.records]
     assert seen == [langs[k % len(langs)] for k in range(len(seen))]
-    vecs = {l: res.profile.gatesets[l].to_vector(base.config) for l in langs}
+    vecs = {l: res.profile.gatesets[l].to_vector() for l in langs}
     assert any(not np.array_equal(vecs[langs[0]], vecs[l]) for l in langs[1:])
 
 
@@ -290,7 +291,7 @@ def test_grad_pruning_target_one_keeps_everything():
     base = toy_baseline().model
     res = run_grad_pruning(base, toy_corpus(), grad_schedule(total_steps=0, target_size=1.0))
     gs = res.profile.gatesets[SHARED]
-    assert np.array_equal(gs.to_vector(base.config), np.ones(len(component_universe(base.config))))
+    assert np.array_equal(gs.to_vector(), np.ones(len(component_universe(base.config))))
     assert res.achieved_sizes[SHARED] == 1.0
     assert params_equal(snapshot(res.model), snapshot(base))
 
@@ -352,17 +353,16 @@ def test_l0_zero_steps_hardens_initialization():
                                    len(component_universe(base.config)), seed=[3, 6])
     for lang, gs in res.profile.gatesets.items():
         expect = (inference_gate(init.alphas[lang].data) >= 0.5).astype(float)
-        assert np.array_equal(gs.to_vector(base.config), expect)
+        assert np.array_equal(gs.to_vector(), expect)
         assert gs.hard
 
 
 def test_l0_gatesets_follow_hardened_alphas():
     base = toy_baseline().model
     res = run_l0_pruning(base, toy_corpus(), l0_schedule(total_steps=6))
-    weights = component_weights(base.config)
-    wvec = np.array([weights[c] for c in component_universe(base.config)])
+    wvec = component_weights(base.config)
     for lang, gs in res.profile.gatesets.items():
-        vec = gs.to_vector(base.config)
+        vec = gs.to_vector()
         assert np.array_equal(vec, (res.hc.alphas[lang].data >= 0.0).astype(float))
         assert res.achieved_sizes[lang] == pytest.approx(float((vec * wvec).sum() / wvec.sum()))
 
@@ -401,8 +401,7 @@ def test_ds_sampled_sizes_follow_grid_and_records_match():
     base = toy_baseline().model
     sched = ds_schedule(total_steps=12)
     res = run_ds_training(base, toy_corpus(), sched)
-    weights = component_weights(base.config)
-    wvec = np.array([weights[c] for c in component_universe(base.config)])
+    wvec = component_weights(base.config)
     ts = []
     for k, rec in enumerate(res.records):
         t = float(DEFAULT_GRID[int(np.random.default_rng([sched.seed, 11, k])
@@ -473,8 +472,13 @@ def test_gate_dict_from_vector_layout_matches_universe():
     flat = Tensor(np.arange(n, dtype=float), requires_grad=True)
     gates = gate_dict_from_vector(config, flat)
     gs = GateSet.ones(config)
-    for pos, cid in enumerate(universe):
-        gs.set_value(cid, float(pos))
+    position = {cid: pos for pos, cid in enumerate(universe)}
+    for layer in range(config.n_layers):
+        gs.heads[layer][:] = [position[ComponentId("head", layer, h)]
+                              for h in range(config.n_heads)]
+        gs.hiddens[layer][:] = [position[ComponentId("hidden", layer, j)]
+                                for j in range(config.ffn_dim)]
+    gs.ranks[:] = [position[ComponentId("rank", None, k)] for k in range(config.model_dim)]
     rebuilt = np.concatenate([g.data for g in gates["heads"]]
                              + [g.data for g in gates["hiddens"]] + [gates["ranks"].data])
     manual = np.concatenate([np.asarray(gs.heads[l]) for l in range(config.n_layers)]
