@@ -10,6 +10,7 @@ import hashlib
 import os
 
 from prunelab.cli import main
+from prunelab.corpus import LanguageSpec, build_inventories, gen_corpus
 
 SEED = "7"
 TOY = ["--layers", "2", "--heads", "2", "--dim", "16", "--ffn-dim", "32",
@@ -111,13 +112,92 @@ def _digests(root) -> dict[str, str]:
     return out
 
 
-def test_golden_run_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
+def _run_and_compare(tmp_path, monkeypatch, capsys, sequence, golden):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("PRUNELAB_RUNS", str(tmp_path / "runs"))
-    for argv in SEQUENCE:
+    for argv in sequence:
         assert main(argv) == 0, argv
     capsys.readouterr()
     got = _digests(tmp_path / "runs")
-    assert sorted(got) == sorted(GOLDEN)
-    changed = [path for path in GOLDEN if got[path] != GOLDEN[path]]
+    assert sorted(got) == sorted(golden)
+    changed = [path for path in golden if got[path] != golden[path]]
     assert not changed, f"artifacts differ from the golden run: {changed}"
+
+
+def test_golden_run_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
+    _run_and_compare(tmp_path, monkeypatch, capsys, SEQUENCE, GOLDEN)
+
+
+# Eight languages: the per-language size terms of the L0 objectives are summed
+# over eight rows here, so a change in how that sum is grouped moves a digest
+# (three terms are too few to show every regrouping).
+EIGHT = [("en", "Indo-European"), ("de", "Indo-European"), ("ar", "Afro-Asiatic"),
+         ("he", "Afro-Asiatic"), ("tr", "Turkic"), ("kk", "Turkic"),
+         ("fi", "Uralic"), ("hu", "Uralic")]
+
+SEQUENCE_8 = [
+    ["pretrain", "--corpus", "corpus", "--steps", "16", "--lr", "3e-3", *TOY, *SMALL],
+    ["prune", "--algo", "l0-improved", "--corpus", "corpus", "--baseline",
+     f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "24", "--alpha-lr", "0.8",
+     *SMALL],
+    ["prune", "--algo", "l0", "--corpus", "corpus", "--baseline", f"pretrain-s{SEED}",
+     "--setting", "non-shared", "--steps", "16", *SMALL],
+    ["ds-train", "--algo", "ds-l0", "--corpus", "corpus", "--baseline",
+     f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "24", *SMALL],
+]
+
+GOLDEN_8 = {
+    "ds-l0-s7/ds.csv":
+        "93721bd880711bb70c03b2cd7fb5ba39ca4e161ed1407aeb236c58027bef647a",
+    "ds-l0-s7/metrics.csv":
+        "44dcbde9d0e9c287ab59bff6f84874f053ffc3595c8ee359af3f65db47df7f32",
+    "pretrain-s7/metrics.csv":
+        "836ae1b76ab26f0c679bb8258be185b1568d118ba0e6160c857fdd83e07d3733",
+    "prune-l0-improved-s7/alphas.csv":
+        "1608470fa435532c93c3276ab8bb35c5f1f5be78c763b1433b6ccbeb41cc9b77",
+    "prune-l0-improved-s7/gates_ar.txt":
+        "eb387cc0ebb65d6ac4b1c4c9a0ff6fdabdfea155b1aa6e0811987cc9c99ba946",
+    "prune-l0-improved-s7/gates_de.txt":
+        "dfc52483dad5657db634c81ceffc328698ca518776ed9997614f7f729e68497f",
+    "prune-l0-improved-s7/gates_en.txt":
+        "6fde0896b9e10d28848801bc770126086af1d7c53ac2f94528f2ee43d63fc44c",
+    "prune-l0-improved-s7/gates_fi.txt":
+        "c124fd91a3c2c0ae313447e20c425c10889c3589f08f91862b57f72226b82fcd",
+    "prune-l0-improved-s7/gates_he.txt":
+        "b104acfb3097063f0d55f5edb923ab5daecb9cd17064330b2095d618e3f5df55",
+    "prune-l0-improved-s7/gates_hu.txt":
+        "b104acfb3097063f0d55f5edb923ab5daecb9cd17064330b2095d618e3f5df55",
+    "prune-l0-improved-s7/gates_kk.txt":
+        "b104acfb3097063f0d55f5edb923ab5daecb9cd17064330b2095d618e3f5df55",
+    "prune-l0-improved-s7/gates_tr.txt":
+        "b104acfb3097063f0d55f5edb923ab5daecb9cd17064330b2095d618e3f5df55",
+    "prune-l0-improved-s7/metrics.csv":
+        "f4f5e6e610cc0749c932e73b838abdde5c00931a600a6d76ad205073eeaacb8b",
+    "prune-l0-s7/alphas.csv":
+        "2d8ea0a3ac1474020b9d6f1795dd9748b9f49925409650f779e8d4b4b2bcc799",
+    "prune-l0-s7/gates_ar.txt":
+        "d375047ab546dd487bbe60e8c5ac0a61122fc9ea9333b3ac0438c1eda32f2ef1",
+    "prune-l0-s7/gates_de.txt":
+        "11c74c587c0499c04499e694d11fc8a65eb95424dafe524aa0fa27dbb96b7e00",
+    "prune-l0-s7/gates_en.txt":
+        "4de591a154307b001e6dc6fd9002a1d51117c7d684c0dc40082be08ec2d687ce",
+    "prune-l0-s7/gates_fi.txt":
+        "fcc1f73fe4b7c1fcc567da7c4cb5d4b0b6612bfb5531a45d8b2187ab8c45f9f5",
+    "prune-l0-s7/gates_he.txt":
+        "af99edb1d0bef964f7974a20ba66037920888200a24cc28579a48fed00c3b167",
+    "prune-l0-s7/gates_hu.txt":
+        "b104acfb3097063f0d55f5edb923ab5daecb9cd17064330b2095d618e3f5df55",
+    "prune-l0-s7/gates_kk.txt":
+        "b104acfb3097063f0d55f5edb923ab5daecb9cd17064330b2095d618e3f5df55",
+    "prune-l0-s7/gates_tr.txt":
+        "b104acfb3097063f0d55f5edb923ab5daecb9cd17064330b2095d618e3f5df55",
+    "prune-l0-s7/metrics.csv":
+        "a5c34a4c154c2caa9140cfe2edd06e4c52e4c474b1fac4b0dca89682b423089a",
+}
+
+
+def test_golden_run_eight_languages_is_byte_identical(tmp_path, monkeypatch, capsys):
+    specs = build_inventories([LanguageSpec(code, family, 60, 100 + i)
+                               for i, (code, family) in enumerate(EIGHT)], inventory_size=12)
+    gen_corpus(specs, seed=int(SEED)).save(tmp_path / "corpus")
+    _run_and_compare(tmp_path, monkeypatch, capsys, SEQUENCE_8, GOLDEN_8)
