@@ -197,9 +197,15 @@ def _write_json(path, payload: dict):
         json.dump(payload, f, indent=2)
 
 
-def _load_run_model(run_dir: str) -> Model:
+def _run_config(run_dir: str) -> ModelConfig:
+    """A run's model config from model.json, without reading its weights."""
     if not os.path.exists(os.path.join(run_dir, "model.json")):
         raise ConfigError(f"no model checkpoint under {run_dir}")
+    return ModelConfig.load(run_dir)
+
+
+def _load_run_model(run_dir: str) -> Model:
+    _run_config(run_dir)  # the same ConfigError when model.json is missing
     return Model.load(run_dir)
 
 
@@ -442,10 +448,11 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     run_dir = _find_run_dir(args, args.run)
     runid = os.path.basename(os.path.normpath(run_dir))
-    model = _load_run_model(run_dir)
+    # every figure needs the model shape at most, never the weights
+    config = _run_config(run_dir)
     out = os.path.join(run_dir, f"report_{args.figure}_{runid}.csv")
     if args.figure == "layer-profile":
-        gatesets = _run_gatesets(run_dir, model.config)
+        gatesets = _run_gatesets(run_dir, config)
         if not gatesets:
             raise ConfigError("layer-profile needs stored gate sets (gates_*.txt)")
         rows = []
@@ -457,7 +464,7 @@ def cmd_report(args) -> int:
             save_plot(rows, "layer", ("head_sparsity", "hidden_sparsity"),
                       out.replace(".csv", ".png"), title="layer profile")
     elif args.figure == "hamming":
-        gatesets = _run_gatesets(run_dir, model.config)
+        gatesets = _run_gatesets(run_dir, config)
         if len(gatesets) < 2:
             raise ConfigError("hamming needs at least two per-language gate sets")
         langs, mat = hamming_matrix(gatesets)
@@ -466,12 +473,12 @@ def cmd_report(args) -> int:
             for i, lang in enumerate(langs):
                 f.write(lang + "," + ",".join(repr(float(v)) for v in mat[i]) + "\n")
     elif args.figure == "size-curve":
-        ds = _run_ds(run_dir, model.config)
+        ds = _run_ds(run_dir, config)
         if ds is None:
             raise ConfigError("size-curve needs a ds-train run (no ds.csv found)")
         rows = []
         for lang in ds.languages():
-            for row in size_curve(ds, model.config, lang):
+            for row in size_curve(ds, config, lang):
                 rows.append({"language": lang, **row})
         write_report(rows, ("language", "t", "total_params", "embedding_params",
                             "encoder_params", "encoder_sparsity", "overall_sparsity",

@@ -70,6 +70,12 @@ class ModelConfig:
             "max_seq_len": self.max_seq_len,
         }
 
+    @classmethod
+    def load(cls, run_dir) -> "ModelConfig":
+        """The config a run stored in model.json; reads no weights."""
+        with open(f"{run_dir}/model.json") as f:
+            return cls(**json.load(f))
+
 
 # XLM-R base shape, used by parameter accounting checks and dry runs.
 XLMR_BASE = ModelConfig(
@@ -311,8 +317,7 @@ class Model:
 
     @classmethod
     def load(cls, run_dir) -> "Model":
-        with open(f"{run_dir}/model.json") as f:
-            config = ModelConfig(**json.load(f))
+        config = ModelConfig.load(run_dir)
         arrays = T.load_checkpoint(f"{run_dir}/weights.gcpt")
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         return cls(config, params)

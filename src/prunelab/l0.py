@@ -67,28 +67,37 @@ ALPHA_INIT_STD = 0.1
 
 @dataclass
 class HardConcreteParams:
-    """One learnable alpha per component, per language ('shared' for one set)."""
+    """Learnable alphas as one (languages x components) leaf tensor.
 
-    alphas: dict[str, Tensor]
+    Row i holds the alphas of ``languages[i]`` ('shared' for one set);
+    columns follow the canonical component order.
+    """
+
+    languages: list[str]
+    alphas: Tensor
     constants: HardConcrete = DEFAULT_HC
+
+    def __post_init__(self):
+        if self.alphas.shape[:1] != (len(self.languages),) or self.alphas.ndim != 2:
+            raise ContractError(f"alphas {self.alphas.shape} need one row per language "
+                                f"of {self.languages}")
 
     @classmethod
     def init(cls, languages, n_components: int, seed: int,
              constants: HardConcrete = DEFAULT_HC) -> "HardConcreteParams":
+        languages = list(languages)
         rng = np.random.default_rng(seed)
-        alphas = {
-            lang: Tensor(rng.normal(0.0, ALPHA_INIT_STD, size=n_components), requires_grad=True)
-            for lang in languages
-        }
-        return cls(alphas, constants)
+        alphas = rng.normal(0.0, ALPHA_INIT_STD, size=(len(languages), n_components))
+        return cls(languages, Tensor(alphas, requires_grad=True), constants)
 
     def save_csv(self, path, component_ids):
+        """One row per (language, component), languages sorted."""
+        if len(component_ids) != self.alphas.shape[1]:
+            raise ContractError("component list does not match alpha vector length")
         with open(path, "w") as f:
             f.write("language,kind,layer,index,alpha\n")
-            for lang in sorted(self.alphas):
-                values = self.alphas[lang].data
-                if len(component_ids) != values.size:
-                    raise ContractError("component list does not match alpha vector length")
+            for lang in sorted(self.languages):
+                values = self.alphas.data[self.languages.index(lang)]
                 for cid, a in zip(component_ids, values):
                     f.write(f"{lang},{cid},{float(a)!r}\n")
 
@@ -124,27 +133,33 @@ def expected_gate(alpha: Tensor, constants: HardConcrete = DEFAULT_HC) -> Tensor
 
 
 def l0_penalty(alpha: Tensor, weights, constants: HardConcrete = DEFAULT_HC) -> Tensor:
-    """Weighted expected number of nonzero gates, sum_g w_g * sigmoid(alpha - log(-l/r))."""
+    """Weighted expected number of nonzero gates, sum_g w_g * sigmoid(alpha - log(-l/r)).
+
+    alpha is one gate vector or a (languages x components) matrix; the sum
+    runs over components, so a matrix gives one expected size per row.
+    """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != alpha.shape:
+    if alpha.ndim not in (1, 2) or weights.shape != alpha.shape[-1:]:
         raise ContractError(f"weight shape {weights.shape} does not match alpha {alpha.shape}")
     if np.any(weights <= 0.0):
         raise ContractError("component weights must be positive")
     probs = T.sigmoid(T.add(alpha, -constants.penalty_shift))
-    return T.multiply(probs, Tensor(weights)).sum()
+    return T.multiply(probs, Tensor(weights)).sum(axis=-1)
 
 
-def sparsity_constraint_loss(sizes, target: float) -> Tensor:
-    """sum_i |size_i - t| over per-language expected sizes (scalar tensors)."""
+def sparsity_constraint_loss(sizes: Tensor, target: float) -> Tensor:
+    """sum_i |size_i - t| over a vector of per-language expected sizes.
+
+    The terms are added left to right, ((d_0 + d_1) + d_2) + ..., whatever
+    the number of languages.
+    """
     if not 0.0 <= target <= 1.0:
         raise ContractError(f"target size must be in [0, 1], got {target}")
-    if not sizes:
-        raise ContractError("sparsity constraint needs at least one size")
-    terms = [T.absolute(T.add(s, -target)) for s in sizes]
-    out = terms[0]
-    for t in terms[1:]:
-        out = T.add(out, t)
-    return out
+    sizes = T.as_tensor(sizes)
+    if sizes.ndim != 1 or sizes.size == 0:
+        raise ContractError(f"sparsity constraint needs a non-empty vector of sizes, "
+                            f"got shape {sizes.shape}")
+    return T.fold_sum(T.absolute(T.add(sizes, -target)))
 
 
 @dataclass

@@ -10,6 +10,7 @@ broadcast operands are summed back to the operand shape.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from contextlib import contextmanager
@@ -113,6 +114,9 @@ class Tensor:
     def reshape(self, shape):
         return reshape(self, shape)
 
+    def __getitem__(self, key):
+        return basic_slice(self, key)
+
     def transpose(self, axes):
         return transpose(self, axes)
 
@@ -169,7 +173,10 @@ def as_tensor(x) -> Tensor:
 
 
 def _finite_or_raise(op: str, arr: np.ndarray):
-    if not np.all(np.isfinite(arr)):
+    # np.isfinite(arr).all() skips the dispatch np.all adds, and a scalar
+    # needs no array pass at all; both are exact elementwise checks
+    ok = math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()
+    if not ok:
         raise NumericError(f"{op} produced a non-finite value")
 
 
@@ -482,23 +489,47 @@ def transpose(x, axes) -> Tensor:
     return _make("transpose", value, (x,), grad)
 
 
-def concatenate(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractError("concatenate: need at least one tensor")
+def basic_slice(x, key) -> Tensor:
+    """x[key] for a key of ints and slices; gradient is written into zeros.
+
+    Basic indexing selects each element at most once, so the backward needs
+    no scatter-add (compare ``embedding_gather``).  The value is a copy, so
+    an in-place update of x, such as an optimizer step, does not reach it.
+    """
+    x = as_tensor(x)
+    parts = key if isinstance(key, tuple) else (key,)
+    for p in parts:
+        if isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, np.integer, slice)):
+            raise ContractError(f"slice: key parts must be ints or slices, got {p!r}")
     try:
-        value = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError:
-        shapes = [t.shape for t in tensors]
-        raise DimensionError(f"concatenate: shapes {shapes} do not conform on axis {axis}")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+        value = np.array(x.data[key])
+    except IndexError:
+        raise DimensionError(f"slice: key {key!r} out of range for shape {x.shape}")
 
     def grad(g):
-        pieces = np.split(g, splits, axis=axis)
-        return list(zip(tensors, pieces))
+        gx = np.zeros_like(x.data)
+        gx[key] = g
+        return [(x, gx)]
 
-    return _make("concatenate", value, tuple(tensors), grad)
+    return _make("slice", value, (x,), grad)
+
+
+def fold_sum(x) -> Tensor:
+    """Left-to-right sum ((x0 + x1) + x2) + ... of a 1-d tensor.
+
+    ``sum`` groups terms pairwise in blocks of eight, so its rounding depends
+    on the length; a fold keeps the grouping of a running Python sum.
+    """
+    x = as_tensor(x)
+    if x.ndim != 1 or x.size == 0:
+        raise DimensionError(f"fold_sum: need a non-empty 1-d tensor, got {x.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.add.accumulate(x.data)[-1]
+
+    def grad(g):
+        return [(x, np.full(x.shape, g))]
+
+    return _make("fold_sum", value, (x,), grad)
 
 
 # ---------------------------------------------------------------------------

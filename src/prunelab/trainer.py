@@ -26,7 +26,7 @@ from .encoder import (GateSet, Model, ModelConfig, component_slices,
                       ones_gate_tensors, retained_fraction)
 from .exceptions import ConfigError, ContractError, InputError, RunError
 from .grad_prune import NON_SHARED, SHARED, PruningProfile, build_profile, importance_scores
-from .l0 import (DEFAULT_HC, HardConcreteParams, build_prior, diversity_loss,
+from .l0 import (HardConcreteParams, build_prior, diversity_loss,
                  expected_gate, inference_gate, l0_penalty, sample_gate,
                  sparsity_constraint_loss, total_loss)
 from .tensor import Tensor, no_grad
@@ -172,9 +172,11 @@ def write_metrics(records: list[dict], path):
 
 
 def _git_hash():
+    """HEAD of the checkout this package is imported from, or None outside one."""
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5)
+                             text=True, timeout=5,
+                             cwd=os.path.dirname(os.path.abspath(__file__)))
     except OSError:
         return None
     return out.stdout.strip() if out.returncode == 0 else None
@@ -210,18 +212,12 @@ def _check_finite(value: float, step: int):
         raise RunError(f"loss diverged at step {step}")
 
 
-def _slice_flat(flat: Tensor, part: slice) -> Tensor:
-    """Differentiable contiguous slice of a 1-d tensor."""
-    rows = np.arange(part.start, part.stop)
-    return T.embedding_gather(flat.reshape((flat.shape[0], 1)), rows).reshape((rows.size,))
-
-
 def gate_dict_from_vector(config: ModelConfig, flat: Tensor) -> dict:
     """Split a component-ordered gate vector into the forward-pass layout."""
     slices = component_slices(config)
-    return {"heads": [_slice_flat(flat, s) for s in slices["heads"]],
-            "hiddens": [_slice_flat(flat, s) for s in slices["hiddens"]],
-            "ranks": _slice_flat(flat, slices["ranks"])}
+    return {"heads": [flat[s] for s in slices["heads"]],
+            "hiddens": [flat[s] for s in slices["hiddens"]],
+            "ranks": flat[slices["ranks"]]}
 
 
 def _per_language_streams(corpus, schedule, salt: int) -> dict[str, list]:
@@ -336,41 +332,38 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
     else:
         streams = _per_language_streams(corpus, schedule, 7)
     opt_w = Adam(model.params, schedule.learning_rate, schedule.beta1, schedule.beta2, schedule.eps)
-    opt_a = Adam({f"alpha.{l}": hc.alphas[l] for l in langs}, schedule.alpha_lr,
+    opt_a = Adam({"alpha": hc.alphas}, schedule.alpha_lr,
                  schedule.beta1, schedule.beta2, schedule.eps)
     warm = int(round(schedule.alpha_only_warmup_fraction * schedule.total_steps))
     lam1, lam2 = schedule.resolved_lambda1(), schedule.resolved_lambda2()
     n_lang = len(langs)
     records: list[dict] = []
     for k in range(schedule.total_steps):
-        lang = langs[k % n_lang]
+        i = k % n_lang
+        lang = langs[i]
         batch = streams[lang][k // n_lang] if schedule.setting == NON_SHARED else streams[SHARED][k]
         u = np.random.default_rng([schedule.seed, 8, k]).uniform(1e-9, 1.0 - 1e-9, size=weights.size)
-        gates = gate_dict_from_vector(config, sample_gate(hc.alphas[lang], u))
+        gates = gate_dict_from_vector(config, sample_gate(hc.alphas[i], u))
         logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
         mlm = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
-        sizes = [T.multiply(l0_penalty(hc.alphas[l], weights), 1.0 / total_w) for l in langs]
+        # expected size of every language, one entry per row of alphas
+        sizes = T.multiply(l0_penalty(hc.alphas, weights), 1.0 / total_w)
         if improved:
             l0_term = sparsity_constraint_loss(sizes, schedule.target_size)
-            rows = [expected_gate(hc.alphas[l]).reshape((1, weights.size)) for l in langs]
-            gmat = T.concatenate(rows, axis=0)
             # mean overlap per language pair per component; keeping the
             # diversity gradient below the size-constraint gradient lets the
             # penalty steer which components differ without shrinking totals
-            div = T.multiply(diversity_loss(gmat, prior_sub),
+            div = T.multiply(diversity_loss(expected_gate(hc.alphas), prior_sub),
                              1.0 / (n_lang * (n_lang - 1) * weights.size))
         else:
             # the vanilla penalty is the mean expected size, so lambda1 is
             # comparable across model scales
-            acc = sizes[0]
-            for s in sizes[1:]:
-                acc = T.add(acc, s)
-            l0_term = T.multiply(acc, 1.0 / n_lang)
+            l0_term = T.multiply(T.fold_sum(sizes), 1.0 / n_lang)
             div = None
         loss = total_loss(mlm, l0_term, div, lam1, lam2)
         loss_v, mlm_v, l0_v = loss.item(), mlm.item(), l0_term.item()
         diag_v = div.item() if div is not None else 0.0
-        mean_size = float(np.mean([s.item() for s in sizes]))
+        mean_size = float(np.mean(sizes.data))
         _check_finite(loss_v, k)
         T.backward(loss)
         opt_a.step(lr_at(k, schedule.total_steps, schedule.warmup_fraction))
@@ -379,11 +372,9 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
         opt_a.zero()
         opt_w.zero()
         records.append(_record(k, loss_v, mlm_v, l0_v, diag_v, 1.0 - mean_size, lang))
-    gatesets, achieved = {}, {}
-    for l in langs:
-        vec = (inference_gate(hc.alphas[l].data) >= 0.5).astype(np.float64)
-        gatesets[l] = GateSet(config, vec, hard=True)
-        achieved[l] = retained_fraction(vec, weights)
+    hard = (inference_gate(hc.alphas.data) >= 0.5).astype(np.float64)
+    gatesets = {l: GateSet(config, hard[i], hard=True) for i, l in enumerate(langs)}
+    achieved = {l: retained_fraction(hard[i], weights) for i, l in enumerate(langs)}
     profile = PruningProfile(schedule.setting, schedule.target_size, gatesets)
     return TrainResult(model, records, profile=profile, hc=hc, achieved_sizes=achieved)
 
@@ -420,24 +411,21 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
     trainable = schedule.algorithm == "ds_l0"
     opt_w = Adam(model.params, schedule.learning_rate, schedule.beta1, schedule.beta2, schedule.eps)
     opt_a = None
-    alphas: dict[str, Tensor] = {}
-    thetas: dict[str, Tensor] = {}
     if trainable:
-        alphas = {l: Tensor(ds.tables[l]["alpha"].copy(), requires_grad=True) for l in langs}
-        thetas = {l: Tensor(ds.tables[l]["theta"].copy(), requires_grad=True) for l in langs}
-        opt_a = Adam({**{f"a.{l}": alphas[l] for l in langs},
-                      **{f"t.{l}": thetas[l] for l in langs}}, schedule.alpha_lr,
+        # (languages x components) leaves, rows in langs order
+        alphas = Tensor(np.stack([ds.tables[l]["alpha"] for l in langs]), requires_grad=True)
+        thetas = Tensor(np.stack([ds.tables[l]["theta"] for l in langs]), requires_grad=True)
+        opt_a = Adam({"alpha": alphas, "theta": thetas}, schedule.alpha_lr,
                      schedule.beta1, schedule.beta2, schedule.eps)
     lam1 = schedule.resolved_lambda1()
-    hc = DEFAULT_HC
     records: list[dict] = []
     for k in range(schedule.total_steps):
-        lang = langs[k % len(langs)]
+        i = k % len(langs)
+        lang = langs[i]
         batch = streams[lang][k // len(langs)] if schedule.setting == NON_SHARED else streams[SHARED][k]
         t = float(grid[int(np.random.default_rng([schedule.seed, 11, k]).integers(1, len(grid)))])
         if trainable:
-            z = T.add(alphas[lang], T.multiply(thetas[lang], t))
-            flat = T.clamp(T.add(T.multiply(T.sigmoid(z), hc.r - hc.l), hc.l), 0.0, 1.0)
+            flat = expected_gate(T.add(alphas[i], T.multiply(thetas[i], t)))
             gates = gate_dict_from_vector(config, flat)
             spars = 1.0 - retained_fraction(flat.data, weights)
         else:
@@ -447,8 +435,11 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
         mlm = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
         if trainable:
-            sizes = [T.multiply(l0_penalty(T.add(alphas[l], T.multiply(thetas[l], t)), weights),
-                                1.0 / total_w) for l in langs]
+            # alpha + theta t again, over all rows: sharing z with the gate
+            # path would add the two paths' gradients before the product
+            # with t, and round theta's gradient differently
+            sizes = T.multiply(l0_penalty(T.add(alphas, T.multiply(thetas, t)), weights),
+                               1.0 / total_w)
             l0_term = sparsity_constraint_loss(sizes, t)
             loss = total_loss(mlm, l0_term, None, lam1, 0.0)
         else:
@@ -468,9 +459,9 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
     if trainable:
         # t_hat and delta keep describing the initialization; alpha and theta
         # carry what training learned on top of it
-        tables_out = {l: {"alpha": alphas[l].data.copy(), "theta": thetas[l].data.copy(),
+        tables_out = {l: {"alpha": alphas.data[i].copy(), "theta": thetas.data[i].copy(),
                           "t_hat": ds.tables[l]["t_hat"].copy(),
-                          "delta": ds.tables[l]["delta"].copy()} for l in langs}
+                          "delta": ds.tables[l]["delta"].copy()} for i, l in enumerate(langs)}
         ds = DSParams(ds.components, ds.grid, tables_out, ds.constants)
     return TrainResult(model, records, ds=ds)
 

@@ -73,10 +73,11 @@ def op_cases(rng):
         "log": (lambda xs: T.log(T.add(T.absolute(xs[0]), 1.5)), [(m, d)]),
         "reshape": (lambda xs: xs[0].reshape((d, m)), [(m, d)]),
         "transpose": (lambda xs: xs[0].transpose((1, 0, 2)), [(b, m, d)]),
-        "concatenate": (
-            lambda xs: T.concatenate([xs[0], xs[1]], axis=0),
-            [(m, d), (k, d)],
+        "slice": (
+            lambda xs: T.basic_slice(xs[0], (slice(None), axis_pick, slice(1, None, 2))),
+            [(b, m, d)],
         ),
+        "fold_sum": (lambda xs: T.fold_sum(xs[0]), [(m * d,)]),
     }
 
 
@@ -124,5 +125,6 @@ ALL_OPS = (
     "log",
     "reshape",
     "transpose",
-    "concatenate",
+    "slice",
+    "fold_sum",
 )

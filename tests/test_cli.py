@@ -238,3 +238,21 @@ def test_report_on_non_numeric_gate_value_exits_1(tmp_path, capsys):
     path.write_text(path.read_text().replace("head,0,1,1", "head,0,1,one"))
     assert main(["report", "--run", str(tmp_path), "--figure", "layer-profile"]) == 1
     assert "non-numeric" in capsys.readouterr().err
+
+
+def test_report_reads_the_config_without_the_weights(tmp_path, capsys):
+    config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=3, vocab_size=7,
+                         max_seq_len=4)
+    Model.init(config, 0).save(tmp_path)
+    for lang, value in (("aa", 1.0), ("bb", 0.0)):
+        values = np.ones(GateSet.ones(config).values.size)
+        values[0] = value
+        GateSet(config, values, hard=True).save_text(tmp_path / f"gates_{lang}.txt", config)
+    (tmp_path / "weights.gcpt").unlink()
+    assert main(["report", "--run", str(tmp_path), "--figure", "hamming"]) == 0
+    assert main(["report", "--run", str(tmp_path), "--figure", "layer-profile"]) == 0
+    assert (tmp_path / f"report_hamming_{tmp_path.name}.csv").exists()
+    (tmp_path / "model.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--run", str(tmp_path), "--figure", "hamming"]) == 2
+    assert "no model checkpoint" in capsys.readouterr().err

@@ -106,27 +106,66 @@ def test_l0_penalty_rejects_bad_weights():
         l0_penalty(T.Tensor([0.0]), np.array([0.0]))
     with pytest.raises(ContractError):
         l0_penalty(T.Tensor([0.0, 0.0]), np.array([1.0]))
+    with pytest.raises(ContractError):
+        l0_penalty(T.Tensor(np.zeros((2, 2))), np.array([1.0]))
+    with pytest.raises(ContractError):
+        l0_penalty(T.Tensor(np.zeros((2, 2, 2))), np.ones(2))
+
+
+def test_l0_penalty_stacked_rows_match_per_vector_penalties_bitwise():
+    rng = np.random.default_rng(17)
+    alphas = rng.normal(0.0, 2.0, size=(8, 137))
+    w = rng.uniform(0.5, 300.0, size=137)
+    stacked = l0_penalty(T.Tensor(alphas), w)
+    assert stacked.shape == (8,)
+    for i in range(8):
+        assert stacked.data[i] == l0_penalty(T.Tensor(alphas[i]), w).item()
+
+
+def test_l0_penalty_stacked_gradient_matches_per_vector_gradients():
+    rng = np.random.default_rng(18)
+    alphas = rng.normal(0.0, 2.0, size=(3, 11))
+    w = rng.uniform(0.5, 4.0, size=11)
+    mat = T.Tensor(alphas, requires_grad=True)
+    T.backward(T.multiply(l0_penalty(mat, w), T.Tensor([1.0, -2.0, 0.5])).sum())
+    for i, c in enumerate((1.0, -2.0, 0.5)):
+        row = T.Tensor(alphas[i], requires_grad=True)
+        T.backward(T.multiply(l0_penalty(row, w), c))
+        assert np.array_equal(mat.grad[i], row.grad)
 
 
 def test_sparsity_constraint_hand_value():
-    sizes = [T.Tensor(np.float64(0.6)), T.Tensor(np.float64(0.4))]
+    sizes = T.Tensor([0.6, 0.4])
     loss = sparsity_constraint_loss(sizes, 0.5)
     assert abs(loss.item() - 0.2) < 1e-12
 
 
 def test_sparsity_constraint_zero_at_target_with_zero_subgradient():
-    s = T.Tensor(np.float64(0.5), requires_grad=True)
-    loss = sparsity_constraint_loss([s], 0.5)
+    s = T.Tensor([0.5], requires_grad=True)
+    loss = sparsity_constraint_loss(s, 0.5)
     assert loss.item() == 0.0
     T.backward(loss)
-    assert s.grad == 0.0
+    assert np.array_equal(s.grad, [0.0])
 
 
 def test_sparsity_constraint_validation():
     with pytest.raises(ContractError):
-        sparsity_constraint_loss([], 0.5)
+        sparsity_constraint_loss(T.Tensor(np.zeros(0)), 0.5)
     with pytest.raises(ContractError):
-        sparsity_constraint_loss([T.Tensor(0.5)], 1.5)
+        sparsity_constraint_loss(T.Tensor([0.5]), 1.5)
+    with pytest.raises(ContractError):
+        sparsity_constraint_loss(T.Tensor(np.full((2, 2), 0.5)), 0.5)
+
+
+def test_sparsity_constraint_adds_terms_left_to_right():
+    # 1 + 2**-53 rounds to 1 at each step of a left fold; pairwise sums of
+    # eight or more terms would group the tiny terms first and keep them
+    tiny = 2.0 ** -53
+    sizes = T.Tensor([1.0] + [tiny] * 9)
+    expect = abs(1.0 - 0.0)
+    for _ in range(9):
+        expect = expect + tiny
+    assert sparsity_constraint_loss(sizes, 0.0).item() == expect
 
 
 def test_diversity_loss_hand_value():
@@ -226,10 +265,13 @@ def test_hard_concrete_params_init_and_csv(tmp_path):
 
     cfg = ModelConfig(1, 2, 4, 3, 7, 5)
     universe = component_universe(cfg)
-    params = HardConcreteParams.init(["aa", "bb"], len(universe), seed=5)
-    assert set(params.alphas) == {"aa", "bb"}
-    assert params.alphas["aa"].data.std() < 0.5
-    assert not np.array_equal(params.alphas["aa"].data, params.alphas["bb"].data)
+    # rows follow the given language order; the file sorts them
+    params = HardConcreteParams.init(["bb", "aa"], len(universe), seed=5)
+    assert params.languages == ["bb", "aa"]
+    assert params.alphas.shape == (2, len(universe)) and params.alphas.requires_grad
+    rows_by_lang = {lang: params.alphas.data[i] for i, lang in enumerate(params.languages)}
+    assert rows_by_lang["aa"].std() < 0.5
+    assert not np.array_equal(rows_by_lang["aa"], rows_by_lang["bb"])
     path = tmp_path / "alpha.csv"
     params.save_csv(path, universe)
     lines = path.read_text().splitlines()
@@ -239,4 +281,8 @@ def test_hard_concrete_params_init_and_csv(tmp_path):
         rows = [line.split(",") for line in lines[1 + k * n:1 + (k + 1) * n]]
         assert [",".join(r[1:4]) for r in rows] == [str(cid) for cid in universe]
         assert all(r[0] == lang for r in rows)
-        assert np.array_equal([float(r[4]) for r in rows], params.alphas[lang].data)
+        assert np.array_equal([float(r[4]) for r in rows], rows_by_lang[lang])
+    with pytest.raises(ContractError):
+        HardConcreteParams(["aa", "bb"], T.Tensor(np.zeros((3, n))))
+    with pytest.raises(ContractError):
+        params.save_csv(tmp_path / "short.csv", universe[:-1])

@@ -100,6 +100,63 @@ def test_numeric_error_on_nonfinite():
         T.multiply(T.Tensor([1e300]), T.Tensor([1e300]))
 
 
+def test_finite_check_passes_finite_arrays_whose_sum_overflows():
+    T._finite_or_raise("probe", np.array([1e308, 1e308]))
+    T._finite_or_raise("probe", np.array(1e308))
+    T._finite_or_raise("probe", np.zeros((0, 3)))
+
+
+def test_finite_check_names_the_op():
+    for bad in ([np.nan], [np.inf], [1.0, -np.inf], np.float64(np.nan),
+                [[1.0, 2.0], [3.0, np.nan]]):
+        with pytest.raises(NumericError, match="probe"):
+            T._finite_or_raise("probe", np.asarray(bad))
+    with pytest.raises(NumericError, match="multiply"):
+        T.multiply(T.Tensor(1e300), T.Tensor(1e300))
+    with pytest.raises(NumericError, match="fold_sum"):
+        T.fold_sum(T.Tensor([1e308, 1e308]))
+
+
+def test_basic_slice_values_and_views():
+    x = T.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    assert np.array_equal(x[1].data, [4.0, 5.0, 6.0, 7.0])
+    assert np.array_equal(x[:, 1:3].data, [[1.0, 2.0], [5.0, 6.0], [9.0, 10.0]])
+    assert x[2, 3].item() == 11.0
+    assert x[np.int64(-1)].shape == (4,)
+
+
+def test_basic_slice_gradient_is_zero_outside_the_slice():
+    x = T.Tensor(np.ones((3, 4)), requires_grad=True)
+    y = T.add(T.multiply(x[1], 2.0).sum(), x[:, 3].sum())
+    T.backward(y)
+    expect = np.zeros((3, 4))
+    expect[1] = 2.0
+    expect[:, 3] += 1.0
+    assert np.array_equal(x.grad, expect)
+
+
+def test_basic_slice_rejects_advanced_keys_and_bad_ranges():
+    x = T.Tensor(np.ones((3, 4)))
+    for key in (np.array([0, 1]), [0, 1], True, (0, None), "a", 1.0):
+        with pytest.raises(ContractError, match="slice"):
+            T.basic_slice(x, key)
+    for key in (3, (0, 4), (0, 0, 0)):
+        with pytest.raises(DimensionError, match="slice"):
+            T.basic_slice(x, key)
+
+
+def test_fold_sum_adds_left_to_right():
+    tiny = 2.0 ** -53
+    x = np.array([1.0] + [tiny] * 9)
+    # a left fold rounds each 1 + 2**-53 back to 1; a pairwise sum does not
+    assert T.fold_sum(T.Tensor(x)).item() == 1.0
+    assert x.sum() != 1.0
+    with pytest.raises(DimensionError):
+        T.fold_sum(T.Tensor(np.ones((2, 2))))
+    with pytest.raises(DimensionError):
+        T.fold_sum(T.Tensor(np.zeros(0)))
+
+
 def test_embedding_gather_bounds():
     table = T.Tensor(np.ones((4, 2)))
     with pytest.raises(InputError):
@@ -158,3 +215,10 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(InputError):
         T.load_checkpoint(path)
+
+
+def test_basic_slice_value_is_a_copy():
+    x = T.Tensor(np.zeros((2, 3)), requires_grad=True)
+    row = x[0]
+    x.data -= 1.0
+    assert np.array_equal(row.data, np.zeros(3))

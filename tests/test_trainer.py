@@ -67,6 +67,10 @@ def params_equal(a, b):
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
 
+def alpha_row(hc, lang):
+    return hc.alphas.data[hc.languages.index(lang)]
+
+
 # --- schedule ---------------------------------------------------------------
 
 
@@ -340,8 +344,8 @@ def test_l0_alpha_only_phase_leaves_weights_untouched():
     assert params_equal(snapshot(res.model), before)
     init = HardConcreteParams.init(toy_corpus().languages(),
                                    len(component_universe(base.config)), seed=[3, 6])
-    assert any(not np.array_equal(res.hc.alphas[l].data, init.alphas[l].data)
-               for l in init.alphas)
+    assert any(not np.array_equal(alpha_row(res.hc, l), alpha_row(init, l))
+               for l in init.languages)
 
 
 def test_l0_zero_steps_hardens_initialization():
@@ -352,7 +356,7 @@ def test_l0_zero_steps_hardens_initialization():
     init = HardConcreteParams.init(toy_corpus().languages(),
                                    len(component_universe(base.config)), seed=[3, 6])
     for lang, gs in res.profile.gatesets.items():
-        expect = (inference_gate(init.alphas[lang].data) >= 0.5).astype(float)
+        expect = (inference_gate(alpha_row(init, lang)) >= 0.5).astype(float)
         assert np.array_equal(gs.to_vector(), expect)
         assert gs.hard
 
@@ -363,7 +367,7 @@ def test_l0_gatesets_follow_hardened_alphas():
     wvec = component_weights(base.config)
     for lang, gs in res.profile.gatesets.items():
         vec = gs.to_vector()
-        assert np.array_equal(vec, (res.hc.alphas[lang].data >= 0.0).astype(float))
+        assert np.array_equal(vec, (alpha_row(res.hc, lang) >= 0.0).astype(float))
         assert res.achieved_sizes[lang] == pytest.approx(float((vec * wvec).sum() / wvec.sum()))
 
 
@@ -562,3 +566,69 @@ def test_non_finite_loss_raises_run_error():
         _check_finite(float("nan"), 7)
     with pytest.raises(RunError):
         _check_finite(float("inf"), 0)
+
+
+def test_manifest_git_hash_names_the_package_checkout(tmp_path, monkeypatch):
+    import subprocess
+
+    import prunelab
+    from prunelab.trainer import _git_hash
+
+    def head(cwd):
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=cwd, capture_output=True,
+                             text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    # a run started inside another repository must not record that one's HEAD
+    other = tmp_path / "other"
+    other.mkdir()
+    for argv in (["init", "-q"],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+                  "--allow-empty", "-m", "other"]):
+        subprocess.run(["git", *argv], cwd=other, check=True, capture_output=True)
+    monkeypatch.chdir(other)
+    expect = head(os.path.dirname(os.path.abspath(prunelab.__file__)))
+    assert _git_hash() == expect
+    assert expect is None or expect != head(other)
+
+
+# --- tape size of one gate-learning step ------------------------------------
+
+EIGHT = [("en", "Indo-European"), ("de", "Indo-European"), ("ar", "Afro-Asiatic"),
+         ("he", "Afro-Asiatic"), ("tr", "Turkic"), ("kk", "Turkic"),
+         ("fi", "Uralic"), ("hu", "Uralic")]
+
+
+def _tape_nodes_at_last_backward(monkeypatch, runner, schedule):
+    """Nodes on the tape when the run's last backward starts."""
+    from prunelab.corpus import build_inventories
+
+    specs = build_inventories([LanguageSpec(c, f, 60, 100 + i)
+                               for i, (c, f) in enumerate(EIGHT)], inventory_size=12)
+    corpus = gen_corpus(specs, seed=7)
+    config = ModelConfig(n_layers=2, n_heads=2, model_dim=16, ffn_dim=32,
+                         vocab_size=len(corpus.vocab), max_seq_len=32)
+    seen = []
+    original = T.backward
+
+    def counting(loss):
+        seen.append(len(T.active_tape().nodes))
+        return original(loss)
+
+    monkeypatch.setattr(T, "backward", counting)
+    runner(Model.init(config, 1), corpus, schedule)
+    return seen[-1]
+
+
+def test_improved_l0_step_records_one_chain_for_all_languages(monkeypatch):
+    # 8 languages at the toy shape: one row take, one penalty over all rows,
+    # one expected-gate matrix; per-language chains recorded about 219 nodes
+    sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3,
+                          algorithm="l0_improved", setting=NON_SHARED)
+    assert _tape_nodes_at_last_backward(monkeypatch, run_l0_pruning, sched) <= 130
+
+
+def test_ds_l0_step_records_one_chain_for_all_languages(monkeypatch):
+    sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3,
+                          algorithm="ds_l0", setting=NON_SHARED, importance_batches=1)
+    assert _tape_nodes_at_last_backward(monkeypatch, run_ds_training, sched) <= 120
