@@ -192,6 +192,8 @@ def _make(op: str, value: np.ndarray, inputs, backward_fn) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
