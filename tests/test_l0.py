@@ -160,12 +160,8 @@ def test_sparsity_constraint_validation():
 def test_sparsity_constraint_adds_terms_left_to_right():
     # 1 + 2**-53 rounds to 1 at each step of a left fold; pairwise sums of
     # eight or more terms would group the tiny terms first and keep them
-    tiny = 2.0 ** -53
-    sizes = T.Tensor([1.0] + [tiny] * 9)
-    expect = abs(1.0 - 0.0)
-    for _ in range(9):
-        expect = expect + tiny
-    assert sparsity_constraint_loss(sizes, 0.0).item() == expect
+    sizes = T.Tensor([1.0] + [2.0 ** -53] * 9)
+    assert sparsity_constraint_loss(sizes, 0.0).item() == 1.0
 
 
 def test_diversity_loss_hand_value():
