@@ -13,16 +13,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .ds import DSParams, subnetwork_at
-from .encoder import (ATTN_MASK_FILL, GateSet, Model, ModelConfig,
-                      component_weights, count_params, encoder_sparsity,
-                      retained_fraction)
+from .encoder import (GateSet, Model, ModelConfig, component_weights, count_params,
+                      encoder_hidden, encoder_sparsity, retained_fraction)
 from .exceptions import ContractError, InputError, NumericError, RunError
-
-_SQRT2 = float(np.sqrt(2.0))
-_LN_EPS = 1e-5
+from .tensor import Tensor, no_grad
 
 
 def _require_hard(gateset: GateSet, what: str):
@@ -113,121 +109,56 @@ def size_curve(ds: DSParams, config: ModelConfig, language: str | None = None) -
 # Physical compaction
 
 
-@dataclass
-class CompactLayer:
-    wq: np.ndarray
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray
-    bo: np.ndarray
-    n_heads: int
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
+class CompactModel(Model):
+    """A Model with every gated-off component sliced out of its weights.
 
-
-@dataclass
-class CompactModel:
-    """Encoder with pruned components physically removed from the weights.
-
-    The forward pass is plain numpy, no autodiff tape, so it is the right
-    object to benchmark.  Logits match the gated model on the same inputs.
+    It keeps the dense config: the encoder reads each layer's head count, FFN
+    width and the rank count from the weight shapes.  ``logits`` runs without
+    the tape and returns an array, so it is the right object to benchmark;
+    logits match the gated model on the same inputs.
     """
 
-    tok: np.ndarray
-    proj: np.ndarray
-    pos: np.ndarray
-    layers: list[CompactLayer]
-    head_dim: int
-    max_seq_len: int
-
-    def hidden(self, ids: np.ndarray, pad_id: int | None = None) -> np.ndarray:
-        ids = np.asarray(ids)
-        if ids.ndim != 2:
-            raise ContractError(f"token ids must be (batch, seq), got shape {ids.shape}")
-        if ids.shape[1] > self.max_seq_len:
-            raise InputError(f"sequence length {ids.shape[1]} exceeds max {self.max_seq_len}")
-        b, s = ids.shape
-        bias = None
-        if pad_id is not None:
-            pad = ids == pad_id
-            if pad.any():
-                bias = np.where(pad, ATTN_MASK_FILL, 0.0)[:, None, None, :]
-        x = self.tok[ids] @ self.proj + self.pos[:s]
-        hd = self.head_dim
-        for lyr in self.layers:
-            nh = lyr.n_heads
-            q = (x @ lyr.wq + lyr.bq).reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
-            k = (x @ lyr.wk + lyr.bk).reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
-            v = (x @ lyr.wv + lyr.bv).reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
-            scores = (q @ k.transpose(0, 1, 3, 2)) * (hd ** -0.5)
-            if bias is not None:
-                scores = scores + bias
-            scores -= scores.max(axis=-1, keepdims=True)
-            e = np.exp(scores)
-            ctx = (e / e.sum(axis=-1, keepdims=True)) @ v
-            merged = ctx.transpose(0, 2, 1, 3).reshape(b, s, nh * hd)
-            x = _ln(x + (merged @ lyr.wo + lyr.bo), lyr.ln1_g, lyr.ln1_b)
-            h = x @ lyr.w1 + lyr.b1
-            h = h * 0.5 * (1.0 + erf(h / _SQRT2))
-            x = _ln(x + (h @ lyr.w2 + lyr.b2), lyr.ln2_g, lyr.ln2_b)
-        return x
-
     def logits(self, ids: np.ndarray, pad_id: int | None = None) -> np.ndarray:
-        x = self.hidden(ids, pad_id)
-        return (x @ self.proj.T) @ self.tok.T
-
-
-def _ln(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS)
-    return (x - mu) * inv * gain + bias
+        with no_grad():
+            x = encoder_hidden(self, ids, None, pad_id).data
+        # the tied head on arrays: the tape's transpose would copy the
+        # (vocab x ranks) table on every call
+        return (x @ self.params["embed.proj"].data.T) @ self.params["embed.tok"].data.T
 
 
 def compact_model(model: Model, gateset: GateSet) -> CompactModel:
-    """Slice away every gated-off head, hidden unit and embedding rank."""
+    """Slice away every gated-off head, hidden unit and embedding rank.
+
+    A parameter that loses nothing (positional table, output biases, layer
+    norms, and any tensor whose components are all kept) is the source
+    model's own tensor, not a copy.
+    """
     _require_hard(gateset, "compact_model")
-    config, params = model.config, model.params
+    config, source = model.config, model.params
     hd = config.head_dim
-    ranks = np.flatnonzero(np.asarray(gateset.ranks) != 0.0)
-    tok = params["embed.tok"].data[:, ranks].copy()
-    proj = params["embed.proj"].data[ranks, :].copy()
-    pos = params["embed.pos"].data.copy()
-    layers = []
+    params = dict(source)
+
+    def keep(name: str, axis: int, idx: np.ndarray):
+        if idx.size < source[name].shape[axis]:
+            params[name] = Tensor(np.take(source[name].data, idx, axis=axis), requires_grad=True)
+
+    ranks = np.flatnonzero(gateset.ranks)
+    keep("embed.tok", 1, ranks)
+    keep("embed.proj", 0, ranks)
     for i in range(config.n_layers):
-        heads = np.flatnonzero(np.asarray(gateset.heads[i]) != 0.0)
-        cols = np.concatenate([np.arange(h * hd, (h + 1) * hd) for h in heads]) \
-            if heads.size else np.zeros(0, dtype=int)
-        hid = np.flatnonzero(np.asarray(gateset.hiddens[i]) != 0.0)
+        heads = np.flatnonzero(gateset.heads[i])
+        cols = (heads[:, None] * hd + np.arange(hd)).reshape(-1)
+        hid = np.flatnonzero(gateset.hiddens[i])
         p = f"layers.{i}"
-        layers.append(CompactLayer(
-            wq=params[f"{p}.attn.wq"].data[:, cols].copy(),
-            bq=params[f"{p}.attn.bq"].data[cols].copy(),
-            wk=params[f"{p}.attn.wk"].data[:, cols].copy(),
-            bk=params[f"{p}.attn.bk"].data[cols].copy(),
-            wv=params[f"{p}.attn.wv"].data[:, cols].copy(),
-            bv=params[f"{p}.attn.bv"].data[cols].copy(),
-            wo=params[f"{p}.attn.wo"].data[cols, :].copy(),
-            bo=params[f"{p}.attn.bo"].data.copy(),
-            n_heads=int(heads.size),
-            w1=params[f"{p}.ffn.w1"].data[:, hid].copy(),
-            b1=params[f"{p}.ffn.b1"].data[hid].copy(),
-            w2=params[f"{p}.ffn.w2"].data[hid, :].copy(),
-            b2=params[f"{p}.ffn.b2"].data.copy(),
-            ln1_g=params[f"{p}.ln1.g"].data.copy(),
-            ln1_b=params[f"{p}.ln1.b"].data.copy(),
-            ln2_g=params[f"{p}.ln2.g"].data.copy(),
-            ln2_b=params[f"{p}.ln2.b"].data.copy(),
-        ))
-    return CompactModel(tok, proj, pos, layers, hd, config.max_seq_len)
+        for w in ("wq", "wk", "wv"):
+            keep(f"{p}.attn.{w}", 1, cols)
+        for b in ("bq", "bk", "bv"):
+            keep(f"{p}.attn.{b}", 0, cols)
+        keep(f"{p}.attn.wo", 0, cols)
+        keep(f"{p}.ffn.w1", 1, hid)
+        keep(f"{p}.ffn.b1", 0, hid)
+        keep(f"{p}.ffn.w2", 0, hid)
+    return CompactModel(config, params)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +184,13 @@ def _single_thread():
         return contextlib.nullcontext()
 
 
-def time_forward(cm: CompactModel, vocab_size: int, seq_len: int, reps: int,
-                 batch_size: int = 1, seed: int = 0) -> float:
-    """Median sentences/second over reps timed forward passes."""
+def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1,
+                 seed: int = 0) -> float:
+    """Median sentences/second over reps timed forward passes of random ids."""
     if reps < 3:
         raise ContractError(f"need at least 3 repetitions, got {reps}")
     rng = np.random.default_rng(seed)
-    ids = rng.integers(0, vocab_size, size=(batch_size, seq_len))
+    ids = rng.integers(0, cm.config.vocab_size, size=(batch_size, seq_len))
     resolution = time.get_clock_info("perf_counter").resolution
     cm.logits(ids)
     elapsed = []
@@ -285,7 +216,7 @@ def throughput_bench(model: Model, gatesets: dict[float, GateSet], seq_len: int,
     records = []
     for sparsity in sorted(gatesets):
         cm = compact_model(model, gatesets[sparsity])
-        sps = time_forward(cm, model.config.vocab_size, seq_len, reps, batch_size, seed)
+        sps = time_forward(cm, seq_len, reps, batch_size, seed)
         records.append(ThroughputRecord(float(sparsity), sps, batch_size, seq_len, hardware))
     return records
 

@@ -24,7 +24,7 @@ from .ds import DEFAULT_GRID, DSParams, subnetwork_at
 from .encoder import (GateSet, Model, ModelConfig, component_universe,
                       component_weights, count_params, encoder_sparsity,
                       retained_fraction)
-from .exceptions import ConfigError, PrunelabError
+from .exceptions import ConfigError, InputError, PrunelabError
 from .grad_prune import NON_SHARED, SHARED
 from .trainer import (TrainSchedule, _git_hash, finetune_probe,
                       pretrain_baseline, run_ds_training, run_grad_pruning,
@@ -223,9 +223,12 @@ def _run_ds(run_dir: str, config: ModelConfig) -> DSParams | None:
     path = os.path.join(run_dir, "ds.csv")
     if not os.path.exists(path):
         return None
-    with open(os.path.join(run_dir, "manifest.json")) as f:
-        manifest = json.load(f)
-    grid = tuple(manifest["schedule"]["grid"])
+    manifest = os.path.join(run_dir, "manifest.json")
+    try:
+        with open(manifest) as f:
+            grid = tuple(float(g) for g in json.load(f)["schedule"]["grid"])
+    except (ValueError, KeyError, TypeError):
+        raise InputError(f"{manifest}: not a JSON manifest with a numeric schedule.grid") from None
     return DSParams.load_csv(path, component_universe(config), grid)
 
 
@@ -382,8 +385,7 @@ def cmd_sweep(args) -> int:
             res = finetune_probe(model, gs, splits, seed=cfg["seed"], epochs=args.epochs)
             acc = res.per_language.get(lang, res.mean)
             counts = count_params(model.config, gs)
-            sps = time_forward(compact_model(model, gs), model.config.vocab_size,
-                               bench_seq, reps=args.reps)
+            sps = time_forward(compact_model(model, gs), bench_seq, reps=args.reps)
             rows.append({
                 "t": float(t),
                 "language": lang,

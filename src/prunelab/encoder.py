@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,9 +48,9 @@ class ModelConfig:
     max_seq_len: int
 
     def __post_init__(self):
-        for name in ("n_layers", "n_heads", "model_dim", "ffn_dim", "vocab_size", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"ModelConfig.{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"ModelConfig.{f.name} must be >= 1")
         if self.model_dim % self.n_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by n_heads {self.n_heads}"
@@ -61,20 +61,26 @@ class ModelConfig:
         return self.model_dim // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "model_dim": self.model_dim,
-            "ffn_dim": self.ffn_dim,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def load(cls, run_dir) -> "ModelConfig":
-        """The config a run stored in model.json; reads no weights."""
-        with open(f"{run_dir}/model.json") as f:
-            return cls(**json.load(f))
+        """The config a run stored in model.json; reads no weights.
+
+        The file must hold a JSON object with exactly the six integer fields.
+        """
+        path = f"{run_dir}/model.json"
+        with open(path) as f:
+            try:
+                stored = json.load(f)
+            except ValueError:
+                stored = None
+        names = [f.name for f in fields(cls)]
+        if not (isinstance(stored, dict) and sorted(stored) == sorted(names)
+                and all(type(stored[n]) is int for n in names)):
+            raise InputError(f"{path}: expected a JSON object with the integer fields "
+                             f"{', '.join(names)}")
+        return cls(**stored)
 
 
 # XLM-R base shape, used by parameter accounting checks and dry runs.
@@ -338,20 +344,24 @@ def _check_gate(g: Tensor, n: int, what: str):
         raise ContractError(f"{what} gate vector must have shape ({n},), got {g.shape}")
 
 
-def mha_forward(x: Tensor, params, config: ModelConfig, layer: int, g_head: Tensor,
+def mha_forward(x: Tensor, params, config: ModelConfig, layer: int, g_head: Tensor | None,
                 attn_bias=None) -> Tensor:
     """Multi-head attention block; output is sum of gated head contributions.
 
-    x has shape (batch, seq, d).  attn_bias, when given, is an additive
+    x has shape (batch, seq, d).  The head count is the width of wq over the
+    head size, so a compacted layer runs the same code; g_head None leaves
+    the heads ungated.  attn_bias, when given, is an additive
     (batch, 1, 1, seq) tensor applied to the pre-softmax scores.
     """
-    _check_gate(g_head, config.n_heads, "head")
     p = f"layers.{layer}.attn"
-    b, s, d = x.shape
-    hd, nh = config.head_dim, config.n_heads
+    b, s, _ = x.shape
+    hd = config.head_dim
+    nh = params[f"{p}.wq"].shape[1] // hd
+    if g_head is not None:
+        _check_gate(g_head, nh, "head")
 
     def split(t):
-        # (b, s, d) -> (b, heads, s, head_dim)
+        # (b, s, nh * hd) -> (b, heads, s, head_dim)
         return t.reshape((b, s, nh, hd)).transpose((0, 2, 1, 3))
 
     q = split(T.matmul(x, params[f"{p}.wq"]) + params[f"{p}.bq"])
@@ -361,29 +371,41 @@ def mha_forward(x: Tensor, params, config: ModelConfig, layer: int, g_head: Tens
     if attn_bias is not None:
         scores = scores + attn_bias
     ctx = T.matmul(T.softmax(scores), v)
-    gated = T.multiply(ctx, g_head.reshape((1, nh, 1, 1)))
-    merged = gated.transpose((0, 2, 1, 3)).reshape((b, s, d))
+    if g_head is not None:
+        ctx = T.multiply(ctx, g_head.reshape((1, nh, 1, 1)))
+    merged = ctx.transpose((0, 2, 1, 3)).reshape((b, s, nh * hd))
     return T.matmul(merged, params[f"{p}.wo"]) + params[f"{p}.bo"]
 
 
-def ffn_forward(x: Tensor, params, config: ModelConfig, layer: int, g_hidden: Tensor) -> Tensor:
-    """Position-wise FFN with gated GeLU activations."""
-    _check_gate(g_hidden, config.ffn_dim, "hidden")
+def ffn_forward(x: Tensor, params, config: ModelConfig, layer: int,
+                g_hidden: Tensor | None) -> Tensor:
+    """Position-wise FFN with gated GeLU activations; g_hidden None leaves them ungated."""
     p = f"layers.{layer}.ffn"
+    if g_hidden is not None:
+        _check_gate(g_hidden, params[f"{p}.w1"].shape[1], "hidden")
     h = T.gelu(T.matmul(x, params[f"{p}.w1"]) + params[f"{p}.b1"])
-    return T.matmul(T.multiply(h, g_hidden), params[f"{p}.w2"]) + params[f"{p}.b2"]
+    if g_hidden is not None:
+        h = T.multiply(h, g_hidden)
+    return T.matmul(h, params[f"{p}.w2"]) + params[f"{p}.b2"]
 
 
-def embed_forward(ids: np.ndarray, params, config: ModelConfig, g_rank: Tensor) -> Tensor:
-    """Low-rank factored token embedding plus ungated positional embedding."""
-    _check_gate(g_rank, config.model_dim, "rank")
+def embed_forward(ids: np.ndarray, params, config: ModelConfig, g_rank: Tensor | None) -> Tensor:
+    """Low-rank factored token embedding plus ungated positional embedding.
+
+    The rank count is the width of the token table; g_rank None leaves the
+    ranks ungated.
+    """
+    if g_rank is not None:
+        _check_gate(g_rank, params["embed.tok"].shape[1], "rank")
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise ContractError(f"token ids must be (batch, seq), got shape {ids.shape}")
     if ids.shape[1] > config.max_seq_len:
         raise InputError(f"sequence length {ids.shape[1]} exceeds max {config.max_seq_len}")
     tok = T.embedding_gather(params["embed.tok"], ids)
-    x = T.matmul(T.multiply(tok, g_rank), params["embed.proj"])
+    if g_rank is not None:
+        tok = T.multiply(tok, g_rank)
+    x = T.matmul(tok, params["embed.proj"])
     pos = T.embedding_gather(params["embed.pos"], np.arange(ids.shape[1]))
     return x + pos
 
@@ -397,10 +419,19 @@ def attention_bias(ids: np.ndarray, pad_id: int) -> Tensor | None:
     return Tensor(bias[:, None, None, :])
 
 
-def encoder_hidden(model: Model, ids: np.ndarray, gates: dict, pad_id: int | None = None) -> Tensor:
-    """Token ids to final hidden states (batch, seq, d) under the given gates."""
+def encoder_hidden(model: Model, ids: np.ndarray, gates: dict | None,
+                   pad_id: int | None = None) -> Tensor:
+    """Token ids to final hidden states (batch, seq, d) under the given gates.
+
+    Each layer's head count, FFN width and the rank count are read from the
+    weight shapes, so a compacted model runs here too; gates None runs the
+    model ungated.
+    """
     config, params = model.config, model.params
-    if len(gates["heads"]) != config.n_layers or len(gates["hiddens"]) != config.n_layers:
+    if gates is None:
+        gates = {"heads": [None] * config.n_layers, "hiddens": [None] * config.n_layers,
+                 "ranks": None}
+    elif len(gates["heads"]) != config.n_layers or len(gates["hiddens"]) != config.n_layers:
         raise ContractError("gate tensors do not match the model layer count")
     bias = attention_bias(np.asarray(ids), pad_id) if pad_id is not None else None
     x = embed_forward(ids, params, config, gates["ranks"])
@@ -412,15 +443,19 @@ def encoder_hidden(model: Model, ids: np.ndarray, gates: dict, pad_id: int | Non
     return x
 
 
-def encoder_forward(model: Model, ids: np.ndarray, gates: dict, pad_id: int | None = None) -> Tensor:
+def encoder_forward(model: Model, ids: np.ndarray, gates: dict | None,
+                    pad_id: int | None = None) -> Tensor:
     """Token ids to MLM logits (batch, seq, vocab) under the given gates.
 
-    gates holds tensors as produced by gate_tensors / ones_gate_tensors.
-    The MLM projection reuses the gated embedding factorization.
+    gates holds tensors as produced by gate_tensors / ones_gate_tensors, or
+    is None for an ungated forward, which equals the all-ones gates bit for
+    bit.  The MLM projection reuses the gated embedding factorization.
     """
     params = model.params
     x = encoder_hidden(model, ids, gates, pad_id)
-    z = T.multiply(T.matmul(x, T.transpose(params["embed.proj"], (1, 0))), gates["ranks"])
+    z = T.matmul(x, T.transpose(params["embed.proj"], (1, 0)))
+    if gates is not None:
+        z = T.multiply(z, gates["ranks"])
     return T.matmul(z, T.transpose(params["embed.tok"], (1, 0)))
 
 

@@ -22,8 +22,7 @@ from .corpus import PAD_ID, Corpus, ProbeSplits, mlm_batches
 from .ds import DEFAULT_GRID, DSParams, check_grid, gate_values_at, init_ds
 from .encoder import (GateSet, Model, ModelConfig, component_slices,
                       component_weights, cross_entropy, encoder_forward,
-                      encoder_hidden, gate_tensors, mlm_loss,
-                      ones_gate_tensors, retained_fraction)
+                      encoder_hidden, gate_tensors, mlm_loss, retained_fraction)
 from .exceptions import ConfigError, ContractError, InputError, RunError
 from .grad_prune import NON_SHARED, SHARED, PruningProfile, build_profile, importance_scores
 from .l0 import (HardConcreteParams, build_prior, diversity_loss,
@@ -243,7 +242,7 @@ def _importance_batch_dict(corpus, schedule, salt: int) -> dict[str, list]:
 
 
 def pretrain_baseline(config: ModelConfig, corpus: Corpus, schedule: TrainSchedule) -> TrainResult:
-    """Train a dense model (all gates one) with masked language modeling."""
+    """Train a dense, ungated model with masked language modeling."""
     model = Model.init(config, schedule.seed)
     records: list[dict] = []
     if schedule.total_steps == 0:
@@ -253,8 +252,7 @@ def pretrain_baseline(config: ModelConfig, corpus: Corpus, schedule: TrainSchedu
                          mask_rate=schedule.mask_rate, seed=[schedule.seed, 3])
     opt = Adam(model.params, schedule.learning_rate, schedule.beta1, schedule.beta2, schedule.eps)
     for k, batch in enumerate(stream):
-        gates = ones_gate_tensors(config)
-        logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
+        logits = encoder_forward(model, batch.tokens, None, pad_id=batch.pad_id)
         loss = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
         v = loss.item()
         _check_finite(v, k)
@@ -425,7 +423,8 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         batch = streams[lang][k // len(langs)] if schedule.setting == NON_SHARED else streams[SHARED][k]
         t = float(grid[int(np.random.default_rng([schedule.seed, 11, k]).integers(1, len(grid)))])
         if trainable:
-            flat = expected_gate(T.add(alphas[i], T.multiply(thetas[i], t)))
+            z = T.add(alphas, T.multiply(thetas, t))
+            flat = expected_gate(z[i])
             gates = gate_dict_from_vector(config, flat)
             spars = 1.0 - retained_fraction(flat.data, weights)
         else:
@@ -435,11 +434,7 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
         mlm = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
         if trainable:
-            # alpha + theta t again, over all rows: sharing z with the gate
-            # path would add the two paths' gradients before the product
-            # with t, and round theta's gradient differently
-            sizes = T.multiply(l0_penalty(T.add(alphas, T.multiply(thetas, t)), weights),
-                               1.0 / total_w)
+            sizes = T.multiply(l0_penalty(z, weights), 1.0 / total_w)
             l0_term = sparsity_constraint_loss(sizes, t)
             loss = total_loss(mlm, l0_term, None, lam1, 0.0)
         else:

@@ -316,9 +316,9 @@ def test_criterion_08_throughput_direction():
         language=SHARED, n_batches=1)
     sparse_cm = compact_model(model, select_threshold(table, weights, 0.1, config))
     dense_cm = compact_model(model, select_threshold(table, weights, 0.9, config))
-    sparse_sps = time_forward(sparse_cm, config.vocab_size, 64, reps=5, batch_size=8)
-    dense_sps = time_forward(dense_cm, config.vocab_size, 64, reps=5, batch_size=8)
-    doubled_sps = time_forward(sparse_cm, config.vocab_size, 64, reps=5, batch_size=16)
+    sparse_sps = time_forward(sparse_cm, 64, reps=5, batch_size=8)
+    dense_sps = time_forward(dense_cm, 64, reps=5, batch_size=8)
+    doubled_sps = time_forward(sparse_cm, 64, reps=5, batch_size=16)
     elapsed = time.perf_counter() - start
     assert sparse_sps > dense_sps, (
         f"90%-sparse {sparse_sps:.0f} sent/s not above 10%-sparse {dense_sps:.0f}")

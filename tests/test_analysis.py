@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from prunelab import tensor as T
 from prunelab.analysis import (
     CompactModel,
     compact_model,
@@ -209,6 +210,57 @@ def test_compact_model_handles_padding_and_empty_slices():
     assert logits_match(model, GateSet.zeros(TOY), ids, pad_id=0) <= 1e-10
 
 
+def test_compact_model_slices_weights_to_the_kept_widths():
+    model = Model.init(TOY, 10)
+    v, d, hd = TOY.vocab_size, TOY.model_dim, TOY.head_dim
+    gs = GateSet.ones(TOY)
+    gs.heads[0][1] = 0.0
+    gs.hiddens[0][:4] = 0.0
+    gs.heads[1][:] = 0.0
+    gs.hiddens[1][:] = 0.0
+    gs.ranks[::2] = 0.0
+    for gates in (gs, GateSet.zeros(TOY)):
+        cm = compact_model(model, gates)
+        assert isinstance(cm, CompactModel) and cm.config == TOY
+        ranks = int(gates.ranks.sum())
+        assert cm.params["embed.tok"].shape == (v, ranks)
+        assert cm.params["embed.proj"].shape == (ranks, d)
+        for i in range(TOY.n_layers):
+            p = f"layers.{i}"
+            width = int(gates.heads[i].sum()) * hd
+            hidden = int(gates.hiddens[i].sum())
+            for w in ("wq", "wk", "wv"):
+                assert cm.params[f"{p}.attn.{w}"].shape == (d, width)
+            assert cm.params[f"{p}.attn.bq"].shape == (width,)
+            assert cm.params[f"{p}.attn.wo"].shape == (width, d)
+            assert cm.params[f"{p}.ffn.w1"].shape == (d, hidden)
+            assert cm.params[f"{p}.ffn.b1"].shape == (hidden,)
+            assert cm.params[f"{p}.ffn.w2"].shape == (hidden, d)
+            # what no gate slices is the source model's own tensor
+            for name in ("attn.bo", "ffn.b2", "ln1.g", "ln1.b", "ln2.g", "ln2.b"):
+                assert cm.params[f"{p}.{name}"] is model.params[f"{p}.{name}"]
+        assert cm.params["embed.pos"] is model.params["embed.pos"]
+    # kept head 0 of layer 0 is its first head_dim columns, unchanged
+    cm = compact_model(model, gs)
+    assert np.array_equal(cm.params["layers.0.attn.wq"].data,
+                          model.params["layers.0.attn.wq"].data[:, :hd])
+    # nothing pruned: every tensor is shared
+    dense = compact_model(model, GateSet.ones(TOY))
+    assert all(dense.params[k] is t for k, t in model.params.items())
+
+
+def test_compact_logits_record_nothing_on_the_tape():
+    model = Model.init(TOY, 11)
+    cm = compact_model(model, random_hard_gateset(TOY, 3))
+    assert all(t.requires_grad for t in cm.params.values())
+    ids = np.random.default_rng(2).integers(0, TOY.vocab_size, size=(2, 5))
+    T.active_tape().clear()
+    out = cm.logits(ids, pad_id=0)
+    assert isinstance(out, np.ndarray) and out.shape == (2, 5, TOY.vocab_size)
+    assert T.active_tape().nodes == []
+    assert T.active_tape().enabled
+
+
 def test_compact_model_rejects_soft_gates():
     model = Model.init(TOY, 9)
     gs = GateSet.ones(TOY)
@@ -256,8 +308,8 @@ def test_throughput_sparse_is_faster_and_stable():
 def test_throughput_batch_doubling_increases_rate():
     model = Model.init(BENCH, 12)
     cm = compact_model(model, GateSet.ones(BENCH))
-    one = time_forward(cm, BENCH.vocab_size, 32, reps=7, batch_size=1)
-    two = time_forward(cm, BENCH.vocab_size, 32, reps=7, batch_size=2)
+    one = time_forward(cm, 32, reps=7, batch_size=1)
+    two = time_forward(cm, 32, reps=7, batch_size=2)
     assert two > one
 
 
@@ -267,14 +319,14 @@ def test_throughput_validation_and_timer_floor(monkeypatch):
         throughput_bench(model, {0.0: GateSet.ones(TOY)}, seq_len=8, reps=2)
     cm = compact_model(model, GateSet.ones(TOY))
     with pytest.raises(ContractError):
-        time_forward(cm, TOY.vocab_size, 8, reps=1)
+        time_forward(cm, 8, reps=1)
 
     class FakeClock:
         resolution = 1.0
 
     monkeypatch.setattr("time.get_clock_info", lambda name: FakeClock)
     with pytest.raises(RunError, match="reps"):
-        time_forward(cm, TOY.vocab_size, 8, reps=3)
+        time_forward(cm, 8, reps=3)
 
 
 # --- correlation ------------------------------------------------------------

@@ -15,8 +15,10 @@ from prunelab.cli import (
     resolve_config,
     serialize_config,
 )
-from prunelab.encoder import GateSet, Model, ModelConfig
+from prunelab.ds import DEFAULT_GRID, init_ds
+from prunelab.encoder import GateSet, Model, ModelConfig, component_universe, component_weights
 from prunelab.exceptions import ConfigError
+from prunelab.grad_prune import ImportanceTable
 
 # --- grid parsing -----------------------------------------------------------
 
@@ -256,3 +258,47 @@ def test_report_reads_the_config_without_the_weights(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--run", str(tmp_path), "--figure", "hamming"]) == 2
     assert "no model checkpoint" in capsys.readouterr().err
+
+
+def _report_run(tmp_path):
+    """A run directory with a tiny model config and a DS table, no weights."""
+    config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=3, vocab_size=7,
+                         max_seq_len=4)
+    Model.init(config, 0).save(tmp_path)
+    (tmp_path / "weights.gcpt").unlink()
+    universe = component_universe(config)
+    table = ImportanceTable(dict(zip(universe, np.linspace(1.0, 2.0, len(universe)))),
+                            "xx", 1)
+    init_ds({"xx": table}, component_weights(config), DEFAULT_GRID).save_csv(
+        tmp_path / "ds.csv")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"schedule": {"grid": list(DEFAULT_GRID)}}))
+    return config
+
+
+def test_report_on_malformed_model_json_exits_1(tmp_path, capsys):
+    _report_run(tmp_path)
+    assert main(["report", "--run", str(tmp_path), "--figure", "size-curve"]) == 0
+    good = (tmp_path / "model.json").read_text()
+    cases = [good[:len(good) // 2], json.dumps({"n_layers": 2}), "[1, 2]",
+             good.replace('"n_heads": 2', '"n_heads": "2"'),
+             good.replace('"n_heads": 2', '"n_heads": 2.0'),
+             good.replace('"n_heads": 2', '"n_heads": true'),
+             good.replace('"n_heads": 2', '"n_heads": 2, "depth": 3')]
+    for text in cases:
+        (tmp_path / "model.json").write_text(text)
+        capsys.readouterr()
+        assert main(["report", "--run", str(tmp_path), "--figure", "size-curve"]) == 1, text
+        assert "model.json: expected a JSON object" in capsys.readouterr().err
+
+
+def test_report_on_malformed_manifest_exits_1(tmp_path, capsys):
+    _report_run(tmp_path)
+    cases = ['{"schedule": {"grid": [0.0, 0.5', "[]", json.dumps({"schedule": {}}),
+             json.dumps({"schedule": {"grid": 3}}),
+             json.dumps({"schedule": {"grid": ["low", "high"]}})]
+    for text in cases:
+        (tmp_path / "manifest.json").write_text(text)
+        capsys.readouterr()
+        assert main(["report", "--run", str(tmp_path), "--figure", "size-curve"]) == 1, text
+        assert "schedule.grid" in capsys.readouterr().err

@@ -436,3 +436,38 @@ def test_model_save_load_round_trip(tmp_path):
         a = encoder_forward(model, ids, ones_gate_tensors(TOY)).data
         b = encoder_forward(loaded, ids, ones_gate_tensors(TOY)).data
     assert a.tobytes() == b.tobytes()
+
+
+def test_ungated_forward_equals_all_ones_gates_bitwise():
+    model = Model.init(TOY, 12)
+    ids = seeded_batch(TOY, 12)
+    ids[1, 4:] = 0
+    for pad_id in (None, 0):
+        ungated = encoder_forward(model, ids, None, pad_id=pad_id).data
+        ones = encoder_forward(model, ids, ones_gate_tensors(TOY), pad_id=pad_id).data
+        assert np.array_equal(ungated, ones)
+
+
+def test_gate_length_must_match_the_layer_width():
+    model = Model.init(TOY, 13)
+    ids = seeded_batch(TOY, 13)
+    for kind, n in (("heads", TOY.n_heads), ("hiddens", TOY.ffn_dim)):
+        gates = ones_gate_tensors(TOY)
+        gates[kind][1] = T.Tensor(np.ones(n + 1))
+        with pytest.raises(ContractError, match=kind[:-1]):
+            encoder_forward(model, ids, gates)
+    gates = ones_gate_tensors(TOY)
+    gates["ranks"] = T.Tensor(np.ones(TOY.model_dim - 1))
+    with pytest.raises(ContractError, match="rank"):
+        encoder_forward(model, ids, gates)
+    # widths come from the weights: dense-width gates do not fit a narrowed layer
+    narrow = Model(TOY, dict(model.params))
+    p = "layers.0.ffn"
+    narrow.params[f"{p}.w1"] = T.Tensor(model.params[f"{p}.w1"].data[:, :5])
+    narrow.params[f"{p}.b1"] = T.Tensor(model.params[f"{p}.b1"].data[:5])
+    narrow.params[f"{p}.w2"] = T.Tensor(model.params[f"{p}.w2"].data[:5])
+    with pytest.raises(ContractError, match="hidden gate vector must have shape \\(5,\\)"):
+        encoder_forward(narrow, ids, ones_gate_tensors(TOY))
+    gates = ones_gate_tensors(TOY)
+    gates["hiddens"][0] = T.Tensor(np.ones(5))
+    assert encoder_forward(narrow, ids, gates).shape == ids.shape + (TOY.vocab_size,)

@@ -632,3 +632,11 @@ def test_ds_l0_step_records_one_chain_for_all_languages(monkeypatch):
     sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3,
                           algorithm="ds_l0", setting=NON_SHARED, importance_batches=1)
     assert _tape_nodes_at_last_backward(monkeypatch, run_ds_training, sched) <= 120
+
+
+def test_pretrain_step_records_no_gate_nodes(monkeypatch):
+    # the dense forward passes no gates: 82 nodes with all-ones gate tensors
+    sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3)
+    nodes = _tape_nodes_at_last_backward(
+        monkeypatch, lambda model, corpus, s: pretrain_baseline(model.config, corpus, s), sched)
+    assert nodes == 76
