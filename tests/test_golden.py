@@ -32,6 +32,17 @@ SEQUENCE = [
      f"pretrain-s{SEED}", "--setting", "shared", "--steps", "8", *SMALL],
     ["ds-train", "--algo", "ds-l0", "--corpus", "corpus", "--baseline",
      f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "9", *SMALL],
+    # the three cells below share the training loop with the runs above; the
+    # default run id ignores --setting, so each names its own directory
+    ["prune", "--algo", "grad", "--corpus", "corpus", "--baseline", f"pretrain-s{SEED}",
+     "--setting", "shared", "--target-size", "0.5", "--steps", "6",
+     "--run-id", f"prune-grad-shared-s{SEED}", *SMALL],
+    ["ds-train", "--algo", "ds-grad", "--corpus", "corpus", "--baseline",
+     f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "8",
+     "--run-id", f"ds-grad-non-shared-s{SEED}", *SMALL],
+    ["ds-train", "--algo", "ds-l0", "--corpus", "corpus", "--baseline",
+     f"pretrain-s{SEED}", "--setting", "shared", "--steps", "9",
+     "--run-id", f"ds-l0-shared-s{SEED}", *SMALL],
     ["report", "--run", f"ds-grad-s{SEED}", "--figure", "size-curve"],
     ["report", "--run", f"ds-l0-s{SEED}", "--figure", "size-curve"],
     ["report", "--run", f"prune-grad-s{SEED}", "--figure", "hamming"],
@@ -41,6 +52,10 @@ SEQUENCE = [
 ]
 
 GOLDEN = {
+    "ds-grad-non-shared-s7/ds.csv":
+        "25fa07af66aa51e31acf4b9b7282c284497b0dc41e6fd44ac21f584be6cac304",
+    "ds-grad-non-shared-s7/metrics.csv":
+        "05a31b5b55e97aedf4dfaa679dcec9b22880472d199e46f3a9a1ffb319ea755d",
     "ds-grad-s7/ds.csv":
         "b99cb9cd3ec951691d6a4964fbe80318b70c48363e4dd2f8788fbe636a62ac03",
     "ds-grad-s7/metrics.csv":
@@ -53,6 +68,10 @@ GOLDEN = {
         "e454bedc1e571716a15fee2b24706ae2188b6cafcd2c6809a81b9fda2dffdbad",
     "ds-l0-s7/report_size-curve_ds-l0-s7.csv":
         "cac4f824c02a35232b9d83cc5fae354fb5f8ed1ea5e83a671e7c7c883d1db6b5",
+    "ds-l0-shared-s7/ds.csv":
+        "02a63c1beeb992527b7409c6c97342a43a5db14e0b106e4888197c69a77cb01b",
+    "ds-l0-shared-s7/metrics.csv":
+        "05a8a1085c1d43106e86ccabe70f20801067dcb7684697661fa1307a7f167e89",
     "pretrain-s7/metrics.csv":
         "0c23ff5a38f33a7f566f839032fcac9f8c5c7ca69b22906b7bfb77920ce76415",
     "prune-grad-s7/gates_ar.txt":
@@ -73,6 +92,12 @@ GOLDEN = {
         "161993d7e68ef9e9cd87cb4593ea7eb3dedc4617b65773d292faf6a5723cdba3",
     "prune-grad-s7/report_layer-profile_prune-grad-s7.csv":
         "e52636c721366b52fa06d8bf957f075fc4996b51d8871bb27d55fe7df93b0d4f",
+    "prune-grad-shared-s7/gates_shared.txt":
+        "4c68fafa61c43245f800a8356271b75988f6f0b6187e04ad904684d9984a89d2",
+    "prune-grad-shared-s7/importance_shared.csv":
+        "5411a4d602d9566191b53e4dd3a60a277275e6dab5b27176530f169c22b8c1a9",
+    "prune-grad-shared-s7/metrics.csv":
+        "b75f92cd637629bc8e00a8382af46bb3de0b7c6a290c467542048c389ff03d49",
     "prune-l0-improved-s7/alphas.csv":
         "2d0c8aa6169db462ec1b0838391c51a9722e80af86ea93ddf4487274c6f8e6d1",
     "prune-l0-improved-s7/gates_ar.txt":
