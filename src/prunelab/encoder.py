@@ -145,6 +145,18 @@ def component_slices(config: ModelConfig) -> dict:
     }
 
 
+def split_gates(config: ModelConfig, flat) -> dict:
+    """Cut a canonical-order gate vector into the component_slices layout.
+
+    An array gives views into it; a Tensor gives slices recorded on the tape,
+    so the gradient of every part reaches the vector.
+    """
+    slices = component_slices(config)
+    return {"heads": [flat[s] for s in slices["heads"]],
+            "hiddens": [flat[s] for s in slices["hiddens"]],
+            "ranks": flat[slices["ranks"]]}
+
+
 def component_weights(config: ModelConfig) -> np.ndarray:
     """Size weight per component in canonical order: heads 4*d/H, hidden units 2, ranks 1."""
     head_w = 4.0 * config.model_dim / config.n_heads
@@ -185,9 +197,9 @@ class GateSet:
         if self.values.shape != (self.slices["ranks"].stop,):
             raise ContractError(f"GateSet: expected {self.slices['ranks'].stop} gate values, "
                                 f"got shape {self.values.shape}")
-        self.heads = [self.values[s] for s in self.slices["heads"]]
-        self.hiddens = [self.values[s] for s in self.slices["hiddens"]]
-        self.ranks = self.values[self.slices["ranks"]]
+        self.config = config
+        views = split_gates(config, self.values)
+        self.heads, self.hiddens, self.ranks = views["heads"], views["hiddens"], views["ranks"]
         self.hard = bool(hard)
         if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ContractError("GateSet: gate values must lie in [0, 1]")
@@ -249,11 +261,7 @@ class GateSet:
 
 def gate_tensors(gateset: GateSet) -> dict:
     """Constant tensors for a GateSet, in the layout the forwards expect."""
-    return {
-        "heads": [Tensor(h) for h in gateset.heads],
-        "hiddens": [Tensor(h) for h in gateset.hiddens],
-        "ranks": Tensor(gateset.ranks),
-    }
+    return split_gates(gateset.config, Tensor(gateset.values))
 
 
 def ones_gate_tensors(config: ModelConfig, requires_grad: bool = False) -> dict:

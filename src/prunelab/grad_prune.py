@@ -148,31 +148,33 @@ def select_threshold(table: ImportanceTable, weights: np.ndarray,
     return GateSet(config, values, hard=True)
 
 
-def build_profile(model: Model, batches_by_language: dict, setting: str,
-                  target_size: float, weights=None) -> PruningProfile:
-    """Score and threshold, either once over mixed batches or per language.
+def importance_tables(model: Model, batches_by_language: dict,
+                      setting: str) -> dict[str, ImportanceTable]:
+    """Score one table over all languages when shared, else one per language.
 
-    batches_by_language maps language id to a list of batches.  The shared
-    setting scores one table over all batches pooled in language order; the
-    non-shared setting scores each language separately on the same model.
+    batches_by_language maps language id to a non-empty list of batches; the
+    shared table pools them in language order.
     """
     if setting not in (SHARED, NON_SHARED):
         raise ContractError(f"unknown setting {setting!r}")
     if not batches_by_language:
-        raise InputError("build_profile: no languages supplied")
+        raise InputError("importance_tables: no languages supplied")
     for lang, batches in batches_by_language.items():
         if not batches:
-            raise InputError(f"build_profile: language {lang!r} has no batches")
+            raise InputError(f"importance_tables: language {lang!r} has no batches")
+    langs = sorted(batches_by_language)
+    if setting == SHARED:
+        pooled = [b for lang in langs for b in batches_by_language[lang]]
+        return {SHARED: importance_scores(model, pooled, SHARED)}
+    return {lang: importance_scores(model, batches_by_language[lang], lang) for lang in langs}
+
+
+def build_profile(model: Model, batches_by_language: dict, setting: str,
+                  target_size: float, weights=None) -> PruningProfile:
+    """Score with importance_tables, then threshold each table at the target."""
+    tables = importance_tables(model, batches_by_language, setting)
     if weights is None:
         weights = component_weights(model.config)
-    if setting == SHARED:
-        pooled = [b for lang in sorted(batches_by_language) for b in batches_by_language[lang]]
-        table = importance_scores(model, pooled, SHARED)
-        gates = select_threshold(table, weights, target_size, model.config)
-        return PruningProfile(setting, target_size, {SHARED: gates}, {SHARED: table})
-    gatesets, tables = {}, {}
-    for lang in sorted(batches_by_language):
-        table = importance_scores(model, batches_by_language[lang], lang)
-        gatesets[lang] = select_threshold(table, weights, target_size, model.config)
-        tables[lang] = table
+    gatesets = {lang: select_threshold(table, weights, target_size, model.config)
+                for lang, table in tables.items()}
     return PruningProfile(setting, target_size, gatesets, tables)

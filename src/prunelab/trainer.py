@@ -1,10 +1,13 @@
-"""Training loops: baseline MLM, pruning-aware continued training, probe head.
+"""Training: baseline MLM, the five pruning algorithms, and the probe head.
 
-One schedule object drives every run kind.  Gradient pruning scores, freezes
-hard gates, then keeps training the surviving weights.  L0 pruning learns
-gate parameters jointly with the weights, with an alpha-only warmup phase.
-Dynamic sparsification trains one weight set under subnetworks sampled from
-a size grid, so a single checkpoint serves every grid sparsity.
+Pretraining and every pruning run share one loop, ``_train``: the batch
+streams (one mixed stream when shared, one per language otherwise), the
+round robin over gate rows, the finite check, the backward, and each
+optimizer from its first step on.  A run kind supplies one step function.
+Gradient pruning trains under hard gates frozen at the target.  L0 pruning
+learns gate parameters with the weights, whose optimizer starts after the
+alpha-only warmup.  Dynamic sparsification trains one weight set under
+subnetworks sampled from a size grid, so one checkpoint serves every size.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import numpy as np
 from . import tensor as T
 from .corpus import PAD_ID, Corpus, ProbeSplits, mlm_batches
 from .ds import DEFAULT_GRID, DSParams, check_grid, gate_values_at, init_ds
-from .encoder import (GateSet, Model, ModelConfig, component_slices,
-                      component_weights, cross_entropy, encoder_forward,
-                      encoder_hidden, gate_tensors, mlm_loss, retained_fraction)
+from .encoder import (GateSet, Model, ModelConfig, component_weights, cross_entropy,
+                      encoder_forward, encoder_hidden, gate_tensors, mlm_loss,
+                      retained_fraction, split_gates)
 from .exceptions import ConfigError, ContractError, InputError, RunError
-from .grad_prune import NON_SHARED, SHARED, PruningProfile, build_profile, importance_scores
+from .grad_prune import NON_SHARED, SHARED, PruningProfile, build_profile, importance_tables
 from .l0 import (HardConcreteParams, build_prior, diversity_loss,
                  expected_gate, inference_gate, l0_penalty, sample_gate,
                  sparsity_constraint_loss, total_loss)
@@ -198,104 +201,97 @@ def write_manifest(run_dir, schedule: TrainSchedule, config: ModelConfig, extra=
     return path
 
 
-def _record(step, loss_v, mlm_v, l0_v, diag_v, sparsity, language=None) -> dict:
-    rec = {"step": step, "loss": loss_v, "mlm": mlm_v, "l0": l0_v,
-           "diag": diag_v, "sparsity": sparsity}
-    if language is not None:
-        rec["language"] = language
-    return rec
-
-
 def _check_finite(value: float, step: int):
     if not np.isfinite(value):
         raise RunError(f"loss diverged at step {step}")
 
 
-def gate_dict_from_vector(config: ModelConfig, flat: Tensor) -> dict:
-    """Split a component-ordered gate vector into the forward-pass layout."""
-    slices = component_slices(config)
-    return {"heads": [flat[s] for s in slices["heads"]],
-            "hiddens": [flat[s] for s in slices["hiddens"]],
-            "ranks": flat[slices["ranks"]]}
+def _rows(corpus: Corpus, schedule: TrainSchedule) -> list[str]:
+    """Gate rows of a pruning run: one shared row, or one per language."""
+    return [SHARED] if schedule.setting == SHARED else corpus.languages()
 
 
-def _per_language_streams(corpus, schedule, salt: int) -> dict[str, list]:
-    langs = corpus.languages()
-    per = math.ceil(schedule.total_steps / max(1, len(langs)))
+def _language_batches(corpus, schedule, salt: int, n_batches: int) -> dict[str, list]:
+    """n_batches masked batches per language, each language on its own seed."""
     return {
-        lang: list(mlm_batches(corpus, n_batches=max(per, 1),
-                               batch_size=schedule.batch_size, seq_len=schedule.seq_len,
-                               mask_rate=schedule.mask_rate,
-                               seed=[schedule.seed, salt, i], languages=[lang]))
-        for i, lang in enumerate(langs)
-    }
-
-
-def _importance_batch_dict(corpus, schedule, salt: int) -> dict[str, list]:
-    return {
-        lang: list(mlm_batches(corpus, n_batches=schedule.importance_batches,
-                               batch_size=schedule.batch_size, seq_len=schedule.seq_len,
-                               mask_rate=schedule.mask_rate,
-                               seed=[schedule.seed, salt, i], languages=[lang]))
+        lang: mlm_batches(corpus, n_batches=n_batches, batch_size=schedule.batch_size,
+                          seq_len=schedule.seq_len, mask_rate=schedule.mask_rate,
+                          seed=[schedule.seed, salt, i], languages=[lang])
         for i, lang in enumerate(corpus.languages())
     }
+
+
+def _mlm(model: Model, batch, gates) -> Tensor:
+    logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
+    return mlm_loss(logits, batch.mask_positions, batch.gold_ids)
+
+
+def _train(corpus: Corpus, schedule: TrainSchedule, rows: list[str], salt: int,
+           optimizers, step) -> list[dict]:
+    """The training loop every run kind shares; returns one record per step.
+
+    Step k trains row ``k mod len(rows)`` on that row's next batch: one mixed
+    stream when the only row is shared, one stream per language otherwise.
+    ``step(k, row, lang, batch)`` returns the loss and the record fields that
+    differ from mlm = loss and l0 = diag = sparsity = 0.  ``optimizers`` pairs
+    each optimizer with the first step it updates at; all are zeroed each step.
+    """
+    n = schedule.total_steps
+    if n == 0:
+        return []
+    if rows == [SHARED]:
+        streams = {SHARED: mlm_batches(corpus, n_batches=n, batch_size=schedule.batch_size,
+                                       seq_len=schedule.seq_len, mask_rate=schedule.mask_rate,
+                                       seed=[schedule.seed, salt])}
+    else:
+        streams = _language_batches(corpus, schedule, salt, math.ceil(n / len(rows)))
+    streams = {lang: iter(batches) for lang, batches in streams.items()}
+    records = []
+    for k in range(n):
+        row = k % len(rows)
+        lang = rows[row]
+        loss, fields = step(k, row, lang, next(streams[lang]))
+        v = loss.item()
+        _check_finite(v, k)
+        T.backward(loss)
+        scale = lr_at(k, n, schedule.warmup_fraction)
+        for opt, first in optimizers:
+            if k >= first:
+                opt.step(scale)
+            opt.zero()
+        records.append({"step": k, "loss": v, "mlm": v, "l0": 0.0, "diag": 0.0,
+                        "sparsity": 0.0, **fields, "language": lang})
+    return records
+
+
+def _adam(params: dict, lr: float, schedule: TrainSchedule) -> Adam:
+    return Adam(params, lr, schedule.beta1, schedule.beta2, schedule.eps)
 
 
 def pretrain_baseline(config: ModelConfig, corpus: Corpus, schedule: TrainSchedule) -> TrainResult:
     """Train a dense, ungated model with masked language modeling."""
     model = Model.init(config, schedule.seed)
-    records: list[dict] = []
-    if schedule.total_steps == 0:
-        return TrainResult(model, records)
-    stream = mlm_batches(corpus, n_batches=schedule.total_steps,
-                         batch_size=schedule.batch_size, seq_len=schedule.seq_len,
-                         mask_rate=schedule.mask_rate, seed=[schedule.seed, 3])
-    opt = Adam(model.params, schedule.learning_rate, schedule.beta1, schedule.beta2, schedule.eps)
-    for k, batch in enumerate(stream):
-        logits = encoder_forward(model, batch.tokens, None, pad_id=batch.pad_id)
-        loss = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
-        v = loss.item()
-        _check_finite(v, k)
-        T.backward(loss)
-        opt.step(lr_at(k, schedule.total_steps, schedule.warmup_fraction))
-        opt.zero()
-        records.append(_record(k, v, v, 0.0, 0.0, 0.0))
+    records = _train(corpus, schedule, [SHARED], 3,
+                     [(_adam(model.params, schedule.learning_rate, schedule), 0)],
+                     lambda k, row, lang, batch: (_mlm(model, batch, None), {}))
     return TrainResult(model, records)
 
 
 def run_grad_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> TrainResult:
     """Score components, freeze hard gates at the target, keep training."""
     model = baseline.copy()
-    config = model.config
-    weights = component_weights(config)
-    profile = build_profile(model, _importance_batch_dict(corpus, schedule, 4),
-                            schedule.setting, schedule.target_size, weights)
-    langs = sorted(profile.gatesets)
-    fixed = {lang: gate_tensors(profile.gatesets[lang]) for lang in langs}
-    sparsity = {lang: 1.0 - retained_fraction(profile.gatesets[lang].values, weights)
-                for lang in langs}
-    achieved = {lang: 1.0 - sparsity[lang] for lang in langs}
-    records: list[dict] = []
-    if schedule.total_steps == 0:
-        return TrainResult(model, records, profile=profile, achieved_sizes=achieved)
-    if schedule.setting == SHARED:
-        streams = {SHARED: list(mlm_batches(
-            corpus, n_batches=schedule.total_steps, batch_size=schedule.batch_size,
-            seq_len=schedule.seq_len, mask_rate=schedule.mask_rate, seed=[schedule.seed, 5]))}
-    else:
-        streams = _per_language_streams(corpus, schedule, 5)
-    opt = Adam(model.params, schedule.learning_rate, schedule.beta1, schedule.beta2, schedule.eps)
-    for k in range(schedule.total_steps):
-        lang = langs[k % len(langs)]
-        batch = streams[lang][k // len(langs)] if schedule.setting == NON_SHARED else streams[SHARED][k]
-        logits = encoder_forward(model, batch.tokens, fixed[lang], pad_id=batch.pad_id)
-        loss = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
-        v = loss.item()
-        _check_finite(v, k)
-        T.backward(loss)
-        opt.step(lr_at(k, schedule.total_steps, schedule.warmup_fraction))
-        opt.zero()
-        records.append(_record(k, v, v, 0.0, 0.0, sparsity[lang], lang))
+    weights = component_weights(model.config)
+    profile = build_profile(
+        model, _language_batches(corpus, schedule, 4, schedule.importance_batches),
+        schedule.setting, schedule.target_size, weights)
+    fixed = {lang: gate_tensors(gs) for lang, gs in profile.gatesets.items()}
+    sparsity = {lang: 1.0 - retained_fraction(gs.values, weights)
+                for lang, gs in profile.gatesets.items()}
+    achieved = {lang: 1.0 - v for lang, v in sparsity.items()}
+    records = _train(corpus, schedule, _rows(corpus, schedule), 5,
+                     [(_adam(model.params, schedule.learning_rate, schedule), 0)],
+                     lambda k, row, lang, batch: (_mlm(model, batch, fixed[lang]),
+                                                  {"sparsity": sparsity[lang]}))
     return TrainResult(model, records, profile=profile, achieved_sizes=achieved)
 
 
@@ -318,32 +314,16 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
     config = model.config
     weights = component_weights(config)
     total_w = float(weights.sum())
-    langs = corpus.languages() if schedule.setting == NON_SHARED else [SHARED]
-    hc = HardConcreteParams.init(langs, weights.size, seed=[schedule.seed, 6])
-    prior_sub = None
-    if improved:
-        prior_sub = build_prior({s.id: s.family for s in corpus.specs}).submatrix(langs)
-    if schedule.setting == SHARED:
-        streams = {SHARED: list(mlm_batches(
-            corpus, n_batches=max(schedule.total_steps, 1), batch_size=schedule.batch_size,
-            seq_len=schedule.seq_len, mask_rate=schedule.mask_rate, seed=[schedule.seed, 7]))}
-    else:
-        streams = _per_language_streams(corpus, schedule, 7)
-    opt_w = Adam(model.params, schedule.learning_rate, schedule.beta1, schedule.beta2, schedule.eps)
-    opt_a = Adam({"alpha": hc.alphas}, schedule.alpha_lr,
-                 schedule.beta1, schedule.beta2, schedule.eps)
-    warm = int(round(schedule.alpha_only_warmup_fraction * schedule.total_steps))
-    lam1, lam2 = schedule.resolved_lambda1(), schedule.resolved_lambda2()
+    langs = _rows(corpus, schedule)
     n_lang = len(langs)
-    records: list[dict] = []
-    for k in range(schedule.total_steps):
-        i = k % n_lang
-        lang = langs[i]
-        batch = streams[lang][k // n_lang] if schedule.setting == NON_SHARED else streams[SHARED][k]
+    hc = HardConcreteParams.init(langs, weights.size, seed=[schedule.seed, 6])
+    prior_sub = (build_prior({s.id: s.family for s in corpus.specs}).submatrix(langs)
+                 if improved else None)
+    lam1, lam2 = schedule.resolved_lambda1(), schedule.resolved_lambda2()
+
+    def step(k, row, lang, batch):
         u = np.random.default_rng([schedule.seed, 8, k]).uniform(1e-9, 1.0 - 1e-9, size=weights.size)
-        gates = gate_dict_from_vector(config, sample_gate(hc.alphas[i], u))
-        logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
-        mlm = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
+        mlm = _mlm(model, batch, split_gates(config, sample_gate(hc.alphas[row], u)))
         # expected size of every language, one entry per row of alphas
         sizes = T.multiply(l0_penalty(hc.alphas, weights), 1.0 / total_w)
         if improved:
@@ -359,17 +339,14 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
             l0_term = T.multiply(T.fold_sum(sizes), 1.0 / n_lang)
             div = None
         loss = total_loss(mlm, l0_term, div, lam1, lam2)
-        loss_v, mlm_v, l0_v = loss.item(), mlm.item(), l0_term.item()
-        diag_v = div.item() if div is not None else 0.0
-        mean_size = float(np.mean(sizes.data))
-        _check_finite(loss_v, k)
-        T.backward(loss)
-        opt_a.step(lr_at(k, schedule.total_steps, schedule.warmup_fraction))
-        if k >= warm:
-            opt_w.step(lr_at(k, schedule.total_steps, schedule.warmup_fraction))
-        opt_a.zero()
-        opt_w.zero()
-        records.append(_record(k, loss_v, mlm_v, l0_v, diag_v, 1.0 - mean_size, lang))
+        return loss, {"mlm": mlm.item(), "l0": l0_term.item(),
+                      "diag": div.item() if div is not None else 0.0,
+                      "sparsity": 1.0 - float(np.mean(sizes.data))}
+
+    warm = int(round(schedule.alpha_only_warmup_fraction * schedule.total_steps))
+    records = _train(corpus, schedule, langs, 7,
+                     [(_adam({"alpha": hc.alphas}, schedule.alpha_lr, schedule), 0),
+                      (_adam(model.params, schedule.learning_rate, schedule), warm)], step)
     hard = (inference_gate(hc.alphas.data) >= 0.5).astype(np.float64)
     gatesets = {l: GateSet(config, hard[i], hard=True) for i, l in enumerate(langs)}
     achieved = {l: retained_fraction(hard[i], weights) for i, l in enumerate(langs)}
@@ -391,66 +368,36 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
     config = model.config
     weights = component_weights(config)
     total_w = float(weights.sum())
-    if schedule.setting == SHARED:
-        pooled = [b for lang, batches in sorted(_importance_batch_dict(corpus, schedule, 9).items())
-                  for b in batches]
-        tables = {SHARED: importance_scores(model, pooled, SHARED)}
-        langs = [SHARED]
-        streams = {SHARED: list(mlm_batches(
-            corpus, n_batches=max(schedule.total_steps, 1), batch_size=schedule.batch_size,
-            seq_len=schedule.seq_len, mask_rate=schedule.mask_rate, seed=[schedule.seed, 10]))}
-    else:
-        batch_dict = _importance_batch_dict(corpus, schedule, 9)
-        tables = {lang: importance_scores(model, batch_dict[lang], lang)
-                  for lang in sorted(batch_dict)}
-        langs = corpus.languages()
-        streams = _per_language_streams(corpus, schedule, 10)
+    tables = importance_tables(
+        model, _language_batches(corpus, schedule, 9, schedule.importance_batches),
+        schedule.setting)
     ds = init_ds(tables, weights, grid)
+    langs = _rows(corpus, schedule)
+    optimizers = [(_adam(model.params, schedule.learning_rate, schedule), 0)]
     trainable = schedule.algorithm == "ds_l0"
-    opt_w = Adam(model.params, schedule.learning_rate, schedule.beta1, schedule.beta2, schedule.eps)
-    opt_a = None
     if trainable:
         # (languages x components) leaves, rows in langs order
         alphas = Tensor(np.stack([ds.tables[l]["alpha"] for l in langs]), requires_grad=True)
         thetas = Tensor(np.stack([ds.tables[l]["theta"] for l in langs]), requires_grad=True)
-        opt_a = Adam({"alpha": alphas, "theta": thetas}, schedule.alpha_lr,
-                     schedule.beta1, schedule.beta2, schedule.eps)
-    lam1 = schedule.resolved_lambda1()
-    records: list[dict] = []
-    for k in range(schedule.total_steps):
-        i = k % len(langs)
-        lang = langs[i]
-        batch = streams[lang][k // len(langs)] if schedule.setting == NON_SHARED else streams[SHARED][k]
+        optimizers.append((_adam({"alpha": alphas, "theta": thetas}, schedule.alpha_lr,
+                                 schedule), 0))
+
+    def step(k, row, lang, batch):
         t = float(grid[int(np.random.default_rng([schedule.seed, 11, k]).integers(1, len(grid)))])
-        if trainable:
-            z = T.add(alphas, T.multiply(thetas, t))
-            flat = expected_gate(z[i])
-            gates = gate_dict_from_vector(config, flat)
-            spars = 1.0 - retained_fraction(flat.data, weights)
-        else:
+        if not trainable:
             values = gate_values_at(ds, t, lang)
-            gates = gate_tensors(GateSet(config, values, hard=False))
-            spars = 1.0 - retained_fraction(values, weights)
-        logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
-        mlm = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
-        if trainable:
-            sizes = T.multiply(l0_penalty(z, weights), 1.0 / total_w)
-            l0_term = sparsity_constraint_loss(sizes, t)
-            loss = total_loss(mlm, l0_term, None, lam1, 0.0)
-        else:
-            l0_term = None
-            loss = mlm
-        loss_v, mlm_v = loss.item(), mlm.item()
-        l0_v = l0_term.item() if l0_term is not None else 0.0
-        _check_finite(loss_v, k)
-        T.backward(loss)
-        opt_w.step(lr_at(k, schedule.total_steps, schedule.warmup_fraction))
-        if opt_a is not None:
-            opt_a.step(lr_at(k, schedule.total_steps, schedule.warmup_fraction))
-        opt_w.zero()
-        if opt_a is not None:
-            opt_a.zero()
-        records.append(_record(k, loss_v, mlm_v, l0_v, 0.0, spars, lang))
+            mlm = _mlm(model, batch, gate_tensors(GateSet(config, values, hard=False)))
+            return mlm, {"sparsity": 1.0 - retained_fraction(values, weights)}
+        z = T.add(alphas, T.multiply(thetas, t))
+        flat = expected_gate(z[row])
+        mlm = _mlm(model, batch, split_gates(config, flat))
+        sizes = T.multiply(l0_penalty(z, weights), 1.0 / total_w)
+        l0_term = sparsity_constraint_loss(sizes, t)
+        return total_loss(mlm, l0_term, None, schedule.resolved_lambda1(), 0.0), {
+            "mlm": mlm.item(), "l0": l0_term.item(),
+            "sparsity": 1.0 - retained_fraction(flat.data, weights)}
+
+    records = _train(corpus, schedule, langs, 10, optimizers, step)
     if trainable:
         # t_hat and delta keep describing the initialization; alpha and theta
         # carry what training learned on top of it

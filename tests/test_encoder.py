@@ -21,6 +21,7 @@ from prunelab.encoder import (
     gate_tensors,
     mlm_loss,
     ones_gate_tensors,
+    split_gates,
 )
 from prunelab.exceptions import ConfigError, ContractError, InputError
 
@@ -370,6 +371,34 @@ def _gates_file(tmp_path, edit):
     GateSet.ones(TOY).save_text(path, TOY)
     path.write_text(edit(path.read_text()))
     return path
+
+
+def test_split_gates_layout_matches_universe():
+    config = TOY
+    universe = component_universe(config)
+    n = len(universe)
+    flat = T.Tensor(np.arange(n, dtype=float), requires_grad=True)
+    gates = split_gates(config, flat)
+    gs = GateSet.ones(config)
+    position = {cid: pos for pos, cid in enumerate(universe)}
+    for layer in range(config.n_layers):
+        gs.heads[layer][:] = [position[ComponentId("head", layer, h)]
+                              for h in range(config.n_heads)]
+        gs.hiddens[layer][:] = [position[ComponentId("hidden", layer, j)]
+                                for j in range(config.ffn_dim)]
+    gs.ranks[:] = [position[ComponentId("rank", None, k)] for k in range(config.model_dim)]
+    rebuilt = np.concatenate([g.data for g in gates["heads"]]
+                             + [g.data for g in gates["hiddens"]] + [gates["ranks"].data])
+    manual = np.concatenate([np.asarray(gs.heads[l]) for l in range(config.n_layers)]
+                            + [np.asarray(gs.hiddens[l]) for l in range(config.n_layers)]
+                            + [np.asarray(gs.ranks)])
+    assert np.array_equal(rebuilt, manual)
+    # gradients flow back through the slicing
+    loss = gates["ranks"].sum()
+    T.backward(loss)
+    expect = np.zeros(n)
+    expect[-config.model_dim:] = 1.0
+    assert np.array_equal(flat.grad, expect)
 
 
 def test_load_text_rejects_head_outside_the_model(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +12,6 @@ from prunelab import tensor as T
 from prunelab.corpus import LanguageSpec, gen_corpus, probe_batches
 from prunelab.ds import DEFAULT_GRID, gate_values_at, init_ds
 from prunelab.encoder import (
-    ComponentId,
     GateSet,
     Model,
     ModelConfig,
@@ -23,10 +23,10 @@ from prunelab.grad_prune import NON_SHARED, SHARED, importance_scores
 from prunelab.l0 import HardConcreteParams, inference_gate
 from prunelab.tensor import Tensor
 from prunelab.trainer import (
+    ALGORITHMS,
     Adam,
     TrainSchedule,
     finetune_probe,
-    gate_dict_from_vector,
     lr_at,
     pretrain_baseline,
     run_ds_training,
@@ -466,35 +466,44 @@ def test_run_reproducibility_across_run_kinds():
         assert [r["loss"] for r in a.records] == [r["loss"] for r in b.records]
 
 
-# --- gate vector slicing ----------------------------------------------------
+# --- one record contract -----------------------------------------------------
+
+RUNNERS = {"grad": run_grad_pruning, "l0_vanilla": run_l0_pruning,
+           "l0_improved": run_l0_pruning, "ds_grad": run_ds_training,
+           "ds_l0": run_ds_training}
 
 
-def test_gate_dict_from_vector_layout_matches_universe():
-    config = toy_baseline().model.config
-    universe = component_universe(config)
-    n = len(universe)
-    flat = Tensor(np.arange(n, dtype=float), requires_grad=True)
-    gates = gate_dict_from_vector(config, flat)
-    gs = GateSet.ones(config)
-    position = {cid: pos for pos, cid in enumerate(universe)}
-    for layer in range(config.n_layers):
-        gs.heads[layer][:] = [position[ComponentId("head", layer, h)]
-                              for h in range(config.n_heads)]
-        gs.hiddens[layer][:] = [position[ComponentId("hidden", layer, j)]
-                                for j in range(config.ffn_dim)]
-    gs.ranks[:] = [position[ComponentId("rank", None, k)] for k in range(config.model_dim)]
-    rebuilt = np.concatenate([g.data for g in gates["heads"]]
-                             + [g.data for g in gates["hiddens"]] + [gates["ranks"].data])
-    manual = np.concatenate([np.asarray(gs.heads[l]) for l in range(config.n_layers)]
-                            + [np.asarray(gs.hiddens[l]) for l in range(config.n_layers)]
-                            + [np.asarray(gs.ranks)])
-    assert np.array_equal(rebuilt, manual)
-    # gradients flow back through the slicing
-    loss = gates["ranks"].sum()
-    T.backward(loss)
-    expect = np.zeros(n)
-    expect[-config.model_dim:] = 1.0
-    assert np.array_equal(flat.grad, expect)
+@pytest.mark.parametrize("setting", [SHARED, NON_SHARED])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_run_kind_records_the_same_fields(algorithm, setting, monkeypatch):
+    if algorithm == "l0_improved" and setting == SHARED:
+        pytest.skip("improved l0 rejects the shared setting")
+    base = toy_baseline().model
+    sched = TrainSchedule(total_steps=5, batch_size=4, seq_len=10, seed=3,
+                          algorithm=algorithm, setting=setting, importance_batches=1)
+    runner = RUNNERS[algorithm]
+    res = runner(base, toy_corpus(), sched)
+    langs = toy_corpus().languages()
+    rows = [SHARED] if setting == SHARED else langs
+    assert [rec["step"] for rec in res.records] == list(range(5))
+    for k, rec in enumerate(res.records):
+        assert list(rec) == ["step", "loss", "mlm", "l0", "diag", "sparsity", "language"]
+        assert rec["language"] == rows[k % len(rows)]
+        assert all(np.isfinite(rec[f]) for f in ("loss", "mlm", "l0", "diag", "sparsity"))
+    # a 0-step run records nothing and draws only the importance batches
+    import prunelab.trainer as trainer
+
+    drawn = []
+    original = trainer.mlm_batches
+
+    def counting(*args, **kwargs):
+        drawn.append(kwargs["n_batches"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "mlm_batches", counting)
+    assert runner(base, toy_corpus(), replace(sched, total_steps=0)).records == []
+    scored = algorithm in ("grad", "ds_grad", "ds_l0")
+    assert drawn == ([sched.importance_batches] * len(langs) if scored else [])
 
 
 # --- probe ------------------------------------------------------------------
