@@ -8,6 +8,8 @@ exactly the speedup being measured.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import platform
 import time
 from dataclasses import dataclass
@@ -174,14 +176,54 @@ class ThroughputRecord:
     hardware: str
 
 
+# thread-count entry points of numpy's bundled OpenBLAS, then of a system one
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _openblas_threads():
+    """(set, get) of the thread count of the OpenBLAS numpy calls into, or None."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        # a handle on numpy's extension module also finds its BLAS's symbols
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for name in _OPENBLAS_THREADS:
+        set_threads = getattr(lib, name.format("set"), None)
+        get_threads = getattr(lib, name.format("get"), None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes, get_threads.restype = [ctypes.c_int], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _openblas_pinned(set_threads, get_threads):
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def _single_thread():
-    """Limit BLAS pools to one thread for stable timing, when possible."""
+    """Limit BLAS pools to one thread for stable timing, when possible.
+
+    threadpoolctl limits every pool it knows; without it numpy's OpenBLAS is
+    pinned through its own entry points.  Timing runs unpinned only when
+    neither is found.
+    """
     try:
         from threadpoolctl import threadpool_limits
         return threadpool_limits(limits=1)
     except ImportError:
-        import contextlib
-        return contextlib.nullcontext()
+        calls = _openblas_threads()
+    return contextlib.nullcontext() if calls is None else _openblas_pinned(*calls)
 
 
 def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1,

@@ -1,5 +1,7 @@
 """Analysis: profiles, Hamming metric, size curves, compaction, benchmarks."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,26 @@ def test_throughput_validation_and_timer_floor(monkeypatch):
     monkeypatch.setattr("time.get_clock_info", lambda name: FakeClock)
     with pytest.raises(RunError, match="reps"):
         time_forward(cm, 8, reps=3)
+
+
+def test_single_thread_pins_openblas_and_restores_the_count(monkeypatch):
+    from prunelab import analysis
+
+    calls = analysis._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread calls")
+    set_threads, get_threads = calls
+    original = get_threads()
+    # force the fallback even where threadpoolctl is installed
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    try:
+        set_threads(2)
+        before = get_threads()
+        with analysis._single_thread():
+            assert get_threads() == 1
+        assert get_threads() == before
+    finally:
+        set_threads(original)
 
 
 # --- correlation ------------------------------------------------------------
