@@ -187,16 +187,15 @@ def _openblas_threads():
         from numpy._core import _multiarray_umath as core
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as core
-    try:
-        # a handle on numpy's extension module also finds its BLAS's symbols
-        lib = ctypes.CDLL(core.__file__)
-    except OSError:
-        return None
+    # numpy's extension module is loaded already; a handle on it also finds
+    # the symbols of the BLAS it links
+    lib = ctypes.CDLL(core.__file__)
     for name in _OPENBLAS_THREADS:
         set_threads = getattr(lib, name.format("set"), None)
         get_threads = getattr(lib, name.format("get"), None)
         if set_threads is not None and get_threads is not None:
-            set_threads.argtypes, get_threads.restype = [ctypes.c_int], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
             return set_threads, get_threads
     return None
 

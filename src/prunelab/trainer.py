@@ -211,7 +211,7 @@ def _rows(corpus: Corpus, schedule: TrainSchedule) -> list[str]:
     return [SHARED] if schedule.setting == SHARED else corpus.languages()
 
 
-def _language_batches(corpus, schedule, salt: int, n_batches: int) -> dict[str, list]:
+def _language_batches(corpus, schedule, salt: int, n_batches: int) -> dict:
     """n_batches masked batches per language, each language on its own seed."""
     return {
         lang: mlm_batches(corpus, n_batches=n_batches, batch_size=schedule.batch_size,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from prunelab import tensor as T
+from prunelab import trainer
 from prunelab.corpus import LanguageSpec, gen_corpus, probe_batches
 from prunelab.ds import DEFAULT_GRID, gate_values_at, init_ds
 from prunelab.encoder import (
@@ -491,8 +492,6 @@ def test_every_run_kind_records_the_same_fields(algorithm, setting, monkeypatch)
         assert rec["language"] == rows[k % len(rows)]
         assert all(np.isfinite(rec[f]) for f in ("loss", "mlm", "l0", "diag", "sparsity"))
     # a 0-step run records nothing and draws only the importance batches
-    import prunelab.trainer as trainer
-
     drawn = []
     original = trainer.mlm_batches
 
