@@ -197,7 +197,6 @@ class GateSet:
         if self.values.shape != (self.slices["ranks"].stop,):
             raise ContractError(f"GateSet: expected {self.slices['ranks'].stop} gate values, "
                                 f"got shape {self.values.shape}")
-        self.config = config
         views = split_gates(config, self.values)
         self.heads, self.hiddens, self.ranks = views["heads"], views["hiddens"], views["ranks"]
         self.hard = bool(hard)
@@ -261,7 +260,11 @@ class GateSet:
 
 def gate_tensors(gateset: GateSet) -> dict:
     """Constant tensors for a GateSet, in the layout the forwards expect."""
-    return split_gates(gateset.config, Tensor(gateset.values))
+    return {
+        "heads": [Tensor(h) for h in gateset.heads],
+        "hiddens": [Tensor(h) for h in gateset.hiddens],
+        "ranks": Tensor(gateset.ranks),
+    }
 
 
 def ones_gate_tensors(config: ModelConfig, requires_grad: bool = False) -> dict:

@@ -206,19 +206,16 @@ def _check_finite(value: float, step: int):
         raise RunError(f"loss diverged at step {step}")
 
 
-def _rows(corpus: Corpus, schedule: TrainSchedule) -> list[str]:
-    """Gate rows of a pruning run: one shared row, or one per language."""
-    return [SHARED] if schedule.setting == SHARED else corpus.languages()
+def _batches(corpus, schedule, n_batches: int, seed, languages=None):
+    return mlm_batches(corpus, n_batches=n_batches, batch_size=schedule.batch_size,
+                       seq_len=schedule.seq_len, mask_rate=schedule.mask_rate, seed=seed,
+                       languages=languages)
 
 
 def _language_batches(corpus, schedule, salt: int, n_batches: int) -> dict:
     """n_batches masked batches per language, each language on its own seed."""
-    return {
-        lang: mlm_batches(corpus, n_batches=n_batches, batch_size=schedule.batch_size,
-                          seq_len=schedule.seq_len, mask_rate=schedule.mask_rate,
-                          seed=[schedule.seed, salt, i], languages=[lang])
-        for i, lang in enumerate(corpus.languages())
-    }
+    return {lang: _batches(corpus, schedule, n_batches, [schedule.seed, salt, i], [lang])
+            for i, lang in enumerate(corpus.languages())}
 
 
 def _mlm(model: Model, batch, gates) -> Tensor:
@@ -240,9 +237,7 @@ def _train(corpus: Corpus, schedule: TrainSchedule, rows: list[str], salt: int,
     if n == 0:
         return []
     if rows == [SHARED]:
-        streams = {SHARED: mlm_batches(corpus, n_batches=n, batch_size=schedule.batch_size,
-                                       seq_len=schedule.seq_len, mask_rate=schedule.mask_rate,
-                                       seed=[schedule.seed, salt])}
+        streams = {SHARED: _batches(corpus, schedule, n, [schedule.seed, salt])}
     else:
         streams = _language_batches(corpus, schedule, salt, math.ceil(n / len(rows)))
     streams = {lang: iter(batches) for lang, batches in streams.items()}
@@ -288,7 +283,7 @@ def run_grad_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -
     sparsity = {lang: 1.0 - retained_fraction(gs.values, weights)
                 for lang, gs in profile.gatesets.items()}
     achieved = {lang: 1.0 - v for lang, v in sparsity.items()}
-    records = _train(corpus, schedule, _rows(corpus, schedule), 5,
+    records = _train(corpus, schedule, sorted(profile.gatesets), 5,
                      [(_adam(model.params, schedule.learning_rate, schedule), 0)],
                      lambda k, row, lang, batch: (_mlm(model, batch, fixed[lang]),
                                                   {"sparsity": sparsity[lang]}))
@@ -314,7 +309,7 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
     config = model.config
     weights = component_weights(config)
     total_w = float(weights.sum())
-    langs = _rows(corpus, schedule)
+    langs = corpus.languages() if schedule.setting == NON_SHARED else [SHARED]
     n_lang = len(langs)
     hc = HardConcreteParams.init(langs, weights.size, seed=[schedule.seed, 6])
     prior_sub = (build_prior({s.id: s.family for s in corpus.specs}).submatrix(langs)
@@ -372,7 +367,7 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         model, _language_batches(corpus, schedule, 9, schedule.importance_batches),
         schedule.setting)
     ds = init_ds(tables, weights, grid)
-    langs = _rows(corpus, schedule)
+    langs = sorted(tables)
     optimizers = [(_adam(model.params, schedule.learning_rate, schedule), 0)]
     trainable = schedule.algorithm == "ds_l0"
     if trainable:
