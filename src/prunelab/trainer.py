@@ -310,11 +310,12 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
     weights = component_weights(config)
     total_w = float(weights.sum())
     langs = corpus.languages() if schedule.setting == NON_SHARED else [SHARED]
-    n_lang = len(langs)
     hc = HardConcreteParams.init(langs, weights.size, seed=[schedule.seed, 6])
-    prior_sub = (build_prior({s.id: s.family for s in corpus.specs}).submatrix(langs)
-                 if improved else None)
+    prior_sub = None
+    if improved:
+        prior_sub = build_prior({s.id: s.family for s in corpus.specs}).submatrix(langs)
     lam1, lam2 = schedule.resolved_lambda1(), schedule.resolved_lambda2()
+    n_lang = len(langs)
 
     def step(k, row, lang, batch):
         u = np.random.default_rng([schedule.seed, 8, k]).uniform(1e-9, 1.0 - 1e-9, size=weights.size)
@@ -376,6 +377,7 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         thetas = Tensor(np.stack([ds.tables[l]["theta"] for l in langs]), requires_grad=True)
         optimizers.append((_adam({"alpha": alphas, "theta": thetas}, schedule.alpha_lr,
                                  schedule), 0))
+    lam1 = schedule.resolved_lambda1()
 
     def step(k, row, lang, batch):
         t = float(grid[int(np.random.default_rng([schedule.seed, 11, k]).integers(1, len(grid)))])
@@ -388,7 +390,7 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         mlm = _mlm(model, batch, split_gates(config, flat))
         sizes = T.multiply(l0_penalty(z, weights), 1.0 / total_w)
         l0_term = sparsity_constraint_loss(sizes, t)
-        return total_loss(mlm, l0_term, None, schedule.resolved_lambda1(), 0.0), {
+        return total_loss(mlm, l0_term, None, lam1, 0.0), {
             "mlm": mlm.item(), "l0": l0_term.item(),
             "sparsity": 1.0 - retained_fraction(flat.data, weights)}
 
