@@ -1,7 +1,8 @@
 """Golden run: a small seeded CLI sequence must reproduce its artifacts byte for byte.
 
 The digests below were recorded from this exact sequence with numpy 2.4.6 on
-OpenBLAS 0.3.31.  A refactor that keeps behaviour leaves every one of them
+OpenBLAS 0.3.31.  The corpus files are pinned too, except the corpus
+manifest, which records the commit hash.  A refactor that keeps behaviour leaves every one of them
 unchanged; a change that moves one on purpose must say so and record the new
 digest.  Another BLAS build may round matrix products differently.
 """
@@ -50,6 +51,14 @@ SEQUENCE = [
     ["report", "--run", f"prune-grad-s{SEED}", "--figure", "layer-profile"],
     ["report", "--run", f"prune-l0-s{SEED}", "--figure", "layer-profile"],
 ]
+
+CORPUS = {
+    "ar.txt": "9dba044d83ff7d8dd09eb4722abdc1d75aa012e622e9777d30eca659df5d977b",
+    "de.txt": "9b34297217b0aa1fa6432a63cbbf4a7693f7d76844b403513ad42408d5f7aae5",
+    "en.txt": "242756a458e29298140fa3aa985bd103016b6f9f574b8913897d36efbf1ccf08",
+    "languages.csv": "6723ca8ea152d0a09190a7a0dc1e6d798e629351164045afa390e4c5e147125b",
+    "vocab.tsv": "b78949bc7a1e5c4936bbbd8323ee1f2795cc77ab45c2553d6b73a23e9b0d194c",
+}
 
 GOLDEN = {
     "ds-grad-non-shared-s7/ds.csv":
@@ -137,12 +146,22 @@ def _digests(root) -> dict[str, str]:
     return out
 
 
-def _run_and_compare(tmp_path, monkeypatch, capsys, sequence, golden):
+def _corpus_digests(root) -> dict[str, str]:
+    out = {}
+    for name in sorted(os.listdir(root)):
+        if name != "manifest.json":
+            with open(os.path.join(root, name), "rb") as f:
+                out[name] = hashlib.sha256(f.read()).hexdigest()
+    return out
+
+
+def _run_and_compare(tmp_path, monkeypatch, capsys, sequence, golden, corpus):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("PRUNELAB_RUNS", str(tmp_path / "runs"))
     for argv in sequence:
         assert main(argv) == 0, argv
     capsys.readouterr()
+    assert _corpus_digests(tmp_path / "corpus") == corpus
     got = _digests(tmp_path / "runs")
     assert sorted(got) == sorted(golden)
     changed = [path for path in golden if got[path] != golden[path]]
@@ -150,7 +169,7 @@ def _run_and_compare(tmp_path, monkeypatch, capsys, sequence, golden):
 
 
 def test_golden_run_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
-    _run_and_compare(tmp_path, monkeypatch, capsys, SEQUENCE, GOLDEN)
+    _run_and_compare(tmp_path, monkeypatch, capsys, SEQUENCE, GOLDEN, CORPUS)
 
 
 # Eight languages: the per-language size terms of the L0 objectives are summed
@@ -170,6 +189,19 @@ SEQUENCE_8 = [
     ["ds-train", "--algo", "ds-l0", "--corpus", "corpus", "--baseline",
      f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "24", *SMALL],
 ]
+
+CORPUS_8 = {
+    "ar.txt": "110d0cbfe8a44eecdc2ab5d2e11e045fec0db146b317ac6c214a1ee61b2800ca",
+    "de.txt": "ab75fffe147676d91a9b1be4bab7063b5c9859348884b45b96bb0e3be689248e",
+    "en.txt": "5ef8c527c984b55c33384a98a9fe9e4370bdee1dd2207f8f878efdd60ff69972",
+    "fi.txt": "0dc0092a77e635c88081af0d399c845cc1f182cea81a33e46715cd836e542ca9",
+    "he.txt": "015d3b1e9cdeb6174e813d867ea77b416e6334b6077f8ce9aa1cafd06236b02c",
+    "hu.txt": "ca5eafd4879f9948d614710d9ad38b01cef73fbdba4dc73436b388192cf4b73d",
+    "kk.txt": "766c1c556cf8986b2aef533aa2e50d9a726a8e528e4bc00f2dd6f66be23fcf15",
+    "languages.csv": "d7b4f64e4a038845c2b9fbfb9c67a66daa0e1dc57db46f9e2f3789ac5aa35648",
+    "tr.txt": "886cca9f42d48a9fcde514ceccc10cb2fec4126d557de907bf9bbdf37addab77",
+    "vocab.tsv": "4f70b10c7b3236e2284b9c2cea6a0ddf8130adccca219f7fa3fccc65b3cdbc7e",
+}
 
 GOLDEN_8 = {
     "ds-l0-s7/ds.csv":
@@ -225,4 +257,4 @@ def test_golden_run_eight_languages_is_byte_identical(tmp_path, monkeypatch, cap
     specs = build_inventories([LanguageSpec(code, family, 60, 100 + i)
                                for i, (code, family) in enumerate(EIGHT)], inventory_size=12)
     gen_corpus(specs, seed=int(SEED)).save(tmp_path / "corpus")
-    _run_and_compare(tmp_path, monkeypatch, capsys, SEQUENCE_8, GOLDEN_8)
+    _run_and_compare(tmp_path, monkeypatch, capsys, SEQUENCE_8, GOLDEN_8, CORPUS_8)
