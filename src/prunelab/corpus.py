@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -222,14 +223,22 @@ def _gen_language(spec: LanguageSpec, vocab: dict[str, int], seed: int) -> list[
     k = min(K_SUCC, n)
     succ = np.stack([rng.choice(n, size=k, replace=False) for _ in range(n)])
     probs = rng.dirichlet(np.ones(k), size=n)
+    # Generator.choice(k, p=row) draws one double u and returns
+    # searchsorted(cumsum(row) / cumsum(row)[-1], u, side="right"); the same
+    # cdfs, built once, and one draw per token keep the random stream as it was
+    cdfs = probs.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
+    cdfs = cdfs.tolist()
+    succ = succ.tolist()
+    ids = ids.tolist()
     rows = []
     for _ in range(spec.corpus_size):
         length = int(rng.integers(SENT_LEN_LO, SENT_LEN_HI + 1))
         walk = np.empty(length, dtype=np.int64)
         state = int(rng.integers(n))
-        for j in range(length):
+        for j, u in enumerate(rng.random(length).tolist()):
             walk[j] = ids[state]
-            state = int(succ[state, rng.choice(k, p=probs[state])])
+            state = succ[state][bisect_right(cdfs[state], u)]
         rate = MARKER_RATE_HI if rng.random() < 0.5 else MARKER_RATE_LO
         walk[rng.random(length) < rate] = MARKER_ID
         rows.append(walk)
