@@ -23,12 +23,16 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import erf
 
 from . import tensor as T
-from .exceptions import ConfigError, ContractError, InputError
+from .exceptions import ConfigError, ContractError, DimensionError, InputError
 from .tensor import Tensor
 
 ATTN_MASK_FILL = -1e9
+_LN_EPS = 1e-5
+_SQRT2 = float(np.sqrt(2.0))
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 KIND_HEAD = "head"
 KIND_HIDDEN = "hidden"
@@ -355,51 +359,6 @@ def _check_gate(g: Tensor, n: int, what: str):
         raise ContractError(f"{what} gate vector must have shape ({n},), got {g.shape}")
 
 
-def mha_forward(x: Tensor, params, config: ModelConfig, layer: int, g_head: Tensor | None,
-                attn_bias=None) -> Tensor:
-    """Multi-head attention block; output is sum of gated head contributions.
-
-    x has shape (batch, seq, d).  The head count is the width of wq over the
-    head size, so a compacted layer runs the same code; g_head None leaves
-    the heads ungated.  attn_bias, when given, is an additive
-    (batch, 1, 1, seq) tensor applied to the pre-softmax scores.
-    """
-    p = f"layers.{layer}.attn"
-    b, s, _ = x.shape
-    hd = config.head_dim
-    nh = params[f"{p}.wq"].shape[1] // hd
-    if g_head is not None:
-        _check_gate(g_head, nh, "head")
-
-    def split(t):
-        # (b, s, nh * hd) -> (b, heads, s, head_dim)
-        return t.reshape((b, s, nh, hd)).transpose((0, 2, 1, 3))
-
-    q = split(T.matmul(x, params[f"{p}.wq"]) + params[f"{p}.bq"])
-    k = split(T.matmul(x, params[f"{p}.wk"]) + params[f"{p}.bk"])
-    v = split(T.matmul(x, params[f"{p}.wv"]) + params[f"{p}.bv"])
-    scores = T.multiply(T.matmul(q, k.transpose((0, 1, 3, 2))), hd ** -0.5)
-    if attn_bias is not None:
-        scores = scores + attn_bias
-    ctx = T.matmul(T.softmax(scores), v)
-    if g_head is not None:
-        ctx = T.multiply(ctx, g_head.reshape((1, nh, 1, 1)))
-    merged = ctx.transpose((0, 2, 1, 3)).reshape((b, s, nh * hd))
-    return T.matmul(merged, params[f"{p}.wo"]) + params[f"{p}.bo"]
-
-
-def ffn_forward(x: Tensor, params, config: ModelConfig, layer: int,
-                g_hidden: Tensor | None) -> Tensor:
-    """Position-wise FFN with gated GeLU activations; g_hidden None leaves them ungated."""
-    p = f"layers.{layer}.ffn"
-    if g_hidden is not None:
-        _check_gate(g_hidden, params[f"{p}.w1"].shape[1], "hidden")
-    h = T.gelu(T.matmul(x, params[f"{p}.w1"]) + params[f"{p}.b1"])
-    if g_hidden is not None:
-        h = T.multiply(h, g_hidden)
-    return T.matmul(h, params[f"{p}.w2"]) + params[f"{p}.b2"]
-
-
 def embed_forward(ids: np.ndarray, params, config: ModelConfig, g_rank: Tensor | None) -> Tensor:
     """Low-rank factored token embedding plus ungated positional embedding.
 
@@ -421,13 +380,212 @@ def embed_forward(ids: np.ndarray, params, config: ModelConfig, g_rank: Tensor |
     return x + pos
 
 
-def attention_bias(ids: np.ndarray, pad_id: int) -> Tensor | None:
-    """Additive pre-softmax bias masking padded key positions."""
+def _node(op: str, value: np.ndarray, inputs, backward, intermediates) -> Tensor:
+    """Record one fused tape node after checking every intermediate it computed."""
+    for a in intermediates:
+        T._finite_or_raise(op, a)
+    return T._make(op, value, inputs, backward)
+
+
+def _layer_norm(r: np.ndarray, gain: np.ndarray, shift: np.ndarray):
+    """Last-axis layer norm of an array; returns (out, xhat, inv).
+
+    Mean and variance take numpy's own steps (sum, then divide by the width)
+    over one centred difference, so they equal ``mean`` and ``var`` bit for bit.
+    """
+    n = r.shape[-1]
+    mu = np.add.reduce(r, axis=-1, keepdims=True) / n
+    c = r - mu
+    inv = 1.0 / np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) / n + _LN_EPS)
+    xhat = c * inv
+    return xhat * gain + shift, xhat, inv
+
+
+def _layer_norm_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
+    """Gradients of _layer_norm wrt its input, gain and shift."""
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    lead = tuple(range(g.ndim - 1))
+    return (dxhat - m1 - xhat * m2) * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def _check_input(op: str, x: Tensor, width: int):
+    if x.ndim != 3 or x.shape[2] != width:
+        raise DimensionError(f"{op}: input must be (batch, seq, {width}), got {x.shape}")
+
+
+# Each fused node computes what a chain of single tape ops (matmul, add,
+# softmax, gelu, layer norm, ...) would, with the same numpy expressions in the
+# same order, so the golden runs keep every bit.  That includes C-order copies
+# of transposed operands, because BLAS may round a product with a transposed
+# operand differently.  A node owns every consumer of its input x, so its
+# backward adds x's gradient parts in the order that chain's reverse pass
+# would: ((residual + v) + k) + q for attention, residual + FFN for the FFN.
+
+
+def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
+                    g_head: Tensor | None = None, attn_bias: np.ndarray | None = None) -> Tensor:
+    """One post-LN attention sublayer, LN(x + MHA(x)), as one tape node.
+
+    x has shape (batch, seq, d).  The head count is the width of wq over the
+    head size, so a compacted layer runs the same code.  Each head's context is
+    scaled by its gate before the output projection; g_head None leaves the
+    heads ungated.  attn_bias, when given, is an additive (batch, 1, 1, seq)
+    array applied to the pre-softmax scores.
+    """
+    op = "attention_block"
+    p = f"layers.{layer}"
+    wq, bq, wk, bk, wv, bv, wo, bo = (params[f"{p}.attn.{n}"] for n in
+                                      ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
+    gain, shift = params[f"{p}.ln1.g"], params[f"{p}.ln1.b"]
+    _check_input(op, x, wq.shape[0])
+    hd = config.head_dim
+    nh = wq.shape[1] // hd
+    if g_head is not None:
+        _check_gate(g_head, nh, "head")
+    b, s, _ = x.shape
+    xd = x.data
+    scale = hd ** -0.5
+    gate = None if g_head is None else g_head.data.reshape(1, nh, 1, 1)
+
+    def heads(t):
+        # (b, s, nh * hd) -> C-order (b, nh, s, hd)
+        return np.ascontiguousarray(t.reshape(b, s, nh, hd).transpose(0, 2, 1, 3))
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xq, xk, xv = xd @ wq.data, xd @ wk.data, xd @ wv.data
+        lq, lk, lv = xq + bq.data, xk + bk.data, xv + bv.data
+        q, k, v = heads(lq), heads(lk), heads(lv)
+        kt = np.ascontiguousarray(k.transpose(0, 1, 3, 2))
+        qk = q @ kt
+        scores = qk * scale
+        biased = scores if attn_bias is None else scores + attn_bias
+        e = np.exp(biased - biased.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        ctx = probs @ v
+        gated = ctx if gate is None else ctx * gate
+        merged = np.ascontiguousarray(gated.transpose(0, 2, 1, 3)).reshape(b, s, nh * hd)
+        a0 = merged @ wo.data
+        a = a0 + bo.data
+        r = xd + a
+        out, xhat, inv = _layer_norm(r, gain.data, shift.data)
+
+    def backward(g):
+        gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)
+        grads = [(wo, T._unbroadcast(np.swapaxes(merged, -1, -2) @ gr, wo.shape)),
+                 (bo, T._unbroadcast(gr, bo.shape)), (gain, g_gain), (shift, g_shift)]
+        g_gated = (gr @ np.swapaxes(wo.data, -1, -2)).reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
+        g_ctx = g_gated
+        if gate is not None:
+            g_ctx = g_gated * gate
+            if g_head.requires_grad:
+                grads.append((g_head, T._unbroadcast(g_gated * ctx, gate.shape).reshape(nh)))
+        g_probs = g_ctx @ np.swapaxes(v, -1, -2)
+        g_v = np.swapaxes(probs, -1, -2) @ g_ctx
+        g_qk = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
+        g_q = g_qk @ np.swapaxes(kt, -1, -2)
+        g_k = (np.swapaxes(q, -1, -2) @ g_qk).transpose(0, 1, 3, 2)
+        gx = gr
+        for g_t, w, bias in ((g_v, wv, bv), (g_k, wk, bk), (g_q, wq, bq)):
+            g_lin = g_t.transpose(0, 2, 1, 3).reshape(b, s, nh * hd)
+            gx = gx + g_lin @ np.swapaxes(w.data, -1, -2)
+            grads += [(w, T._unbroadcast(np.swapaxes(xd, -1, -2) @ g_lin, w.shape)),
+                      (bias, T._unbroadcast(g_lin, bias.shape))]
+        return [(x, gx), *grads]
+
+    inputs = (x, wq, bq, wk, bk, wv, bv, wo, bo, gain, shift)
+    return _node(op, out, inputs if g_head is None else (*inputs, g_head), backward,
+                 (xq, lq, xk, lk, xv, lv, qk, scores, biased, probs, ctx, gated, a0, a, r))
+
+
+def ffn_block(x: Tensor, params, config: ModelConfig, layer: int,
+              g_hidden: Tensor | None = None) -> Tensor:
+    """One post-LN FFN sublayer, LN(x + FFN(x)), as one tape node.
+
+    The GeLU activations are gated columnwise between the two linear maps;
+    g_hidden None leaves them ungated.  The width is that of w1, so a
+    compacted layer runs the same code.
+    """
+    op = "ffn_block"
+    p = f"layers.{layer}"
+    w1, b1, w2, b2 = (params[f"{p}.ffn.{n}"] for n in ("w1", "b1", "w2", "b2"))
+    gain, shift = params[f"{p}.ln2.g"], params[f"{p}.ln2.b"]
+    _check_input(op, x, w1.shape[0])
+    if g_hidden is not None:
+        _check_gate(g_hidden, w1.shape[1], "hidden")
+    xd = x.data
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h0 = xd @ w1.data
+        hp = h0 + b1.data
+        cdf = 0.5 * (1.0 + erf(hp / _SQRT2))
+        h = hp * cdf
+        gated = h if g_hidden is None else h * g_hidden.data
+        f0 = gated @ w2.data
+        f = f0 + b2.data
+        r = xd + f
+        out, xhat, inv = _layer_norm(r, gain.data, shift.data)
+
+    def backward(g):
+        gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)
+        grads = [(w2, T._unbroadcast(np.swapaxes(gated, -1, -2) @ gr, w2.shape)),
+                 (b2, T._unbroadcast(gr, b2.shape)), (gain, g_gain), (shift, g_shift)]
+        g_h = gr @ np.swapaxes(w2.data, -1, -2)
+        if g_hidden is not None:
+            if g_hidden.requires_grad:
+                grads.append((g_hidden, T._unbroadcast(g_h * h, g_hidden.shape)))
+            g_h = g_h * g_hidden.data
+        pdf = np.exp(-0.5 * hp * hp) * _INV_SQRT_2PI
+        g_hp = g_h * (cdf + hp * pdf)
+        grads += [(w1, T._unbroadcast(np.swapaxes(xd, -1, -2) @ g_hp, w1.shape)),
+                  (b1, T._unbroadcast(g_hp, b1.shape))]
+        return [(x, gr + g_hp @ np.swapaxes(w1.data, -1, -2)), *grads]
+
+    inputs = (x, w1, b1, w2, b2, gain, shift)
+    return _node(op, out, inputs if g_hidden is None else (*inputs, g_hidden), backward,
+                 (h0, hp, h, gated, f0, f, r))
+
+
+def mlm_head(x: Tensor, params, g_rank: Tensor | None = None) -> Tensor:
+    """MLM logits (batch, seq, vocab) from hidden states, as one tape node.
+
+    The projection is tied to the factored embedding: (x @ proj.T) * g_rank
+    @ tok.T, so a rank gate switches off the same inner dimension in both;
+    g_rank None leaves the ranks ungated.
+    """
+    op = "mlm_head"
+    proj, tok = params["embed.proj"], params["embed.tok"]
+    _check_input(op, x, proj.shape[1])
+    if g_rank is not None:
+        _check_gate(g_rank, tok.shape[1], "rank")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        proj_t = np.ascontiguousarray(proj.data.T)
+        z = x.data @ proj_t
+        gated = z if g_rank is None else z * g_rank.data
+        tok_t = np.ascontiguousarray(tok.data.T)
+        logits = gated @ tok_t
+
+    def backward(g):
+        grads = [(tok, T._unbroadcast(np.swapaxes(gated, -1, -2) @ g, tok_t.shape).T)]
+        g_z = g @ np.swapaxes(tok_t, -1, -2)
+        if g_rank is not None:
+            if g_rank.requires_grad:
+                grads.append((g_rank, T._unbroadcast(g_z * z, g_rank.shape)))
+            g_z = g_z * g_rank.data
+        grads += [(x, g_z @ np.swapaxes(proj_t, -1, -2)),
+                  (proj, T._unbroadcast(np.swapaxes(x.data, -1, -2) @ g_z, proj_t.shape).T)]
+        return grads
+
+    inputs = (x, proj, tok) if g_rank is None else (x, proj, tok, g_rank)
+    return _node(op, logits, inputs, backward, (z, gated))
+
+
+def attention_bias(ids: np.ndarray, pad_id: int) -> np.ndarray | None:
+    """Additive pre-softmax bias (batch, 1, 1, seq) masking padded key positions."""
     pad = ids == pad_id
     if not pad.any():
         return None
-    bias = np.where(pad, ATTN_MASK_FILL, 0.0)
-    return Tensor(bias[:, None, None, :])
+    return np.where(pad, ATTN_MASK_FILL, 0.0)[:, None, None, :]
 
 
 def encoder_hidden(model: Model, ids: np.ndarray, gates: dict | None,
@@ -447,10 +605,8 @@ def encoder_hidden(model: Model, ids: np.ndarray, gates: dict | None,
     bias = attention_bias(np.asarray(ids), pad_id) if pad_id is not None else None
     x = embed_forward(ids, params, config, gates["ranks"])
     for i in range(config.n_layers):
-        a = mha_forward(x, params, config, i, gates["heads"][i], bias)
-        x = T.layer_norm(x + a, params[f"layers.{i}.ln1.g"], params[f"layers.{i}.ln1.b"])
-        f = ffn_forward(x, params, config, i, gates["hiddens"][i])
-        x = T.layer_norm(x + f, params[f"layers.{i}.ln2.g"], params[f"layers.{i}.ln2.b"])
+        x = attention_block(x, params, config, i, gates["heads"][i], bias)
+        x = ffn_block(x, params, config, i, gates["hiddens"][i])
     return x
 
 
@@ -462,16 +618,13 @@ def encoder_forward(model: Model, ids: np.ndarray, gates: dict | None,
     is None for an ungated forward, which equals the all-ones gates bit for
     bit.  The MLM projection reuses the gated embedding factorization.
     """
-    params = model.params
     x = encoder_hidden(model, ids, gates, pad_id)
-    z = T.matmul(x, T.transpose(params["embed.proj"], (1, 0)))
-    if gates is not None:
-        z = T.multiply(z, gates["ranks"])
-    return T.matmul(z, T.transpose(params["embed.tok"], (1, 0)))
+    return mlm_head(x, model.params, None if gates is None else gates["ranks"])
 
 
 def mlm_loss(logits: Tensor, mask_positions: np.ndarray, gold_ids: np.ndarray) -> Tensor:
-    """Mean cross entropy over masked positions only."""
+    """Mean cross entropy over masked positions only, as one tape node."""
+    op = "mlm_loss"
     b, s, v = logits.shape
     mask_positions = np.asarray(mask_positions, dtype=bool)
     gold_ids = np.asarray(gold_ids)
@@ -485,11 +638,26 @@ def mlm_loss(logits: Tensor, mask_positions: np.ndarray, gold_ids: np.ndarray) -
     gold = gold_ids.reshape(-1)[flat_idx]
     if gold.min() < 0 or gold.max() >= v:
         raise InputError("mlm_loss: gold token id out of vocabulary range")
-    rows = T.embedding_gather(logits.reshape((b * s, v)), flat_idx)
-    logp = T.log_softmax(rows)
     onehot = np.zeros((flat_idx.size, v))
     onehot[np.arange(flat_idx.size), gold] = 1.0
-    return T.multiply(T.multiply(logp, onehot).sum(), -1.0 / flat_idx.size)
+    scale = -1.0 / flat_idx.size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = logits.data.reshape(b * s, v)[flat_idx]
+        shifted = rows - rows.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        picked = logp * onehot
+        total = picked.sum()
+        value = total * scale
+
+    def backward(g):
+        g_logp = (g * scale) * onehot
+        g_rows = g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
+        g_logits = np.zeros((b * s, v))
+        # flat_idx has no repeats, so this adds each row to zero once
+        g_logits[flat_idx] += g_rows
+        return [(logits, g_logits.reshape(b, s, v))]
+
+    return _node(op, value, (logits,), backward, (rows, logp, picked, total))
 
 
 def cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:

@@ -16,12 +16,9 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit
 
 from .exceptions import ContractError, DimensionError, InputError, NumericError
-
-_SQRT2 = float(np.sqrt(2.0))
-_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"GCPT"
 CHECKPOINT_VERSION = 1
@@ -63,9 +60,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -110,9 +104,6 @@ class Tensor:
 
     def clamp(self, lo: float, hi: float):
         return clamp(self, lo, hi)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def __getitem__(self, key):
         return basic_slice(self, key)
@@ -297,19 +288,6 @@ def matmul(a, b) -> Tensor:
     return _make("matmul", value, (a, b), grad)
 
 
-def gelu(x) -> Tensor:
-    """Gaussian error linear unit, exact erf form."""
-    x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
-    value = x.data * cdf
-
-    def grad(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return [(x, g * (cdf + x.data * pdf))]
-
-    return _make("gelu", value, (x,), grad)
-
-
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     value = expit(x.data)
@@ -318,22 +296,6 @@ def sigmoid(x) -> Tensor:
         return [(x, g * value * (1.0 - value))]
 
     return _make("sigmoid", value, (x,), grad)
-
-
-def softmax(x) -> Tensor:
-    """Softmax over the last axis; rows sum to one."""
-    x = as_tensor(x)
-    if x.ndim < 1:
-        raise DimensionError("softmax: operand must have at least one axis")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    value = e / e.sum(axis=-1, keepdims=True)
-
-    def grad(g):
-        dot = (g * value).sum(axis=-1, keepdims=True)
-        return [(x, (g - dot) * value)]
-
-    return _make("softmax", value, (x,), grad)
 
 
 def log_softmax(x) -> Tensor:
@@ -350,35 +312,6 @@ def log_softmax(x) -> Tensor:
         return [(x, g - soft * g.sum(axis=-1, keepdims=True))]
 
     return _make("log_softmax", value, (x,), grad)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis with learned scale and shift."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1] if x.ndim else 0
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(
-            f"layer_norm: gain/bias must be ({d},), got {gain.shape} and {bias.shape}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    value = xhat * gain.data + bias.data
-
-    def grad(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = (dxhat - m1 - xhat * m2) * inv
-        lead = tuple(range(g.ndim - 1))
-        return [
-            (x, gx),
-            (gain, (g * xhat).sum(axis=lead)),
-            (bias, g.sum(axis=lead)),
-        ]
-
-    return _make("layer_norm", value, (x, gain, bias), grad)
 
 
 def embedding_gather(table, ids) -> Tensor:
@@ -461,20 +394,6 @@ def _reduce(x: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
         return [(x, gx * scale)]
 
     return _make(op, value, (x,), grad)
-
-
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    shape = tuple(shape)
-    try:
-        value = x.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
-
-    def grad(g):
-        return [(x, g.reshape(x.shape))]
-
-    return _make("reshape", value, (x,), grad)
 
 
 def transpose(x, axes) -> Tensor:

@@ -118,6 +118,9 @@ class Adam:
 
     Fresh state at construction: a parameter whose gradient is exactly zero
     every step is never moved, which is what keeps pruned weights frozen.
+    Construction packs every parameter into one flat buffer and points each
+    ``p.data`` at its view of it, so a step is one set of vector operations;
+    an array later assigned to ``p.data`` is not updated.
     """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
@@ -126,24 +129,36 @@ class Adam:
             raise ContractError(f"lr must be positive, got {lr}")
         self.params = dict(params)
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.flat = np.concatenate([p.data for p in self.params.values()], axis=None)
+        offset = 0
+        for p in self.params.values():
+            p.data = self.flat[offset: offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
     def step(self, scale: float = 1.0):
+        """One update of every parameter; a step where no parameter has a gradient moves none.
+
+        Raises ContractError when some but not all parameters have a gradient.
+        """
         self.t += 1
+        grads = [p.grad for p in self.params.values()]
+        missing = sum(g is None for g in grads)
+        if missing == len(grads):
+            return
+        if missing:
+            names = [k for k, p in self.params.items() if p.grad is None]
+            raise ContractError(f"Adam.step: no gradient for {', '.join(names)}")
+        g = np.concatenate(grads, axis=None)
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
-        for k, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            m, v = self.m[k], self.v[k]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p.data -= (self.lr * scale) * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.b1
+        self.m += (1.0 - self.b1) * g
+        self.v *= self.b2
+        self.v += (1.0 - self.b2) * g * g
+        self.flat -= (self.lr * scale) * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
     def zero(self):
         for p in self.params.values():

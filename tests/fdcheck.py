@@ -7,6 +7,8 @@ so it is independent of the backward implementation it checks.
 import numpy as np
 
 from prunelab import tensor as T
+from prunelab.encoder import (ATTN_MASK_FILL, ModelConfig, attention_block, ffn_block,
+                              mlm_head, mlm_loss)
 
 
 def fd_grad(build_loss, arrays, which, h=1e-5):
@@ -41,6 +43,28 @@ def weighted_scalar(out, weights):
     return T.multiply(out, weights).sum()
 
 
+def _attention(xs, n_heads, gated, bias):
+    """attention_block of layer 0 built from x, the eight weights, the norm and the gate."""
+    names = ("attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv",
+             "attn.wo", "attn.bo", "ln1.g", "ln1.b")
+    params = {f"layers.0.{n}": t for n, t in zip(names, xs[1:11])}
+    b, s, dm = xs[0].shape
+    config = ModelConfig(1, n_heads, dm, 1, 1, s)
+    return attention_block(xs[0], params, config, 0, xs[11] if gated else None, bias)
+
+
+def _ffn(xs, gated):
+    names = ("ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.g", "ln2.b")
+    params = {f"layers.0.{n}": t for n, t in zip(names, xs[1:7])}
+    config = ModelConfig(1, 1, xs[0].shape[2], xs[1].shape[1], 1, xs[0].shape[1])
+    return ffn_block(xs[0], params, config, 0, xs[7] if gated else None)
+
+
+def _head(xs, gated):
+    params = {"embed.proj": xs[1], "embed.tok": xs[2]}
+    return mlm_head(xs[0], params, xs[3] if gated else None)
+
+
 # Each case: name -> (builder, n_inputs). The builder maps a list of input
 # Tensors to the op output Tensor; input shapes come from shapes_for.
 def op_cases(rng):
@@ -50,18 +74,22 @@ def op_cases(rng):
     b = int(rng.integers(1, 3))
     ids = rng.integers(0, m, size=(b, d))
     axis_pick = int(rng.integers(0, 2))
+    # the fused nodes' fixed inputs are drawn from no generator, so adding a
+    # case leaves every other case's random inputs as they were
+    dm = 2 * k
+    attn = [(b, m, dm)] + [(dm, dm), (dm,)] * 4 + [(dm,), (dm,)]
+    pad = np.zeros((b, 1, 1, m))
+    pad[..., -1] = ATTN_MASK_FILL
+    ffn = [(b, m, d), (d, k), (k,), (k, d), (d,), (d,), (d,)]
+    head = [(b, m, d), (k, d), (d + 3, k)]
+    mask = np.arange(b * m).reshape(b, m) % 2 == 0
+    gold = (3 * np.arange(b * m) % d).reshape(b, m)
     return {
         "add": (lambda xs: T.add(xs[0], xs[1]), [(b, m, d), (d,)]),
         "multiply": (lambda xs: T.multiply(xs[0], xs[1]), [(b, m, d), (m, 1)]),
         "matmul": (lambda xs: T.matmul(xs[0], xs[1]), [(b, m, k), (k, d)]),
-        "gelu": (lambda xs: T.gelu(xs[0]), [(m, d)]),
         "sigmoid": (lambda xs: T.sigmoid(xs[0]), [(m, d)]),
-        "softmax": (lambda xs: T.softmax(xs[0]), [(m, d)]),
         "log_softmax": (lambda xs: T.log_softmax(xs[0]), [(m, d)]),
-        "layer_norm": (
-            lambda xs: T.layer_norm(xs[0], xs[1], xs[2]),
-            [(b, m, d), (d,), (d,)],
-        ),
         "embedding_gather": (
             lambda xs: T.embedding_gather(xs[0], ids),
             [(m, k)],
@@ -71,13 +99,22 @@ def op_cases(rng):
         "sum": (lambda xs: xs[0].sum(axis=axis_pick, keepdims=True), [(m, d)]),
         "mean": (lambda xs: xs[0].mean(axis=axis_pick), [(m, d)]),
         "log": (lambda xs: T.log(T.add(T.absolute(xs[0]), 1.5)), [(m, d)]),
-        "reshape": (lambda xs: xs[0].reshape((d, m)), [(m, d)]),
         "transpose": (lambda xs: xs[0].transpose((1, 0, 2)), [(b, m, d)]),
         "slice": (
             lambda xs: T.basic_slice(xs[0], (slice(None), axis_pick, slice(1, None, 2))),
             [(b, m, d)],
         ),
         "fold_sum": (lambda xs: T.fold_sum(xs[0]), [(m * d,)]),
+        "attention_block": (lambda xs: _attention(xs, 2, False, None), attn),
+        "attention_block_gated": (lambda xs: _attention(xs, 2, True, None), attn + [(2,)]),
+        "attention_block_padded": (lambda xs: _attention(xs, 2, False, pad), attn),
+        "attention_block_gated_padded": (lambda xs: _attention(xs, 2, True, pad),
+                                         attn + [(2,)]),
+        "ffn_block": (lambda xs: _ffn(xs, False), ffn),
+        "ffn_block_gated": (lambda xs: _ffn(xs, True), ffn + [(k,)]),
+        "mlm_head": (lambda xs: _head(xs, False), head),
+        "mlm_head_gated": (lambda xs: _head(xs, True), head + [(k,)]),
+        "mlm_loss": (lambda xs: mlm_loss(xs[0], mask, gold), [(b, m, d)]),
     }
 
 
@@ -112,19 +149,24 @@ ALL_OPS = (
     "add",
     "multiply",
     "matmul",
-    "gelu",
     "sigmoid",
-    "softmax",
     "log_softmax",
-    "layer_norm",
     "embedding_gather",
     "clamp",
     "abs",
     "sum",
     "mean",
     "log",
-    "reshape",
     "transpose",
     "slice",
     "fold_sum",
+    "attention_block",
+    "attention_block_gated",
+    "attention_block_padded",
+    "attention_block_gated_padded",
+    "ffn_block",
+    "ffn_block_gated",
+    "mlm_head",
+    "mlm_head_gated",
+    "mlm_loss",
 )

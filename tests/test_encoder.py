@@ -1,5 +1,7 @@
 """Gated encoder: forwards vs a hand-rolled numpy reference, accounting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -11,6 +13,7 @@ from prunelab.encoder import (
     Model,
     ModelConfig,
     XLMR_BASE,
+    attention_block,
     component_index,
     component_universe,
     component_weights,
@@ -18,12 +21,14 @@ from prunelab.encoder import (
     cross_entropy,
     encoder_forward,
     encoder_sparsity,
+    ffn_block,
     gate_tensors,
+    mlm_head,
     mlm_loss,
     ones_gate_tensors,
     split_gates,
 )
-from prunelab.exceptions import ConfigError, ContractError, InputError
+from prunelab.exceptions import ConfigError, ContractError, InputError, NumericError
 
 TOY = ModelConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=12, vocab_size=19, max_seq_len=10)
 
@@ -38,11 +43,30 @@ def np_layer_norm(x, g, b, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * g + b
 
 
+def reference_heads(P, cfg, layer, x, mask_add=None):
+    """Each head's attention output, projected through its slice of wo."""
+    p = f"layers.{layer}"
+    hd = cfg.head_dim
+    q = x @ P[f"{p}.attn.wq"] + P[f"{p}.attn.bq"]
+    k = x @ P[f"{p}.attn.wk"] + P[f"{p}.attn.bk"]
+    v = x @ P[f"{p}.attn.wv"] + P[f"{p}.attn.bv"]
+    out = []
+    for h in range(cfg.n_heads):
+        sl = slice(h * hd, (h + 1) * hd)
+        scores = q[..., sl] @ k[..., sl].transpose(0, 2, 1) / np.sqrt(hd)
+        if mask_add is not None:
+            scores = scores + mask_add
+        scores = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(scores)
+        probs = e / e.sum(axis=-1, keepdims=True)
+        out.append((probs @ v[..., sl]) @ P[f"{p}.attn.wo"][sl, :])
+    return out
+
+
 def reference_encoder(model, ids, gateset, pad_id=None):
     """Independent per-head-loop implementation of the gated encoder."""
     cfg = model.config
     P = {k: v.data for k, v in model.params.items()}
-    hd = cfg.head_dim
     g_rank = gateset.ranks
     x = (P["embed.tok"][ids] * g_rank) @ P["embed.proj"] + P["embed.pos"][: ids.shape[1]]
     mask_add = None
@@ -50,19 +74,8 @@ def reference_encoder(model, ids, gateset, pad_id=None):
         mask_add = np.where(ids == pad_id, -1e9, 0.0)[:, None, :]
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
-        q = x @ P[f"{p}.attn.wq"] + P[f"{p}.attn.bq"]
-        k = x @ P[f"{p}.attn.wk"] + P[f"{p}.attn.bk"]
-        v = x @ P[f"{p}.attn.wv"] + P[f"{p}.attn.bv"]
         attn_out = np.broadcast_to(P[f"{p}.attn.bo"], x.shape).copy()
-        for h in range(cfg.n_heads):
-            sl = slice(h * hd, (h + 1) * hd)
-            scores = q[..., sl] @ k[..., sl].transpose(0, 2, 1) / np.sqrt(hd)
-            if mask_add is not None:
-                scores = scores + mask_add
-            scores = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(scores)
-            probs = e / e.sum(axis=-1, keepdims=True)
-            head = (probs @ v[..., sl]) @ P[f"{p}.attn.wo"][sl, :]
+        for h, head in enumerate(reference_heads(P, cfg, i, x, mask_add)):
             attn_out = attn_out + gateset.heads[i][h] * head
         x = np_layer_norm(x + attn_out, P[f"{p}.ln1.g"], P[f"{p}.ln1.b"])
         hmid = np_gelu(x @ P[f"{p}.ffn.w1"] + P[f"{p}.ffn.b1"]) * gateset.hiddens[i]
@@ -135,49 +148,62 @@ def test_forward_with_padding_mask():
 
 
 def test_head_gate_linearity():
-    # out(g) = out(0) + sum_i g_i * (out(e_i) - out(0)) per layer block
+    # the sublayer normalizes x + bo + sum_h g_h * head_h: linear in the gates
     model = Model.init(TOY, seed=14)
-    ids = seeded_batch(TOY, 5)
     rng = np.random.default_rng(6)
+    P = {k: v.data for k, v in model.params.items()}
+    x = rng.normal(size=(2, 6, TOY.model_dim))
+    heads = reference_heads(P, TOY, 0, x)
 
-    def logits(gs):
+    def block(g):
         with T.no_grad():
-            return encoder_forward(model, ids, gate_tensors(gs)).data
+            return attention_block(T.Tensor(x), model.params, TOY, 0, T.Tensor(g)).data
 
-    # restrict gating to layer 0 heads so downstream blocks see the same input
-    # only in the base evaluation; linearity is checked at the block level
-    from prunelab.encoder import mha_forward
+    def normed(r):
+        return np_layer_norm(r, P["layers.0.ln1.g"], P["layers.0.ln1.b"])
 
-    x = T.Tensor(rng.normal(size=(2, 6, TOY.model_dim)))
     g = rng.uniform(size=TOY.n_heads)
-    with T.no_grad():
-        full = mha_forward(x, model.params, TOY, 0, T.Tensor(g)).data
-        zero = mha_forward(x, model.params, TOY, 0, T.Tensor(np.zeros(TOY.n_heads))).data
-        acc = zero.copy()
-        for h in range(TOY.n_heads):
-            basis = np.zeros(TOY.n_heads)
-            basis[h] = 1.0
-            single = mha_forward(x, model.params, TOY, 0, T.Tensor(basis)).data
-            acc += g[h] * (single - zero)
-    assert np.max(np.abs(full - acc)) < 1e-10
-    assert np.max(np.abs(zero - model.params["layers.0.attn.bo"].data)) < 1e-12
+    acc = x + P["layers.0.attn.bo"]
+    for h in range(TOY.n_heads):
+        acc = acc + g[h] * heads[h]
+    assert np.max(np.abs(block(g) - normed(acc))) < 1e-10
+    zero = block(np.zeros(TOY.n_heads))
+    assert np.max(np.abs(zero - normed(x + P["layers.0.attn.bo"]))) < 1e-12
 
 
 def test_hidden_unit_basis_contribution():
     model = Model.init(TOY, seed=15)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 5, TOY.model_dim))
-    from prunelab.encoder import ffn_forward
-
     j = 4
     basis = np.zeros(TOY.ffn_dim)
     basis[j] = 1.0
     with T.no_grad():
-        got = ffn_forward(T.Tensor(x), model.params, TOY, 1, T.Tensor(basis)).data
+        got = ffn_block(T.Tensor(x), model.params, TOY, 1, T.Tensor(basis)).data
     P = {k: v.data for k, v in model.params.items()}
     h = np_gelu(x @ P["layers.1.ffn.w1"] + P["layers.1.ffn.b1"])[..., j]
-    want = h[..., None] * P["layers.1.ffn.w2"][j] + P["layers.1.ffn.b2"]
+    want = np_layer_norm(x + h[..., None] * P["layers.1.ffn.w2"][j] + P["layers.1.ffn.b2"],
+                         P["layers.1.ln2.g"], P["layers.1.ln2.b"])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_fused_nodes_name_themselves_on_non_finite_values():
+    model = Model.init(TOY, seed=18)
+    bad = T.Tensor(np.full((1, 3, TOY.model_dim), np.inf))
+    mask = np.array([[True, False, False]])
+    gold = np.zeros((1, 3), dtype=int)
+    nodes = {
+        "attention_block": lambda: attention_block(bad, model.params, TOY, 0),
+        "ffn_block": lambda: ffn_block(bad, model.params, TOY, 0),
+        "mlm_head": lambda: mlm_head(bad, model.params),
+        "mlm_loss": lambda: mlm_loss(T.Tensor(np.full((1, 3, 4), np.inf)), mask, gold),
+    }
+    with warnings.catch_warnings():
+        # each node sets its own error state: no numpy warning escapes
+        warnings.simplefilter("error")
+        for name, run in nodes.items():
+            with pytest.raises(NumericError, match=name):
+                run()
 
 
 def test_single_rank_gate_gives_rank_one_embedding():

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from prunelab import tensor as T
+from prunelab.encoder import ModelConfig, attention_block, ffn_block, init_params, mlm_head
 from prunelab.exceptions import ContractError, DimensionError, InputError, NumericError
 
 from fdcheck import ALL_OPS, run_case
 
 
 def test_scalar_forward_values():
-    assert T.gelu(T.Tensor(0.0)).item() == 0.0
     assert T.sigmoid(T.Tensor(0.0)).item() == 0.5
-    row = T.softmax(T.Tensor([1.0, 1.0, 1.0, 1.0]))
-    assert np.allclose(row.data, 0.25)
+    row = T.log_softmax(T.Tensor([1.0, 1.0, 1.0, 1.0]))
+    assert np.allclose(row.data, -np.log(4.0))
     x = np.array([[2.0, -1.0], [0.5, 3.0]])
     ident = np.eye(2)
     assert np.array_equal(T.matmul(T.Tensor(x), T.Tensor(ident)).data, x)
@@ -23,9 +23,9 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.normal(size=(3, 5)) * rng.uniform(1, 30)
-        s = T.softmax(T.Tensor(x)).data
-        assert np.all(np.abs(s.sum(axis=-1) - 1.0) <= 1e-12)
-        assert np.all(s >= 0.0)
+        logp = T.log_softmax(T.Tensor(x)).data
+        assert np.all(np.abs(np.exp(logp).sum(axis=-1) - 1.0) <= 1e-12)
+        assert np.all(logp <= 0.0)
 
 
 def test_gradients_match_finite_differences():
@@ -89,8 +89,16 @@ def test_shape_errors_name_op():
         T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
     with pytest.raises(DimensionError, match="add"):
         T.add(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4,))))
-    with pytest.raises(DimensionError, match="layer_norm"):
-        T.layer_norm(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones(4)), T.Tensor(np.ones(3)))
+    config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=6, vocab_size=5,
+                         max_seq_len=8)
+    params = init_params(config, 0)
+    wide = T.Tensor(np.ones((2, 3, 5)))
+    with pytest.raises(DimensionError, match="attention_block"):
+        attention_block(wide, params, config, 0)
+    with pytest.raises(DimensionError, match="ffn_block"):
+        ffn_block(wide, params, config, 0)
+    with pytest.raises(DimensionError, match="mlm_head"):
+        mlm_head(T.Tensor(np.ones((3, 4))), params)
 
 
 def test_numeric_error_on_nonfinite():
@@ -184,7 +192,7 @@ def test_forward_determinism_bitwise():
         rng = np.random.default_rng(123)
         x = T.Tensor(rng.normal(size=(4, 6)))
         w = T.Tensor(rng.normal(size=(6, 3)))
-        out = T.softmax(T.gelu(T.matmul(x, w)))
+        out = T.log_softmax(T.sigmoid(T.matmul(x, w)))
         return out.data.tobytes()
 
     assert run() == run()
