@@ -380,25 +380,36 @@ def embed_forward(ids: np.ndarray, params, config: ModelConfig, g_rank: Tensor |
     return x + pos
 
 
-def _node(op: str, value: np.ndarray, inputs, backward, intermediates) -> Tensor:
-    """Record one fused tape node after checking every intermediate it computed."""
-    for a in intermediates:
+def _finite(op: str):
+    """A function that returns its array argument once it is checked finite."""
+    def check(a):
         T._finite_or_raise(op, a)
-    return T._make(op, value, inputs, backward)
+        return a
+
+    return check
+
+
+def _affine(x: np.ndarray, w: np.ndarray, bias: np.ndarray, ok) -> np.ndarray:
+    """x @ w + bias, each of the two results checked by ok."""
+    out = ok(x @ w)
+    out += bias
+    return ok(out)
 
 
 def _layer_norm(r: np.ndarray, gain: np.ndarray, shift: np.ndarray):
-    """Last-axis layer norm of an array; returns (out, xhat, inv).
+    """Last-axis layer norm of an array; returns (out, xhat, inv) and overwrites r.
 
     Mean and variance take numpy's own steps (sum, then divide by the width)
     over one centred difference, so they equal ``mean`` and ``var`` bit for bit.
     """
     n = r.shape[-1]
-    mu = np.add.reduce(r, axis=-1, keepdims=True) / n
-    c = r - mu
-    inv = 1.0 / np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) / n + _LN_EPS)
-    xhat = c * inv
-    return xhat * gain + shift, xhat, inv
+    r -= np.add.reduce(r, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(r * r, axis=-1, keepdims=True) / n + _LN_EPS)
+    xhat = r
+    xhat *= inv
+    out = xhat * gain
+    out += shift
+    return out, xhat, inv
 
 
 def _layer_norm_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
@@ -410,6 +421,14 @@ def _layer_norm_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.
     return (dxhat - m1 - xhat * m2) * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Last-axis softmax of an array, shifted by the row max, computed in z."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def _check_input(op: str, x: Tensor, width: int):
     if x.ndim != 3 or x.shape[2] != width:
         raise DimensionError(f"{op}: input must be (batch, seq, {width}), got {x.shape}")
@@ -419,9 +438,11 @@ def _check_input(op: str, x: Tensor, width: int):
 # softmax, gelu, layer norm, ...) would, with the same numpy expressions in the
 # same order, so the golden runs keep every bit.  That includes C-order copies
 # of transposed operands, because BLAS may round a product with a transposed
-# operand differently.  A node owns every consumer of its input x, so its
-# backward adds x's gradient parts in the order that chain's reverse pass
-# would: ((residual + v) + k) + q for attention, residual + FFN for the FFN.
+# operand differently.  An intermediate that no later step reads is updated in
+# place, which does the same arithmetic and spares allocating large
+# temporaries.  A node owns every consumer of its input x, so its backward
+# adds x's gradient parts in the order that chain's reverse pass would:
+# ((residual + v) + k) + q for attention, residual + FFN for the FFN.
 
 
 def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
@@ -453,23 +474,24 @@ def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
         # (b, s, nh * hd) -> C-order (b, nh, s, hd)
         return np.ascontiguousarray(t.reshape(b, s, nh, hd).transpose(0, 2, 1, 3))
 
+    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xq, xk, xv = xd @ wq.data, xd @ wk.data, xd @ wv.data
-        lq, lk, lv = xq + bq.data, xk + bk.data, xv + bv.data
-        q, k, v = heads(lq), heads(lk), heads(lv)
+        q, k, v = (heads(_affine(xd, w.data, bias.data, ok))
+                   for w, bias in ((wq, bq), (wk, bk), (wv, bv)))
         kt = np.ascontiguousarray(k.transpose(0, 1, 3, 2))
-        qk = q @ kt
-        scores = qk * scale
-        biased = scores if attn_bias is None else scores + attn_bias
-        e = np.exp(biased - biased.max(axis=-1, keepdims=True))
-        probs = e / e.sum(axis=-1, keepdims=True)
-        ctx = probs @ v
-        gated = ctx if gate is None else ctx * gate
+        scores = ok(q @ kt)
+        scores *= scale
+        ok(scores)
+        if attn_bias is not None:
+            scores += attn_bias
+            ok(scores)
+        probs = ok(_softmax(scores))
+        ctx = ok(probs @ v)
+        gated = ctx if gate is None else ok(ctx * gate)
         merged = np.ascontiguousarray(gated.transpose(0, 2, 1, 3)).reshape(b, s, nh * hd)
-        a0 = merged @ wo.data
-        a = a0 + bo.data
-        r = xd + a
-        out, xhat, inv = _layer_norm(r, gain.data, shift.data)
+        r = _affine(merged, wo.data, bo.data, ok)
+        r += xd
+        out, xhat, inv = _layer_norm(ok(r), gain.data, shift.data)
 
     def backward(g):
         gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)
@@ -495,8 +517,7 @@ def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
         return [(x, gx), *grads]
 
     inputs = (x, wq, bq, wk, bk, wv, bv, wo, bo, gain, shift)
-    return _node(op, out, inputs if g_head is None else (*inputs, g_head), backward,
-                 (xq, lq, xk, lk, xv, lv, qk, scores, biased, probs, ctx, gated, a0, a, r))
+    return T._make(op, out, inputs if g_head is None else (*inputs, g_head), backward)
 
 
 def ffn_block(x: Tensor, params, config: ModelConfig, layer: int,
@@ -515,16 +536,18 @@ def ffn_block(x: Tensor, params, config: ModelConfig, layer: int,
     if g_hidden is not None:
         _check_gate(g_hidden, w1.shape[1], "hidden")
     xd = x.data
+    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        h0 = xd @ w1.data
-        hp = h0 + b1.data
-        cdf = 0.5 * (1.0 + erf(hp / _SQRT2))
-        h = hp * cdf
-        gated = h if g_hidden is None else h * g_hidden.data
-        f0 = gated @ w2.data
-        f = f0 + b2.data
-        r = xd + f
-        out, xhat, inv = _layer_norm(r, gain.data, shift.data)
+        hp = _affine(xd, w1.data, b1.data, ok)
+        cdf = hp / _SQRT2
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        h = ok(hp * cdf)
+        gated = h if g_hidden is None else ok(h * g_hidden.data)
+        r = _affine(gated, w2.data, b2.data, ok)
+        r += xd
+        out, xhat, inv = _layer_norm(ok(r), gain.data, shift.data)
 
     def backward(g):
         gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)
@@ -542,8 +565,7 @@ def ffn_block(x: Tensor, params, config: ModelConfig, layer: int,
         return [(x, gr + g_hp @ np.swapaxes(w1.data, -1, -2)), *grads]
 
     inputs = (x, w1, b1, w2, b2, gain, shift)
-    return _node(op, out, inputs if g_hidden is None else (*inputs, g_hidden), backward,
-                 (h0, hp, h, gated, f0, f, r))
+    return T._make(op, out, inputs if g_hidden is None else (*inputs, g_hidden), backward)
 
 
 def mlm_head(x: Tensor, params, g_rank: Tensor | None = None) -> Tensor:
@@ -558,10 +580,11 @@ def mlm_head(x: Tensor, params, g_rank: Tensor | None = None) -> Tensor:
     _check_input(op, x, proj.shape[1])
     if g_rank is not None:
         _check_gate(g_rank, tok.shape[1], "rank")
+    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         proj_t = np.ascontiguousarray(proj.data.T)
-        z = x.data @ proj_t
-        gated = z if g_rank is None else z * g_rank.data
+        z = ok(x.data @ proj_t)
+        gated = z if g_rank is None else ok(z * g_rank.data)
         tok_t = np.ascontiguousarray(tok.data.T)
         logits = gated @ tok_t
 
@@ -577,7 +600,7 @@ def mlm_head(x: Tensor, params, g_rank: Tensor | None = None) -> Tensor:
         return grads
 
     inputs = (x, proj, tok) if g_rank is None else (x, proj, tok, g_rank)
-    return _node(op, logits, inputs, backward, (z, gated))
+    return T._make(op, logits, inputs, backward)
 
 
 def attention_bias(ids: np.ndarray, pad_id: int) -> np.ndarray | None:
@@ -641,13 +664,12 @@ def mlm_loss(logits: Tensor, mask_positions: np.ndarray, gold_ids: np.ndarray) -
     onehot = np.zeros((flat_idx.size, v))
     onehot[np.arange(flat_idx.size), gold] = 1.0
     scale = -1.0 / flat_idx.size
+    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows = logits.data.reshape(b * s, v)[flat_idx]
+        rows = ok(logits.data.reshape(b * s, v)[flat_idx])
         shifted = rows - rows.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        picked = logp * onehot
-        total = picked.sum()
-        value = total * scale
+        logp = ok(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
+        value = ok(ok(logp * onehot).sum()) * scale
 
     def backward(g):
         g_logp = (g * scale) * onehot
@@ -657,7 +679,7 @@ def mlm_loss(logits: Tensor, mask_positions: np.ndarray, gold_ids: np.ndarray) -
         g_logits[flat_idx] += g_rows
         return [(logits, g_logits.reshape(b, s, v))]
 
-    return _node(op, value, (logits,), backward, (rows, logp, picked, total))
+    return T._make(op, value, (logits,), backward)
 
 
 def cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
