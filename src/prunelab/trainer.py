@@ -145,12 +145,11 @@ class Adam:
         """
         self.t += 1
         grads = [p.grad for p in self.params.values()]
-        missing = sum(g is None for g in grads)
-        if missing == len(grads):
+        missing = [k for k, g in zip(self.params, grads) if g is None]
+        if len(missing) == len(grads):
             return
         if missing:
-            names = [k for k, p in self.params.items() if p.grad is None]
-            raise ContractError(f"Adam.step: no gradient for {', '.join(names)}")
+            raise ContractError(f"Adam.step: no gradient for {', '.join(missing)}")
         g = np.concatenate(grads, axis=None)
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
