@@ -101,10 +101,6 @@ def load_config(path=None) -> dict:
     return cfg
 
 
-def serialize_config(cfg: dict) -> str:
-    return json.dumps(cfg, indent=2, sort_keys=True)
-
-
 def _apply_overrides(cfg: dict, args) -> dict:
     """Copy flag values the user actually passed over the config."""
     pairs = [

@@ -28,12 +28,14 @@ holds by construction and masks are nested across the grid.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .encoder import ComponentId, GateSet, component_index, _parse_floats
+from .encoder import (GateSet, component_index, _cells, _component_key, _first_false,
+                      _first_repeat, _raise_first_fault)
 from .exceptions import ContractError, InputError
 from .grad_prune import ImportanceTable, rank_order
 from .l0 import DEFAULT_HC, HardConcrete
@@ -119,9 +121,9 @@ def bucketize(scores: np.ndarray, weights: np.ndarray, grid) -> tuple[np.ndarray
 
 @dataclass
 class DSParams:
-    """Per-language (alpha, theta, t_hat, delta) vectors over a component order."""
+    """Per-language (alpha, theta, t_hat, delta) vectors over a list of component names."""
 
-    components: list[ComponentId]
+    components: list[str]
     grid: tuple[float, ...]
     tables: dict[str, dict[str, np.ndarray]]
     constants: HardConcrete = DEFAULT_HC
@@ -130,43 +132,67 @@ class DSParams:
         return sorted(self.tables)
 
     def save_csv(self, path):
-        names = [str(cid) for cid in self.components]
         with open(path, "w") as f:
             f.write(f"{DS_HEADER}\n")
             for lang in self.languages():
                 tab = self.tables[lang]
-                for name, a, th, t, d in zip(names, *(tab[k].tolist() for k in DS_COLUMNS)):
-                    f.write(f"{lang},{name},{a!r},{th!r},{t!r},{d!r}\n")
+                f.write("".join(f"{lang},{name},{a!r},{th!r},{t!r},{d!r}\n" for name, a, th, t, d
+                                in zip(self.components, *(tab[k].tolist() for k in DS_COLUMNS))))
 
     @classmethod
     def load_csv(cls, path, components, grid, constants: HardConcrete = DEFAULT_HC):
-        """Read save_csv output; each language must list every component exactly once."""
+        """Read save_csv output; each language must list every component exactly once.
+
+        The file is read line by line; a row keeps its position (language
+        number times the component count plus the component's position) and
+        its four values.
+        """
         index = component_index(components)
-        rows: dict[str, np.ndarray] = {}
+        n, width = len(components), len(DS_COLUMNS)
+        langs: dict[str, int] = {}
+        pos, values = array("q"), array("d")
+        fault = (None, None)
         with open(path) as f:
             header = f.readline().strip()
             if header != DS_HEADER:
                 raise InputError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(f, 2):
+            for line in f:
                 line = line.strip()
                 if not line:
                     continue
                 parts = line.split(",")
                 if len(parts) != 8:
-                    raise InputError(f"{path}:{lineno}: expected {DS_HEADER}")
-                key = ",".join(parts[1:4])
-                if key not in index:
-                    raise InputError(f"{path}:{lineno}: unknown component {key}")
-                if parts[0] not in rows:
-                    rows[parts[0]] = np.full((len(DS_COLUMNS), len(components)), np.nan)
-                tab, i = rows[parts[0]], index[key]
-                if not np.isnan(tab[0, i]):
-                    raise InputError(f"{path}:{lineno}: second row for {parts[0]} {key}")
-                tab[:, i] = _parse_floats(path, lineno, parts[4:])
-        for lang, tab in rows.items():
-            if np.isnan(tab[0]).any():
+                    fault = (len(pos), lambda text: f"expected {DS_HEADER}")
+                    break
+                i = index.get(",".join(parts[1:4]))
+                if i is None:
+                    fault = (len(pos), lambda text: f"unknown component {_cells(text, 1, 4)}")
+                    break
+                pos.append(langs.setdefault(parts[0], len(langs)) * n + i)
+                try:
+                    values.extend(map(float, parts[4:]))
+                except ValueError:
+                    del values[width * (len(pos) - 1):]
+                    fault = (len(pos) - 1,
+                             lambda text: f"non-numeric value in {_cells(text, 4)!r}")
+                    break
+        pos = np.frombuffer(pos, dtype=np.int64)
+        rows = np.frombuffer(values).reshape(-1, width)
+        _raise_first_fault(path, 1, [
+            (_first_repeat(pos), lambda text: f"second row for {_cells(text, 0, 1)} "
+                                              f"{_cells(text, 1, 4)}"),
+            fault,
+            (_first_false(np.isfinite(rows).all(axis=1)),
+             lambda text: f"non-finite value in {_cells(text, 4)!r}"),
+        ])
+        counts = np.bincount(pos // n, minlength=len(langs))
+        for lang, k in langs.items():
+            if counts[k] != n:
                 raise InputError(f"{path}: language {lang!r} does not list every component")
-        tables = {lang: dict(zip(DS_COLUMNS, tab)) for lang, tab in rows.items()}
+        table = np.empty((width, len(langs) * n))
+        table[:, pos] = rows.T
+        tables = {lang: dict(zip(DS_COLUMNS, table[:, k * n:(k + 1) * n]))
+                  for lang, k in langs.items()}
         return cls(list(components), check_grid(grid), tables, constants)
 
 
@@ -175,12 +201,12 @@ def init_ds(tables: dict[str, ImportanceTable], weights: np.ndarray,
     """Bucketize each language's ranking and solve every component's params.
 
     weights is in canonical order; the tables name the components, and all
-    of them must cover the same ones.
+    of them must cover the same ones, which are put in canonical order.
     """
     grid = check_grid(grid)
     if not tables:
         raise InputError("init_ds: no importance tables supplied")
-    components = sorted(next(iter(tables.values())).scores, key=ComponentId.sort_key)
+    components = sorted(next(iter(tables.values())).scores, key=_component_key)
     out: dict[str, dict[str, np.ndarray]] = {}
     for lang, table in tables.items():
         t_hat, delta = bucketize(table.vector(components), weights, grid)

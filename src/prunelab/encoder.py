@@ -18,8 +18,8 @@ a bias/layernorm residue.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -98,39 +98,35 @@ XLMR_BASE = ModelConfig(
 )
 
 
-@dataclass(frozen=True, order=False)
-class ComponentId:
-    """Identity of one prunable unit. ``layer`` is None for embedding ranks."""
+def component_universe(config: ModelConfig) -> list[str]:
+    """The names of all prunable components of a model, in canonical order.
 
-    kind: str
-    layer: int | None
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
-            raise ContractError(f"unknown component kind {self.kind!r}")
-        if (self.kind == KIND_RANK) != (self.layer is None):
-            raise ContractError("layer must be None exactly for rank components")
-
-    def sort_key(self):
-        return (_KIND_ORDER[self.kind], -1 if self.layer is None else self.layer, self.index)
-
-    def __str__(self):
-        layer = "" if self.layer is None else str(self.layer)
-        return f"{self.kind},{layer},{self.index}"
-
-
-def component_universe(config: ModelConfig) -> list[ComponentId]:
-    """All prunable components of a model, in canonical order.
-
+    A name is ``kind,layer,index``, with an empty layer for embedding ranks
+    (``rank,,5``), the first three cells of every component file row.
     Canonical order is heads layer-major, then FFN units layer-major, then
     embedding ranks; every per-component vector and file row follows it.
     """
-    return ([ComponentId(KIND_HEAD, layer, h)
-             for layer in range(config.n_layers) for h in range(config.n_heads)]
-            + [ComponentId(KIND_HIDDEN, layer, j)
-               for layer in range(config.n_layers) for j in range(config.ffn_dim)]
-            + [ComponentId(KIND_RANK, None, k) for k in range(config.model_dim)])
+    layers = range(config.n_layers)
+    return ([f"{KIND_HEAD},{layer},{h}" for layer in layers for h in range(config.n_heads)]
+            + [f"{KIND_HIDDEN},{layer},{j}" for layer in layers for j in range(config.ffn_dim)]
+            + [f"{KIND_RANK},,{k}" for k in range(config.model_dim)])
+
+
+def _component_key(name: str) -> tuple[int, int, int]:
+    """Canonical sort key of a component name: kind, then layer, then index, as numbers."""
+    kind, layer, index = name.split(",")
+    return _KIND_ORDER[kind], int(layer) if layer else -1, int(index)
+
+
+def _component_name(kind: str, layer: str, index: str) -> str:
+    """The name of a component from the text cells of a file row; ValueError if malformed.
+
+    The layer is empty exactly for ranks; layer and index are integers and
+    are written back in their plain form.
+    """
+    if kind not in _KIND_ORDER or (kind == KIND_RANK) != (layer == ""):
+        raise ValueError(f"bad component {kind},{layer},{index}")
+    return f"{kind},{int(layer) if layer else ''},{int(index)}"
 
 
 def component_slices(config: ModelConfig) -> dict:
@@ -170,19 +166,53 @@ def component_weights(config: ModelConfig) -> np.ndarray:
 
 
 def component_index(components) -> dict[str, int]:
-    """Position of each component by its text key ``kind,layer,index``."""
-    return {str(cid): i for i, cid in enumerate(components)}
+    """Position of each component name in a list of names."""
+    return {name: i for i, name in enumerate(components)}
 
 
-def _parse_floats(path, lineno: int, cells) -> list[float]:
-    """Finite floats from the text cells of one file row, or InputError naming the row."""
-    try:
-        values = list(map(float, cells))
-    except ValueError:
-        raise InputError(f"{path}:{lineno}: non-numeric value in {','.join(cells)!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise InputError(f"{path}:{lineno}: non-finite value in {','.join(cells)!r}")
-    return values
+# Component files are read in one pass that maps each row to a position and
+# collects its values; the checks that need no other row than their own
+# (field count, known component, numeric cells) stop the pass, the others
+# (duplicates, finite and in-range values) run over the collected arrays.
+# Either way the error names the first faulty row and the check that row
+# fails first, as a row-by-row reader would.
+
+
+def _cells(text: str, start: int, stop: int | None = None) -> str:
+    """Cells start to stop of a file row, joined back with commas."""
+    return ",".join(text.split(",")[start:stop])
+
+
+def _first_repeat(pos: np.ndarray) -> int | None:
+    """Index of the first entry of pos that equals an earlier entry, or None."""
+    order = np.argsort(pos, kind="stable")
+    repeats = order[1:][pos[order[1:]] == pos[order[:-1]]]
+    return int(repeats.min()) if repeats.size else None
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    """Index of the first False entry of ok, or None."""
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
+def _raise_first_fault(path, skip: int, faults):
+    """InputError naming the earliest faulty row of a component file, if there is one.
+
+    faults lists (row, message) pairs in the order a row's checks run: row is
+    the index among the non-blank lines after the first skip lines, or None
+    where the check passed, and message maps that line's text to the error.
+    The file is read again only to find the faulty line.
+    """
+    found = [(row, k) for k, (row, _) in enumerate(faults) if row is not None]
+    if not found:
+        return
+    row, k = min(found)
+    with open(path) as f:
+        lines = ((lineno, text) for lineno, text in enumerate(map(str.strip, f), 1)
+                 if lineno > skip and text)
+        lineno, text = next(itertools.islice(lines, row, None))
+    raise InputError(f"{path}:{lineno}: {faults[k][1](text)}")
 
 
 class GateSet:
@@ -214,10 +244,6 @@ class GateSet:
         return cls(config, np.ones(component_slices(config)["ranks"].stop), hard=True)
 
     @classmethod
-    def zeros(cls, config: ModelConfig) -> "GateSet":
-        return cls(config, np.zeros(component_slices(config)["ranks"].stop), hard=True)
-
-    @classmethod
     def from_values(cls, config: ModelConfig, values, hard: bool) -> "GateSet":
         """Build from a copy of a canonical-order value vector."""
         return cls(config, np.array(values, dtype=np.float64), hard)
@@ -228,38 +254,57 @@ class GateSet:
 
     def save_text(self, path, config: ModelConfig):
         """One line per component: kind,layer,index,value."""
+        # one text per distinct value, keyed by bit pattern to keep 0.0 and -0.0 apart
+        bits = self.values.view(np.int64)
+        distinct, first = np.unique(bits, return_index=True)
+        text = {b: np.format_float_positional(v, trim="-")
+                for b, v in zip(distinct.tolist(), self.values[first].tolist())}
         with open(path, "w") as f:
-            for cid, v in zip(component_universe(config), self.values.tolist()):
-                f.write(f"{cid},{np.format_float_positional(v, trim='-')}\n")
+            f.write("".join(f"{name},{text[b]}\n"
+                            for name, b in zip(component_universe(config), bits.tolist())))
 
     @classmethod
     def load_text(cls, path, config: ModelConfig) -> "GateSet":
         """Read save_text output; every component of the model exactly once, values in [0, 1]."""
         universe = component_universe(config)
         index = component_index(universe)
-        values = np.full(len(universe), np.nan)
+        pos, values = [], []
+        fault = (None, None)
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
-                parts = line.split(",")
-                if len(parts) != 4:
-                    raise InputError(f"{path}:{lineno}: expected kind,layer,index,value")
-                key = ",".join(parts[:3])
-                if key not in index:
-                    raise InputError(f"{path}:{lineno}: component {key} is not in the model")
-                i = index[key]
-                if not np.isnan(values[i]):
-                    raise InputError(f"{path}:{lineno}: second row for component {key}")
-                (value,) = _parse_floats(path, lineno, parts[3:])
-                if not 0.0 <= value <= 1.0:
-                    raise InputError(f"{path}:{lineno}: gate value {value} outside [0, 1]")
-                values[i] = value
-        missing = np.flatnonzero(np.isnan(values))
-        if missing.size:
-            raise InputError(f"{path}: missing gate value for component {universe[missing[0]]}")
-        return cls(config, values, hard=bool(np.all((values == 0.0) | (values == 1.0))))
+                key, _, value = line.rpartition(",")
+                # every name has two commas, so a known key means four cells
+                i = index.get(key)
+                if i is None:
+                    fault = (len(pos), lambda text: "expected kind,layer,index,value"
+                             if text.count(",") != 3 else
+                             f"component {_cells(text, 0, 3)} is not in the model")
+                    break
+                pos.append(i)
+                try:
+                    values.append(float(value))
+                except ValueError:
+                    fault = (len(pos) - 1,
+                             lambda text: f"non-numeric value in {_cells(text, 3)!r}")
+                    break
+        pos, values = np.array(pos, dtype=np.intp), np.array(values)
+        _raise_first_fault(path, 0, [
+            (_first_repeat(pos), lambda text: f"second row for component {_cells(text, 0, 3)}"),
+            fault,
+            (_first_false(np.isfinite(values)),
+             lambda text: f"non-finite value in {_cells(text, 3)!r}"),
+            (_first_false((values >= 0.0) & (values <= 1.0)),
+             lambda text: f"gate value {float(_cells(text, 3))} outside [0, 1]"),
+        ])
+        gates = np.full(len(universe), np.nan)
+        gates[pos] = values
+        missing = _first_false(~np.isnan(gates))
+        if missing is not None:
+            raise InputError(f"{path}: missing gate value for component {universe[missing]}")
+        return cls(config, gates, hard=bool(np.all((gates == 0.0) | (gates == 1.0))))
 
 
 def gate_tensors(gateset: GateSet) -> dict:
@@ -396,15 +441,17 @@ def _affine(x: np.ndarray, w: np.ndarray, bias: np.ndarray, ok) -> np.ndarray:
     return ok(out)
 
 
-def _layer_norm(r: np.ndarray, gain: np.ndarray, shift: np.ndarray):
+def _layer_norm(r: np.ndarray, gain: np.ndarray, shift: np.ndarray, ok):
     """Last-axis layer norm of an array; returns (out, xhat, inv) and overwrites r.
 
     Mean and variance take numpy's own steps (sum, then divide by the width)
     over one centred difference, so they equal ``mean`` and ``var`` bit for bit.
+    The variance is checked by ok: a row spread beyond about 1e154 squares to
+    an infinite variance, which would make ``inv`` 0 and the output finite.
     """
     n = r.shape[-1]
     r -= np.add.reduce(r, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(r * r, axis=-1, keepdims=True) / n + _LN_EPS)
+    inv = 1.0 / np.sqrt(ok(np.add.reduce(r * r, axis=-1, keepdims=True) / n) + _LN_EPS)
     xhat = r
     xhat *= inv
     out = xhat * gain
@@ -491,7 +538,7 @@ def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
         merged = np.ascontiguousarray(gated.transpose(0, 2, 1, 3)).reshape(b, s, nh * hd)
         r = _affine(merged, wo.data, bo.data, ok)
         r += xd
-        out, xhat, inv = _layer_norm(ok(r), gain.data, shift.data)
+        out, xhat, inv = _layer_norm(ok(r), gain.data, shift.data, ok)
 
     def backward(g):
         gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)
@@ -547,7 +594,7 @@ def ffn_block(x: Tensor, params, config: ModelConfig, layer: int,
         gated = h if g_hidden is None else ok(h * g_hidden.data)
         r = _affine(gated, w2.data, b2.data, ok)
         r += xd
-        out, xhat, inv = _layer_norm(ok(r), gain.data, shift.data)
+        out, xhat, inv = _layer_norm(ok(r), gain.data, shift.data, ok)
 
     def backward(g):
         gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import (
-    ComponentId,
     GateSet,
     Model,
     component_universe,
@@ -26,7 +25,12 @@ from .encoder import (
     encoder_forward,
     mlm_loss,
     ones_gate_tensors,
-    _parse_floats,
+    _cells,
+    _component_key,
+    _component_name,
+    _first_false,
+    _first_repeat,
+    _raise_first_fault,
 )
 from .exceptions import ContractError, InputError
 
@@ -36,9 +40,9 @@ NON_SHARED = "non-shared"
 
 @dataclass
 class ImportanceTable:
-    """Importance score per component for one language, or for all (shared)."""
+    """Importance score per component name for one language, or for all (shared)."""
 
-    scores: dict[ComponentId, float]
+    scores: dict[str, float]
     language: str
     n_batches: int
 
@@ -47,39 +51,54 @@ class ImportanceTable:
         if len(self.scores) != len(components):
             raise ContractError("importance table and weight table cover different components")
         try:
-            return np.array([self.scores[cid] for cid in components], dtype=np.float64)
+            return np.array([self.scores[name] for name in components], dtype=np.float64)
         except KeyError as e:
             raise ContractError(f"importance table has no score for component {e.args[0]}") from None
 
     def save_csv(self, path):
+        """One row per component, kind,layer,index,score, in canonical order."""
         with open(path, "w") as f:
             f.write("kind,layer,index,score\n")
-            for cid in sorted(self.scores, key=ComponentId.sort_key):
-                f.write(f"{cid},{self.scores[cid]!r}\n")
+            f.write("".join(f"{name},{self.scores[name]!r}\n"
+                            for name in sorted(self.scores, key=_component_key)))
 
     @classmethod
     def load_csv(cls, path, language: str = SHARED) -> "ImportanceTable":
-        scores = {}
+        names: dict[str, int] = {}
+        pos, scores = [], []
+        fault = (None, None)
         with open(path) as f:
             header = f.readline().strip()
             if header != "kind,layer,index,score":
                 raise InputError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(f, 2):
+            for line in f:
                 line = line.strip()
                 if not line:
                     continue
                 parts = line.split(",")
                 if len(parts) != 4:
-                    raise InputError(f"{path}:{lineno}: expected kind,layer,index,score")
-                kind, layer, index = parts[:3]
+                    fault = (len(pos), lambda text: "expected kind,layer,index,score")
+                    break
                 try:
-                    cid = ComponentId(kind, None if layer == "" else int(layer), int(index))
-                except (ValueError, ContractError):
-                    raise InputError(f"{path}:{lineno}: bad component in {line!r}") from None
-                if cid in scores:
-                    raise InputError(f"{path}:{lineno}: second row for component {cid}")
-                (scores[cid],) = _parse_floats(path, lineno, parts[3:])
-        return cls(scores, language, n_batches=0)
+                    name = _component_name(*parts[:3])
+                except ValueError:
+                    fault = (len(pos), lambda text: f"bad component in {text!r}")
+                    break
+                pos.append(names.setdefault(name, len(names)))
+                try:
+                    scores.append(float(parts[3]))
+                except ValueError:
+                    fault = (len(pos) - 1,
+                             lambda text: f"non-numeric value in {_cells(text, 3)!r}")
+                    break
+        _raise_first_fault(path, 1, [
+            (_first_repeat(np.array(pos, dtype=np.intp)),
+             lambda text: f"second row for component {_component_name(*text.split(',')[:3])}"),
+            fault,
+            (_first_false(np.isfinite(np.array(scores))),
+             lambda text: f"non-finite value in {_cells(text, 3)!r}"),
+        ])
+        return cls(dict(zip(names, scores)), language, n_batches=0)
 
 
 @dataclass

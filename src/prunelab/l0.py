@@ -90,16 +90,16 @@ class HardConcreteParams:
         alphas = rng.normal(0.0, ALPHA_INIT_STD, size=(len(languages), n_components))
         return cls(languages, Tensor(alphas, requires_grad=True), constants)
 
-    def save_csv(self, path, component_ids):
+    def save_csv(self, path, components):
         """One row per (language, component), languages sorted."""
-        if len(component_ids) != self.alphas.shape[1]:
+        if len(components) != self.alphas.shape[1]:
             raise ContractError("component list does not match alpha vector length")
         with open(path, "w") as f:
             f.write("language,kind,layer,index,alpha\n")
             for lang in sorted(self.languages):
-                values = self.alphas.data[self.languages.index(lang)]
-                for cid, a in zip(component_ids, values):
-                    f.write(f"{lang},{cid},{float(a)!r}\n")
+                values = self.alphas.data[self.languages.index(lang)].tolist()
+                for name, a in zip(components, values):
+                    f.write(f"{lang},{name},{a!r}\n")
 
 
 def _check_u(u: np.ndarray):

@@ -196,7 +196,7 @@ def test_criterion_04_sparsity_targeting():
                for i, lang in enumerate(corpus.languages())}
     universe = component_universe(TOY)
     wvec = component_weights(TOY)
-    enc = np.array([c.kind != KIND_RANK for c in universe])
+    enc = np.array([c.split(",")[0] != KIND_RANK for c in universe])
     wmax = float(wvec.max())
     worst_full = worst_enc = 0.0
     for step in range(1, 10):

@@ -43,6 +43,10 @@ def random_hard_gateset(config, seed, p_keep=0.6):
                                hard=True)
 
 
+def all_off(config):
+    return GateSet.from_values(config, np.zeros(len(component_universe(config))), hard=True)
+
+
 def synthetic_ds(config, seed=0):
     rng = np.random.default_rng(seed)
     universe = component_universe(config)
@@ -130,7 +134,7 @@ def test_size_curve_endpoints_and_monotonicity():
     rows = size_curve(ds, TOY)
     assert [r["t"] for r in rows] == [pytest.approx(t) for t in DEFAULT_GRID]
     dense = count_params(TOY, GateSet.ones(TOY))
-    empty = count_params(TOY, GateSet.zeros(TOY))
+    empty = count_params(TOY, all_off(TOY))
     assert rows[-1]["total_params"] == dense["total_params"]
     assert rows[-1]["overall_sparsity"] == 0.0
     assert rows[0]["total_params"] == empty["total_params"]
@@ -209,7 +213,7 @@ def test_compact_model_handles_padding_and_empty_slices():
     gs.ranks[::2] = 0.0
     assert logits_match(model, gs, ids, pad_id=0) <= 1e-10
     # nothing left at all
-    assert logits_match(model, GateSet.zeros(TOY), ids, pad_id=0) <= 1e-10
+    assert logits_match(model, all_off(TOY), ids, pad_id=0) <= 1e-10
 
 
 def test_compact_model_slices_weights_to_the_kept_widths():
@@ -221,7 +225,7 @@ def test_compact_model_slices_weights_to_the_kept_widths():
     gs.heads[1][:] = 0.0
     gs.hiddens[1][:] = 0.0
     gs.ranks[::2] = 0.0
-    for gates in (gs, GateSet.zeros(TOY)):
+    for gates in (gs, all_off(TOY)):
         cm = compact_model(model, gates)
         assert isinstance(cm, CompactModel) and cm.config == TOY
         ranks = int(gates.ranks.sum())
@@ -281,7 +285,7 @@ def sparse_gateset(config, sparsity):
     weights = component_weights(config)
     order = sorted(range(len(weights)), key=lambda i: weights[i], reverse=True)
     total = weights.sum()
-    gs = GateSet.zeros(config)
+    gs = all_off(config)
     kept = 0.0
     for i in order:
         if kept / total >= 1.0 - sparsity:

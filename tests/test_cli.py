@@ -13,7 +13,6 @@ from prunelab.cli import (
     main,
     parse_grid,
     resolve_config,
-    serialize_config,
 )
 from prunelab.ds import DEFAULT_GRID, init_ds
 from prunelab.encoder import GateSet, Model, ModelConfig, component_universe, component_weights
@@ -82,7 +81,7 @@ def test_config_round_trip_is_identity(tmp_path):
     assert cfg["schedule"]["total_steps"] == 42
     assert cfg["grid"] == [0.0, 0.5, 1.0]
     again = tmp_path / "again.json"
-    again.write_text(serialize_config(cfg))
+    again.write_text(json.dumps(cfg, indent=2, sort_keys=True))
     assert load_config(again) == cfg
 
 

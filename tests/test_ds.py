@@ -15,9 +15,10 @@ from prunelab.ds import (
     solve_ds_params,
     subnetwork_at,
 )
-from prunelab.encoder import ModelConfig, component_universe, component_weights
+from prunelab.encoder import (GateSet, ModelConfig, XLMR_BASE, component_universe,
+                              component_weights)
 from prunelab.exceptions import ContractError, InputError
-from prunelab.grad_prune import ImportanceTable
+from prunelab.grad_prune import ImportanceTable, select_threshold
 from prunelab.l0 import DEFAULT_HC
 
 LN11 = float(np.log(11.0))
@@ -266,3 +267,59 @@ def test_ds_params_load_csv_rejects_malformed_tables(tmp_path):
         path.write_text("".join(rows))
         with pytest.raises(InputError):
             DSParams.load_csv(path, ds.components, ds.grid)
+
+
+def _row_names(path, header_lines, first_cell):
+    """The component name of every row of a component file."""
+    return [",".join(line.split(",")[first_cell:first_cell + 3])
+            for line in path.read_text().splitlines()[header_lines:]]
+
+
+def test_component_files_follow_canonical_numeric_order(tmp_path):
+    # 11 layers and 11 FFN units: layer 10 must follow layer 9 and unit 10
+    # unit 9, which plain string order would not give
+    wide = ModelConfig(n_layers=11, n_heads=2, model_dim=4, ffn_dim=11, vocab_size=7,
+                       max_seq_len=4)
+    universe = component_universe(wide)
+    assert sorted(universe) != universe
+    rng = np.random.default_rng(81)
+    shuffled = [universe[i] for i in rng.permutation(len(universe))]
+    table = ImportanceTable({name: float(rng.exponential()) for name in shuffled}, "xx", 1)
+    weights = component_weights(wide)
+    table.save_csv(tmp_path / "importance.csv")
+    init_ds({"xx": table}, weights, DEFAULT_GRID).save_csv(tmp_path / "ds.csv")
+    select_threshold(table, weights, 0.5, wide).save_text(tmp_path / "gates.txt", wide)
+    assert _row_names(tmp_path / "importance.csv", 1, 0) == universe
+    assert _row_names(tmp_path / "ds.csv", 1, 1) == universe
+    assert _row_names(tmp_path / "gates.txt", 0, 0) == universe
+
+
+def test_component_files_round_trip_byte_for_byte_at_xlmr_base(tmp_path):
+    universe = component_universe(XLMR_BASE)
+    assert len(universe) == 37776
+    rng = np.random.default_rng(82)
+    tables = {lang: ImportanceTable(dict(zip(universe, rng.random(len(universe)).tolist())),
+                                    lang, 1) for lang in ("aa", "bb")}
+    weights = component_weights(XLMR_BASE)
+    grid = (0.0, 0.5, 1.0)
+    soft = rng.random(len(universe))
+    soft[:100] = 0.0
+    soft[100:200] = 1.0
+    writers = {
+        "importance.csv": (lambda p: tables["aa"].save_csv(p),
+                           lambda p: ImportanceTable.load_csv(p, "aa").save_csv(p)),
+        "hard.txt": (lambda p: select_threshold(tables["bb"], weights, 0.5, XLMR_BASE)
+                     .save_text(p, XLMR_BASE),
+                     lambda p: GateSet.load_text(p, XLMR_BASE).save_text(p, XLMR_BASE)),
+        "soft.txt": (lambda p: GateSet.from_values(XLMR_BASE, soft, hard=False)
+                     .save_text(p, XLMR_BASE),
+                     lambda p: GateSet.load_text(p, XLMR_BASE).save_text(p, XLMR_BASE)),
+        "ds.csv": (lambda p: init_ds(tables, weights, grid).save_csv(p),
+                   lambda p: DSParams.load_csv(p, universe, grid).save_csv(p)),
+    }
+    for name, (write, reload_and_write) in writers.items():
+        path = tmp_path / name
+        write(path)
+        before = path.read_bytes()
+        reload_and_write(path)
+        assert path.read_bytes() == before, name

@@ -8,7 +8,6 @@ from scipy.special import erf
 
 from prunelab import tensor as T
 from prunelab.encoder import (
-    ComponentId,
     GateSet,
     Model,
     ModelConfig,
@@ -96,12 +95,22 @@ def test_config_validation():
         ModelConfig(0, 2, 8, 12, 19, 10)
 
 
+def numeric_key(name):
+    """Canonical order of a component name: kind, then layer (none for ranks), then index."""
+    kind, layer, index = name.split(",")
+    return ("head", "hidden", "rank").index(kind), int(layer) if layer else -1, int(index)
+
+
+def all_off(config):
+    return GateSet.from_values(config, np.zeros(len(component_universe(config))), hard=True)
+
+
 def test_component_universe_order_and_size():
     universe = component_universe(TOY)
     assert len(universe) == 2 * 2 + 2 * 12 + 8
-    assert universe == sorted(universe, key=ComponentId.sort_key)
-    assert universe[0] == ComponentId("head", 0, 0)
-    assert universe[-1] == ComponentId("rank", None, 7)
+    assert universe == sorted(universe, key=numeric_key)
+    assert universe[0] == "head,0,0"
+    assert universe[-1] == "rank,,7"
 
 
 def test_component_weights_scheme():
@@ -204,6 +213,19 @@ def test_fused_nodes_name_themselves_on_non_finite_values():
         for name, run in nodes.items():
             with pytest.raises(NumericError, match=name):
                 run()
+
+
+def test_ffn_block_rejects_an_overflowing_layer_norm_variance():
+    # every value is finite, but the centred rows square past the float64
+    # range: the variance is infinite and the normalised output would be the
+    # finite shift alone
+    model = Model.init(TOY, seed=18)
+    for sign in (1.0, -1.0):
+        big = T.Tensor(np.full((1, 3, TOY.model_dim), sign * 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="ffn_block"):
+                ffn_block(big, model.params, TOY, 0)
 
 
 def test_single_rank_gate_gives_rank_one_embedding():
@@ -328,7 +350,7 @@ def test_count_params_monotone_in_gates():
 
 
 def test_count_params_all_off_residue():
-    counts = count_params(TOY, GateSet.zeros(TOY))
+    counts = count_params(TOY, all_off(TOY))
     assert counts["embedding_params"] == 10 * 8
     assert counts["encoder_params"] == 2 * (4 * 8 + 12 + 8 + 4 * 8)
 
@@ -336,7 +358,7 @@ def test_count_params_all_off_residue():
 def test_encoder_sparsity_cases():
     weights = component_weights(XLMR_BASE)
     assert encoder_sparsity(GateSet.ones(XLMR_BASE), weights) == 0.0
-    assert encoder_sparsity(GateSet.zeros(XLMR_BASE), weights) == 1.0
+    assert encoder_sparsity(all_off(XLMR_BASE), weights) == 1.0
     gs = GateSet.ones(XLMR_BASE)
     for i in range(XLMR_BASE.n_layers):
         gs.hiddens[i][: XLMR_BASE.ffn_dim // 2] = 0.0
@@ -408,11 +430,9 @@ def test_split_gates_layout_matches_universe():
     gs = GateSet.ones(config)
     position = {cid: pos for pos, cid in enumerate(universe)}
     for layer in range(config.n_layers):
-        gs.heads[layer][:] = [position[ComponentId("head", layer, h)]
-                              for h in range(config.n_heads)]
-        gs.hiddens[layer][:] = [position[ComponentId("hidden", layer, j)]
-                                for j in range(config.ffn_dim)]
-    gs.ranks[:] = [position[ComponentId("rank", None, k)] for k in range(config.model_dim)]
+        gs.heads[layer][:] = [position[f"head,{layer},{h}"] for h in range(config.n_heads)]
+        gs.hiddens[layer][:] = [position[f"hidden,{layer},{j}"] for j in range(config.ffn_dim)]
+    gs.ranks[:] = [position[f"rank,,{k}"] for k in range(config.model_dim)]
     rebuilt = np.concatenate([g.data for g in gates["heads"]]
                              + [g.data for g in gates["hiddens"]] + [gates["ranks"].data])
     manual = np.concatenate([np.asarray(gs.heads[l]) for l in range(config.n_layers)]
@@ -464,6 +484,24 @@ def test_load_text_rejects_missing_and_out_of_range_values(tmp_path):
     for bad in ("1.5", "nan", "-0.5"):
         path = _gates_file(tmp_path, lambda text: text.replace("rank,,7,1", f"rank,,7,{bad}"))
         with pytest.raises(InputError):
+            GateSet.load_text(path, TOY)
+
+
+def test_load_text_names_the_first_faulty_row(tmp_path):
+    cases = {
+        # a check over all rows read finds an early fault before a
+        # check that stops the read finds a later one
+        ":2: non-finite value in 'inf'":
+            lambda text: text.replace("head,0,1,1", "head,0,1,inf").replace("rank,,7,1", "rank,,7,x"),
+        ":3: gate value 2.0 outside":
+            lambda text: text.replace("head,1,0,1", "head,1,0,2").replace("rank,,7,1", "rank,9,7,1"),
+        # a row failing two checks is named for the one a row meets first
+        ":3: second row for component head,0,0":
+            lambda text: text.replace("head,1,0,1", "head,0,0,2"),
+    }
+    for message, edit in cases.items():
+        path = _gates_file(tmp_path, edit)
+        with pytest.raises(InputError, match=message):
             GateSet.load_text(path, TOY)
 
 

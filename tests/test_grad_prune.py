@@ -8,7 +8,6 @@ import pytest
 
 from prunelab import tensor as T
 from prunelab.encoder import (
-    ComponentId,
     Model,
     ModelConfig,
     component_universe,
@@ -65,12 +64,13 @@ def test_scores_match_finite_differences_on_gates():
 
 def gate_perturbed_loss(model, batch, cid, value):
     gates = ones_gate_tensors(TOY)
-    if cid.kind == "head":
-        gates["heads"][cid.layer].data[cid.index] = value
-    elif cid.kind == "hidden":
-        gates["hiddens"][cid.layer].data[cid.index] = value
+    kind, layer, index = cid.split(",")
+    if kind == "head":
+        gates["heads"][int(layer)].data[int(index)] = value
+    elif kind == "hidden":
+        gates["hiddens"][int(layer)].data[int(index)] = value
     else:
-        gates["ranks"].data[cid.index] = value
+        gates["ranks"].data[int(index)] = value
     with T.no_grad():
         logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
         return mlm_loss(logits, batch.mask_positions, batch.gold_ids).item()
@@ -81,8 +81,8 @@ def test_zeroed_head_scores_zero():
     hd = TOY.head_dim
     model.params["layers.1.attn.wo"].data[0:hd, :] = 0.0
     table = importance_scores(model, [make_batch(35)])
-    assert table.scores[ComponentId("head", 1, 0)] == 0.0
-    assert table.scores[ComponentId("head", 1, 1)] > 0.0
+    assert table.scores["head,1,0"] == 0.0
+    assert table.scores["head,1,1"] > 0.0
 
 
 def test_scores_nonnegative_and_mean_over_batches():
@@ -116,7 +116,7 @@ def test_scoring_determinism():
 
 def equal_weight_table(scores):
     cfg = ModelConfig(n_layers=1, n_heads=4, model_dim=8, ffn_dim=1, vocab_size=5, max_seq_len=4)
-    universe = [ComponentId("head", 0, i) for i in range(4)]
+    universe = [f"head,0,{i}" for i in range(4)]
     table = ImportanceTable(dict(zip(universe, scores)), "shared", 1)
     return cfg, table
 
@@ -128,7 +128,7 @@ def test_select_threshold_cumulative_walk_by_hand():
     weights = component_weights(cfg)
     scores = {cid: 0.0 for cid in component_universe(cfg)}
     for i, s in enumerate([0.9, 0.5, 0.1, 0.05]):
-        scores[ComponentId("head", 0, i)] = s
+        scores[f"head,0,{i}"] = s
     table = ImportanceTable(scores, "shared", 1)
     # goal 0.38*42 = 15.96 is first reached at cumulative weight 16: top two
     gs = select_threshold(table, weights, 0.38, cfg)
@@ -157,7 +157,7 @@ def test_select_threshold_tie_break_canonical():
     cfg, table = equal_weight_table([0.7, 0.7, 0.7, 0.7])
     weights = component_weights(cfg)
     for cid in component_universe(cfg):
-        if cid.kind != "head":
+        if not cid.startswith("head,"):
             table.scores[cid] = 0.0
     gs = select_threshold(table, weights, 0.4, cfg)
     # equal scores resolve by canonical id order: heads 0.. kept first;
@@ -219,7 +219,7 @@ def test_select_threshold_rejects_bad_target_and_mismatch():
 
 def test_ranked_components_deterministic_ties():
     cfg, table = equal_weight_table([0.3, 0.3, 0.9, 0.3])
-    heads = [ComponentId("head", 0, i) for i in range(4)]
+    heads = [f"head,0,{i}" for i in range(4)]
     order = rank_order(table.vector(heads))
     assert order[0] == 2
     assert order[1:].tolist() == [0, 1, 3]
