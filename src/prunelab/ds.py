@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import expit
 
 from .encoder import (GateSet, component_index, _cells, _component_key, _first_false,
-                      _first_repeat, _raise_first_fault)
+                      _first_repeat, _format_distinct, _raise_first_fault)
 from .exceptions import ContractError, InputError
 from .grad_prune import ImportanceTable, rank_order
 from .l0 import DEFAULT_HC, HardConcrete
@@ -135,9 +135,9 @@ class DSParams:
         with open(path, "w") as f:
             f.write(f"{DS_HEADER}\n")
             for lang in self.languages():
-                tab = self.tables[lang]
-                f.write("".join(f"{lang},{name},{a!r},{th!r},{t!r},{d!r}\n" for name, a, th, t, d
-                                in zip(self.components, *(tab[k].tolist() for k in DS_COLUMNS))))
+                columns = (_format_distinct(self.tables[lang][k], repr) for k in DS_COLUMNS)
+                f.write("".join(f"{lang},{name},{a},{th},{t},{d}\n"
+                                for name, a, th, t, d in zip(self.components, *columns)))
 
     @classmethod
     def load_csv(cls, path, components, grid, constants: HardConcrete = DEFAULT_HC):

@@ -196,6 +196,20 @@ def _first_false(ok: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+def _format_distinct(values: np.ndarray, fmt) -> list[str]:
+    """fmt of each value of a vector, called once per distinct value.
+
+    Gate vectors and DS tables built by bucketing hold a handful of distinct
+    values.  Values are told apart by bit pattern, so 0.0 and -0.0 keep their
+    own text.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    texts = np.array([fmt(v) for v in values[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def _raise_first_fault(path, skip: int, faults):
     """InputError naming the earliest faulty row of a component file, if there is one.
 
@@ -254,14 +268,10 @@ class GateSet:
 
     def save_text(self, path, config: ModelConfig):
         """One line per component: kind,layer,index,value."""
-        # one text per distinct value, keyed by bit pattern to keep 0.0 and -0.0 apart
-        bits = self.values.view(np.int64)
-        distinct, first = np.unique(bits, return_index=True)
-        text = {b: np.format_float_positional(v, trim="-")
-                for b, v in zip(distinct.tolist(), self.values[first].tolist())}
+        texts = _format_distinct(self.values, lambda v: np.format_float_positional(v, trim="-"))
         with open(path, "w") as f:
-            f.write("".join(f"{name},{text[b]}\n"
-                            for name, b in zip(component_universe(config), bits.tolist())))
+            f.write("".join(f"{name},{text}\n"
+                            for name, text in zip(component_universe(config), texts)))
 
     @classmethod
     def load_text(cls, path, config: ModelConfig) -> "GateSet":

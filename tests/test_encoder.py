@@ -401,6 +401,17 @@ def test_gateset_text_round_trip(tmp_path):
     assert first == "head,0,0," + ("1" if gs.heads[0][0] else "0")
 
 
+def test_save_text_writes_each_value_as_formatted_alone(tmp_path):
+    # values are formatted once per distinct bit pattern: -0.0 keeps its sign
+    values = np.ones(len(component_universe(TOY)))
+    values[:4] = [-0.0, 0.0, 0.25, -0.0]
+    path = tmp_path / "gates.txt"
+    GateSet.from_values(TOY, values, hard=False).save_text(path, TOY)
+    lines = path.read_text().splitlines()
+    assert lines[:5] == ["head,0,0,-0", "head,0,1,0", "head,1,0,0.25", "head,1,1,-0",
+                         "hidden,0,0,1"]
+
+
 def test_gateset_views_share_the_value_vector():
     gs = GateSet.ones(TOY)
     gs.heads[1][0] = 0.0
