@@ -281,7 +281,7 @@ class GateSet:
         pos, values = [], []
         fault = (None, None)
         with open(path) as f:
-            for lineno, line in enumerate(f, 1):
+            for line in f:
                 line = line.strip()
                 if not line:
                     continue

@@ -59,7 +59,8 @@ class ImportanceTable:
         """One row per component, kind,layer,index,score, in canonical order."""
         with open(path, "w") as f:
             f.write("kind,layer,index,score\n")
-            f.write("".join(f"{name},{self.scores[name]!r}\n"
+            # float() writes numpy scalar scores as plain numbers, not np.float64(...)
+            f.write("".join(f"{name},{float(self.scores[name])!r}\n"
                             for name in sorted(self.scores, key=_component_key)))
 
     @classmethod

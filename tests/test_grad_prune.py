@@ -266,6 +266,15 @@ def test_importance_table_csv_round_trip(tmp_path):
     assert path.read_text().startswith("kind,layer,index,score\n")
 
 
+def test_importance_table_csv_round_trip_with_numpy_scores(tmp_path):
+    universe = component_universe(TOY)
+    scores = np.linspace(1.0, 2.0, len(universe))
+    path = tmp_path / "scores.csv"
+    ImportanceTable(dict(zip(universe, scores)), "shared", 1).save_csv(path)
+    loaded = ImportanceTable.load_csv(path)
+    assert np.array_equal(loaded.vector(universe), scores)
+
+
 def _scores_file(tmp_path, edit):
     model = Model.init(TOY, seed=57)
     path = tmp_path / "scores.csv"
