@@ -502,10 +502,10 @@ def test_load_text_names_the_first_faulty_row(tmp_path):
     cases = {
         # a check over all rows read finds an early fault before a
         # check that stops the read finds a later one
-        ":2: non-finite value in 'inf'":
-            lambda text: text.replace("head,0,1,1", "head,0,1,inf").replace("rank,,7,1", "rank,,7,x"),
-        ":3: gate value 2.0 outside":
-            lambda text: text.replace("head,1,0,1", "head,1,0,2").replace("rank,,7,1", "rank,9,7,1"),
+        ":2: non-finite value in 'inf'": lambda text: text.replace(
+            "head,0,1,1", "head,0,1,inf").replace("rank,,7,1", "rank,,7,x"),
+        ":3: gate value 2.0 outside": lambda text: text.replace(
+            "head,1,0,1", "head,1,0,2").replace("rank,,7,1", "rank,9,7,1"),
         # a row failing two checks is named for the one a row meets first
         ":3: second row for component head,0,0":
             lambda text: text.replace("head,1,0,1", "head,0,0,2"),
