@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import gc
 import platform
 import time
 from dataclasses import dataclass
@@ -225,21 +226,51 @@ def _single_thread():
     return contextlib.nullcontext() if calls is None else _openblas_pinned(*calls)
 
 
+def _await_idle_threads(limit: float = 1.0, window: float = 0.005):
+    """Sleep until the other threads of this process stop using the CPU.
+
+    After a multithreaded call, OpenBLAS keeps its workers spinning for about
+    2**28 cycles (0.13 s on a 2 GHz core), and pinning the thread count does
+    not stop them; timed passes that overlap the spin share the CPU with it.
+    Returns after the first window of sleep in which the other threads used
+    under a tenth of the window, or after limit seconds.
+    """
+    deadline = time.monotonic() + limit
+    while True:
+        others = time.process_time() - time.thread_time()
+        time.sleep(window)
+        busy = time.process_time() - time.thread_time() - others
+        if busy < 0.1 * window or time.monotonic() > deadline:
+            return
+
+
 def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1,
                  seed: int = 0) -> float:
-    """Median sentences/second over reps timed forward passes of random ids."""
+    """Median sentences/second over reps timed forward passes of random ids.
+
+    The warm-up pass runs pinned too, since a pass on the full BLAS pool
+    would wake the workers whose spin _await_idle_threads waited out; the
+    garbage collector is off during the timed passes, as in timeit.
+    """
     if reps < 3:
         raise ContractError(f"need at least 3 repetitions, got {reps}")
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, cm.config.vocab_size, size=(batch_size, seq_len))
     resolution = time.get_clock_info("perf_counter").resolution
-    cm.logits(ids)
     elapsed = []
     with _single_thread():
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            cm.logits(ids)
-            elapsed.append(time.perf_counter() - t0)
+        _await_idle_threads()
+        cm.logits(ids)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                cm.logits(ids)
+                elapsed.append(time.perf_counter() - t0)
+        finally:
+            if collecting:
+                gc.enable()
     med = float(np.median(elapsed))
     if med < 100.0 * resolution:
         raise RunError("forward pass too fast for the timer; increase reps or model size")

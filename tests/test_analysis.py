@@ -1,5 +1,7 @@
 """Analysis: profiles, Hamming metric, size curves, compaction, benchmarks."""
 
+import contextlib
+import gc
 import sys
 
 import numpy as np
@@ -333,6 +335,51 @@ def test_throughput_validation_and_timer_floor(monkeypatch):
     monkeypatch.setattr("time.get_clock_info", lambda name: FakeClock)
     with pytest.raises(RunError, match="reps"):
         time_forward(cm, 8, reps=3)
+
+
+def test_time_forward_pins_the_warm_up_and_times_without_the_collector(monkeypatch):
+    from prunelab import analysis
+
+    events, depth = [], [0]
+
+    @contextlib.contextmanager
+    def pinned():
+        depth[0] += 1
+        try:
+            yield
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(analysis, "_single_thread", pinned)
+    monkeypatch.setattr(analysis, "_await_idle_threads", lambda: events.append("idle"))
+    cm = compact_model(Model.init(TOY, 13), GateSet.ones(TOY))
+    forward = cm.logits
+    cm.logits = lambda ids: events.append((depth[0], gc.isenabled())) or forward(ids)
+    assert gc.isenabled()
+    time_forward(cm, 8, reps=3)
+    # waited for idle workers and warmed up under the pin, then three timed
+    # passes with the collector off, which is back on afterwards
+    assert events == ["idle", (1, True), (1, False), (1, False), (1, False)]
+    assert gc.isenabled()
+
+
+def test_await_idle_threads_waits_out_busy_threads_up_to_the_limit(monkeypatch):
+    from prunelab import analysis
+
+    clock = {"now": 0.0, "busy_until": 0.13}
+    # the other threads use one CPU-second per second until busy_until
+    monkeypatch.setattr("time.monotonic", lambda: clock["now"])
+    monkeypatch.setattr("time.thread_time", lambda: 0.0)
+    monkeypatch.setattr("time.process_time", lambda: min(clock["now"], clock["busy_until"]))
+    monkeypatch.setattr("time.sleep", lambda s: clock.update(now=clock["now"] + s))
+    analysis._await_idle_threads(limit=1.0, window=0.005)
+    assert 0.13 <= clock["now"] <= 0.14
+    clock.update(now=0.0, busy_until=float("inf"))
+    analysis._await_idle_threads(limit=1.0, window=0.005)
+    assert 1.0 < clock["now"] <= 1.01
+    clock.update(now=0.0, busy_until=0.0)
+    analysis._await_idle_threads(limit=1.0, window=0.005)
+    assert clock["now"] == 0.005
 
 
 def test_single_thread_pins_openblas_and_restores_the_count(monkeypatch):
