@@ -28,14 +28,14 @@ holds by construction and masks are nested across the grid.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .encoder import (GateSet, component_index, _cells, _component_key, _first_false,
-                      _first_repeat, _format_distinct, _raise_first_fault)
+from .encoder import GateSet, component_index, _component_key, _format_distinct, _parse_floats
 from .exceptions import ContractError, InputError
 from .grad_prune import ImportanceTable, rank_order
 from .l0 import DEFAULT_HC, HardConcrete
@@ -150,45 +150,44 @@ class DSParams:
         index = component_index(components)
         n, width = len(components), len(DS_COLUMNS)
         langs: dict[str, int] = {}
+        seen = bytearray()
         pos, values = array("q"), array("d")
-        fault = (None, None)
         with open(path) as f:
             header = f.readline().strip()
             if header != DS_HEADER:
                 raise InputError(f"{path}: unexpected header {header!r}")
-            for line in f:
+            for lineno, line in enumerate(f, 2):
                 line = line.strip()
                 if not line:
                     continue
                 parts = line.split(",")
                 if len(parts) != 8:
-                    fault = (len(pos), lambda text: f"expected {DS_HEADER}")
-                    break
-                i = index.get(",".join(parts[1:4]))
+                    raise InputError(f"{path}:{lineno}: expected {DS_HEADER}")
+                key = ",".join(parts[1:4])
+                i = index.get(key)
                 if i is None:
-                    fault = (len(pos), lambda text: f"unknown component {_cells(text, 1, 4)}")
-                    break
-                pos.append(langs.setdefault(parts[0], len(langs)) * n + i)
+                    raise InputError(f"{path}:{lineno}: unknown component {key}")
+                k = langs.get(parts[0])
+                if k is None:
+                    k = langs[parts[0]] = len(langs)
+                    seen.extend(bytes(n))
+                p = k * n + i
+                if seen[p]:
+                    raise InputError(f"{path}:{lineno}: second row for {parts[0]} {key}")
+                seen[p] = 1
+                pos.append(p)
                 try:
-                    values.extend(map(float, parts[4:]))
+                    a, th, t, d = map(float, parts[4:])
                 except ValueError:
-                    del values[width * (len(pos) - 1):]
-                    fault = (len(pos) - 1,
-                             lambda text: f"non-numeric value in {_cells(text, 4)!r}")
-                    break
-        pos = np.frombuffer(pos, dtype=np.int64)
-        rows = np.frombuffer(values).reshape(-1, width)
-        _raise_first_fault(path, 1, [
-            (_first_repeat(pos), lambda text: f"second row for {_cells(text, 0, 1)} "
-                                              f"{_cells(text, 1, 4)}"),
-            fault,
-            (_first_false(np.isfinite(rows).all(axis=1)),
-             lambda text: f"non-finite value in {_cells(text, 4)!r}"),
-        ])
-        counts = np.bincount(pos // n, minlength=len(langs))
+                    a = th = t = d = math.nan
+                if not math.isfinite(a + th + t + d):
+                    # names a non-numeric or non-finite cell; a finite row whose sum overflows passes
+                    _parse_floats(path, lineno, parts[4:])
+                values.extend((a, th, t, d))
         for lang, k in langs.items():
-            if counts[k] != n:
+            if 0 in seen[k * n:(k + 1) * n]:
                 raise InputError(f"{path}: language {lang!r} does not list every component")
+        rows = np.frombuffer(values).reshape(-1, width)
         table = np.empty((width, len(langs) * n))
         table[:, pos] = rows.T
         tables = {lang: dict(zip(DS_COLUMNS, table[:, k * n:(k + 1) * n]))

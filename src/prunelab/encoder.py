@@ -18,8 +18,8 @@ a bias/layernorm residue.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -170,30 +170,19 @@ def component_index(components) -> dict[str, int]:
     return {name: i for i, name in enumerate(components)}
 
 
-# Component files are read in one pass that maps each row to a position and
-# collects its values; the checks that need no other row than their own
-# (field count, known component, numeric cells) stop the pass, the others
-# (duplicates, finite and in-range values) run over the collected arrays.
-# Either way the error names the first faulty row and the check that row
-# fails first, as a row-by-row reader would.
+def _parse_floats(path, lineno: int, cells) -> list[float]:
+    """Finite floats from the text cells of one file row, or InputError naming the row.
 
-
-def _cells(text: str, start: int, stop: int | None = None) -> str:
-    """Cells start to stop of a file row, joined back with commas."""
-    return ",".join(text.split(",")[start:stop])
-
-
-def _first_repeat(pos: np.ndarray) -> int | None:
-    """Index of the first entry of pos that equals an earlier entry, or None."""
-    order = np.argsort(pos, kind="stable")
-    repeats = order[1:][pos[order[1:]] == pos[order[:-1]]]
-    return int(repeats.min()) if repeats.size else None
-
-
-def _first_false(ok: np.ndarray) -> int | None:
-    """Index of the first False entry of ok, or None."""
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else None
+    The loaders parse with plain float() and call this only for a row that
+    fails their own cheaper check, to name its fault.
+    """
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        raise InputError(f"{path}:{lineno}: non-numeric value in {','.join(cells)!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{path}:{lineno}: non-finite value in {','.join(cells)!r}")
+    return values
 
 
 def _format_distinct(values: np.ndarray, fmt) -> list[str]:
@@ -208,25 +197,6 @@ def _format_distinct(values: np.ndarray, fmt) -> list[str]:
                                   return_inverse=True)
     texts = np.array([fmt(v) for v in values[first].tolist()], dtype=object)
     return texts[inverse].tolist()
-
-
-def _raise_first_fault(path, skip: int, faults):
-    """InputError naming the earliest faulty row of a component file, if there is one.
-
-    faults lists (row, message) pairs in the order a row's checks run: row is
-    the index among the non-blank lines after the first skip lines, or None
-    where the check passed, and message maps that line's text to the error.
-    The file is read again only to find the faulty line.
-    """
-    found = [(row, k) for k, (row, _) in enumerate(faults) if row is not None]
-    if not found:
-        return
-    row, k = min(found)
-    with open(path) as f:
-        lines = ((lineno, text) for lineno, text in enumerate(map(str.strip, f), 1)
-                 if lineno > skip and text)
-        lineno, text = next(itertools.islice(lines, row, None))
-    raise InputError(f"{path}:{lineno}: {faults[k][1](text)}")
 
 
 class GateSet:
@@ -278,43 +248,34 @@ class GateSet:
         """Read save_text output; every component of the model exactly once, values in [0, 1]."""
         universe = component_universe(config)
         index = component_index(universe)
-        pos, values = [], []
-        fault = (None, None)
+        values = [None] * len(universe)
         with open(path) as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
-                key, _, value = line.rpartition(",")
+                key, _, cell = line.rpartition(",")
                 # every name has two commas, so a known key means four cells
                 i = index.get(key)
                 if i is None:
-                    fault = (len(pos), lambda text: "expected kind,layer,index,value"
-                             if text.count(",") != 3 else
-                             f"component {_cells(text, 0, 3)} is not in the model")
-                    break
-                pos.append(i)
+                    if line.count(",") != 3:
+                        raise InputError(f"{path}:{lineno}: expected kind,layer,index,value")
+                    raise InputError(f"{path}:{lineno}: component {key} is not in the model")
+                if values[i] is not None:
+                    raise InputError(f"{path}:{lineno}: second row for component {key}")
                 try:
-                    values.append(float(value))
+                    value = float(cell)
                 except ValueError:
-                    fault = (len(pos) - 1,
-                             lambda text: f"non-numeric value in {_cells(text, 3)!r}")
-                    break
-        pos, values = np.array(pos, dtype=np.intp), np.array(values)
-        _raise_first_fault(path, 0, [
-            (_first_repeat(pos), lambda text: f"second row for component {_cells(text, 0, 3)}"),
-            fault,
-            (_first_false(np.isfinite(values)),
-             lambda text: f"non-finite value in {_cells(text, 3)!r}"),
-            (_first_false((values >= 0.0) & (values <= 1.0)),
-             lambda text: f"gate value {float(_cells(text, 3))} outside [0, 1]"),
-        ])
-        gates = np.full(len(universe), np.nan)
-        gates[pos] = values
-        missing = _first_false(~np.isnan(gates))
-        if missing is not None:
-            raise InputError(f"{path}: missing gate value for component {universe[missing]}")
-        return cls(config, gates, hard=bool(np.all((gates == 0.0) | (gates == 1.0))))
+                    value = math.nan
+                if not 0.0 <= value <= 1.0:
+                    _parse_floats(path, lineno, (cell,))  # names a non-numeric or non-finite cell
+                    raise InputError(f"{path}:{lineno}: gate value {value} outside [0, 1]")
+                values[i] = value
+        if None in values:
+            raise InputError(f"{path}: missing gate value for component "
+                             f"{universe[values.index(None)]}")
+        values = np.array(values)
+        return cls(config, values, hard=bool(np.all((values == 0.0) | (values == 1.0))))
 
 
 def gate_tensors(gateset: GateSet) -> dict:

@@ -12,6 +12,7 @@ weighted size target is reached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,9 @@ from .encoder import (
     encoder_forward,
     mlm_loss,
     ones_gate_tensors,
-    _cells,
     _component_key,
     _component_name,
-    _first_false,
-    _first_repeat,
-    _raise_first_fault,
+    _parse_floats,
 )
 from .exceptions import ContractError, InputError
 
@@ -65,41 +63,32 @@ class ImportanceTable:
 
     @classmethod
     def load_csv(cls, path, language: str = SHARED) -> "ImportanceTable":
-        names: dict[str, int] = {}
-        pos, scores = [], []
-        fault = (None, None)
+        scores = {}
         with open(path) as f:
             header = f.readline().strip()
             if header != "kind,layer,index,score":
                 raise InputError(f"{path}: unexpected header {header!r}")
-            for line in f:
+            for lineno, line in enumerate(f, 2):
                 line = line.strip()
                 if not line:
                     continue
                 parts = line.split(",")
                 if len(parts) != 4:
-                    fault = (len(pos), lambda text: "expected kind,layer,index,score")
-                    break
+                    raise InputError(f"{path}:{lineno}: expected kind,layer,index,score")
                 try:
                     name = _component_name(*parts[:3])
                 except ValueError:
-                    fault = (len(pos), lambda text: f"bad component in {text!r}")
-                    break
-                pos.append(names.setdefault(name, len(names)))
+                    raise InputError(f"{path}:{lineno}: bad component in {line!r}") from None
+                if name in scores:
+                    raise InputError(f"{path}:{lineno}: second row for component {name}")
                 try:
-                    scores.append(float(parts[3]))
+                    score = float(parts[3])
                 except ValueError:
-                    fault = (len(pos) - 1,
-                             lambda text: f"non-numeric value in {_cells(text, 3)!r}")
-                    break
-        _raise_first_fault(path, 1, [
-            (_first_repeat(np.array(pos, dtype=np.intp)),
-             lambda text: f"second row for component {_component_name(*text.split(',')[:3])}"),
-            fault,
-            (_first_false(np.isfinite(np.array(scores))),
-             lambda text: f"non-finite value in {_cells(text, 3)!r}"),
-        ])
-        return cls(dict(zip(names, scores)), language, n_batches=0)
+                    score = math.nan
+                if not math.isfinite(score):
+                    _parse_floats(path, lineno, parts[3:])  # names the non-numeric or non-finite cell
+                scores[name] = score
+        return cls(scores, language, n_batches=0)
 
 
 @dataclass

@@ -269,6 +269,22 @@ def test_ds_params_load_csv_rejects_malformed_tables(tmp_path):
             DSParams.load_csv(path, ds.components, ds.grid)
 
 
+
+def test_ds_params_load_csv_checks_each_cell_for_finiteness(tmp_path):
+    ds, _ = synthetic_ds(seed=80)
+    path = tmp_path / "ds.csv"
+    ds.save_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    head = lines[1].split(",")[:4]
+    # finite cells whose sum overflows are accepted as they are
+    path.write_text("".join(lines[:1] + [",".join(head + ["1e308"] * 4) + "\n"] + lines[2:]))
+    loaded = DSParams.load_csv(path, ds.components, ds.grid)
+    assert loaded.tables["shared"]["alpha"][0] == 1e308
+    for cells in (["1e308", "-inf", "1", "1"], ["nan", "1", "1", "1"]):
+        path.write_text("".join(lines[:1] + [",".join(head + cells) + "\n"] + lines[2:]))
+        with pytest.raises(InputError, match=":2: non-finite value in '" + ",".join(cells)):
+            DSParams.load_csv(path, ds.components, ds.grid)
+
 def _row_names(path, header_lines, first_cell):
     """The component name of every row of a component file."""
     return [",".join(line.split(",")[first_cell:first_cell + 3])

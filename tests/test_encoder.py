@@ -500,8 +500,8 @@ def test_load_text_rejects_missing_and_out_of_range_values(tmp_path):
 
 def test_load_text_names_the_first_faulty_row(tmp_path):
     cases = {
-        # a check over all rows read finds an early fault before a
-        # check that stops the read finds a later one
+        # an early row's fault is named before a later row's, whichever
+        # check each fails
         ":2: non-finite value in 'inf'": lambda text: text.replace(
             "head,0,1,1", "head,0,1,inf").replace("rank,,7,1", "rank,,7,x"),
         ":3: gate value 2.0 outside": lambda text: text.replace(
