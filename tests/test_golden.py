@@ -50,6 +50,13 @@ SEQUENCE = [
     ["report", "--run", f"prune-l0-improved-s{SEED}", "--figure", "hamming"],
     ["report", "--run", f"prune-grad-s{SEED}", "--figure", "layer-profile"],
     ["report", "--run", f"prune-l0-s{SEED}", "--figure", "layer-profile"],
+    # the probe path and the corr writer; two epochs keep the probe short
+    ["eval-probe", "--corpus", "corpus", "--run", f"pretrain-s{SEED}", "--epochs", "2",
+     *SMALL],
+    ["eval-probe", "--corpus", "corpus", "--run", f"prune-grad-s{SEED}", "--epochs", "2",
+     *SMALL],
+    ["report", "--run", f"prune-grad-s{SEED}", "--figure", "corr", "--corpus", "corpus",
+     "--probe-baseline", os.path.join("runs", f"pretrain-s{SEED}", "probe.csv")],
 ]
 
 CORPUS = {
@@ -83,6 +90,8 @@ GOLDEN = {
         "05a8a1085c1d43106e86ccabe70f20801067dcb7684697661fa1307a7f167e89",
     "pretrain-s7/metrics.csv":
         "0c23ff5a38f33a7f566f839032fcac9f8c5c7ca69b22906b7bfb77920ce76415",
+    "pretrain-s7/probe.csv":
+        "684579163a772babfee512c9f2258a2fdffdebc25ba4e95bb690bcd9f41c934e",
     "prune-grad-s7/gates_ar.txt":
         "0ab7a613e6a01ae85fa52f724585f962296066fe0c599d366600eb3d828d267c",
     "prune-grad-s7/gates_de.txt":
@@ -97,6 +106,10 @@ GOLDEN = {
         "666866325b61fe4bb4a62c09cde4cc1ea773d4f179dfc194d35bfe49cf54466b",
     "prune-grad-s7/metrics.csv":
         "911d75d9ec2efbbc4ff156c60cef75ed88ecc6209b427adf8a8d4ea8ed98a568",
+    "prune-grad-s7/probe.csv":
+        "851d9b6822de116d432731da29e5b422d4e60873f81cf2593f512677164b88bc",
+    "prune-grad-s7/report_corr_prune-grad-s7.csv":
+        "3e2328773bef53b41638691cc3d3e4f0e64daca4f65ad1dc52f5f70e557c0433",
     "prune-grad-s7/report_hamming_prune-grad-s7.csv":
         "161993d7e68ef9e9cd87cb4593ea7eb3dedc4617b65773d292faf6a5723cdba3",
     "prune-grad-s7/report_layer-profile_prune-grad-s7.csv":
@@ -131,7 +144,7 @@ GOLDEN = {
 
 
 def _golden_file(name: str) -> bool:
-    return (name in ("alphas.csv", "ds.csv", "metrics.csv")
+    return (name in ("alphas.csv", "ds.csv", "metrics.csv", "probe.csv")
             or (name.startswith("gates_") and name.endswith(".txt"))
             or (name.startswith(("importance_", "report_")) and name.endswith(".csv")))
 
