@@ -69,41 +69,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        return multiply(other, self)
-
-    def __neg__(self):
-        return multiply(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, multiply(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, multiply(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims: bool = False):
         return _reduce(self, axis, keepdims, mean=False)
 
     def mean(self, axis=None, keepdims: bool = False):
         return _reduce(self, axis, keepdims, mean=True)
-
-    def abs(self):
-        return absolute(self)
-
-    def log(self):
-        return log(self)
-
-    def clamp(self, lo: float, hi: float):
-        return clamp(self, lo, hi)
 
     def __getitem__(self, key):
         return basic_slice(self, key)
