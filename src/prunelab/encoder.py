@@ -287,21 +287,6 @@ def gate_tensors(gateset: GateSet) -> dict:
     }
 
 
-def ones_gate_tensors(config: ModelConfig, requires_grad: bool = False) -> dict:
-    """All-ones gate tensors; set requires_grad to read gate gradients."""
-    return {
-        "heads": [
-            Tensor(np.ones(config.n_heads), requires_grad=requires_grad)
-            for _ in range(config.n_layers)
-        ],
-        "hiddens": [
-            Tensor(np.ones(config.ffn_dim), requires_grad=requires_grad)
-            for _ in range(config.n_layers)
-        ],
-        "ranks": Tensor(np.ones(config.model_dim), requires_grad=requires_grad),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Parameters
 
@@ -655,7 +640,7 @@ def encoder_forward(model: Model, ids: np.ndarray, gates: dict | None,
                     pad_id: int | None = None) -> Tensor:
     """Token ids to MLM logits (batch, seq, vocab) under the given gates.
 
-    gates holds tensors as produced by gate_tensors / ones_gate_tensors, or
+    gates holds tensors as produced by gate_tensors or split_gates, or
     is None for an ungated forward, which equals the all-ones gates bit for
     bit.  The MLM projection reuses the gated embedding factorization.
     """

@@ -25,7 +25,7 @@ from .encoder import (
     component_weights,
     encoder_forward,
     mlm_loss,
-    ones_gate_tensors,
+    split_gates,
     _component_key,
     _component_name,
     _parse_floats,
@@ -113,13 +113,11 @@ def importance_scores(model: Model, batches, language: str = SHARED) -> Importan
     acc = np.zeros(len(universe))
     n = 0
     for batch in batches:
-        gates = ones_gate_tensors(config, requires_grad=True)
-        logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
-        loss = mlm_loss(logits, batch.mask_positions, batch.gold_ids)
-        T.backward(loss)
-        # the gate dict lists heads, then hidden units, then ranks: canonical order
-        leaves = [*gates["heads"], *gates["hiddens"], gates["ranks"]]
-        acc += np.abs(np.concatenate([g.grad for g in leaves]))
+        leaf = T.Tensor(np.ones(len(universe)), requires_grad=True)
+        logits = encoder_forward(model, batch.tokens, split_gates(config, leaf),
+                                 pad_id=batch.pad_id)
+        T.backward(mlm_loss(logits, batch.mask_positions, batch.gold_ids))
+        acc += np.abs(leaf.grad)
         for p in model.params.values():
             p.zero_grad()
         n += 1

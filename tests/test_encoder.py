@@ -24,7 +24,6 @@ from prunelab.encoder import (
     gate_tensors,
     mlm_head,
     mlm_loss,
-    ones_gate_tensors,
     split_gates,
 )
 from prunelab.exceptions import ConfigError, ContractError, InputError, NumericError
@@ -125,7 +124,7 @@ def test_forward_matches_reference_all_ones():
     model = Model.init(TOY, seed=11)
     ids = seeded_batch(TOY, 1)
     with T.no_grad():
-        got = encoder_forward(model, ids, ones_gate_tensors(TOY)).data
+        got = encoder_forward(model, ids, gate_tensors(GateSet.ones(TOY))).data
     want = reference_encoder(model, ids, GateSet.ones(TOY))
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -150,7 +149,7 @@ def test_forward_with_padding_mask():
     ids = seeded_batch(TOY, 4)
     ids[:, -2:] = 0
     with T.no_grad():
-        got = encoder_forward(model, ids, ones_gate_tensors(TOY), pad_id=0).data
+        got = encoder_forward(model, ids, gate_tensors(GateSet.ones(TOY)), pad_id=0).data
     want = reference_encoder(model, ids, GateSet.ones(TOY), pad_id=0)
     assert np.max(np.abs(got - want)) < 1e-10
     assert np.all(np.isfinite(got))
@@ -248,7 +247,7 @@ def test_head_gate_zero_equals_deleted_weights():
     hd = TOY.head_dim
     surgically.params["layers.0.attn.wo"].data[hd : 2 * hd, :] = 0.0
     with T.no_grad():
-        deleted = encoder_forward(surgically, ids, ones_gate_tensors(TOY)).data
+        deleted = encoder_forward(surgically, ids, gate_tensors(GateSet.ones(TOY))).data
     assert np.max(np.abs(gated - deleted)) < 1e-10
 
 
@@ -537,8 +536,8 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.config == TOY
     ids = seeded_batch(TOY, 27)
     with T.no_grad():
-        a = encoder_forward(model, ids, ones_gate_tensors(TOY)).data
-        b = encoder_forward(loaded, ids, ones_gate_tensors(TOY)).data
+        a = encoder_forward(model, ids, gate_tensors(GateSet.ones(TOY))).data
+        b = encoder_forward(loaded, ids, gate_tensors(GateSet.ones(TOY))).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -548,7 +547,7 @@ def test_ungated_forward_equals_all_ones_gates_bitwise():
     ids[1, 4:] = 0
     for pad_id in (None, 0):
         ungated = encoder_forward(model, ids, None, pad_id=pad_id).data
-        ones = encoder_forward(model, ids, ones_gate_tensors(TOY), pad_id=pad_id).data
+        ones = encoder_forward(model, ids, gate_tensors(GateSet.ones(TOY)), pad_id=pad_id).data
         assert np.array_equal(ungated, ones)
 
 
@@ -556,11 +555,11 @@ def test_gate_length_must_match_the_layer_width():
     model = Model.init(TOY, 13)
     ids = seeded_batch(TOY, 13)
     for kind, n in (("heads", TOY.n_heads), ("hiddens", TOY.ffn_dim)):
-        gates = ones_gate_tensors(TOY)
+        gates = gate_tensors(GateSet.ones(TOY))
         gates[kind][1] = T.Tensor(np.ones(n + 1))
         with pytest.raises(ContractError, match=kind[:-1]):
             encoder_forward(model, ids, gates)
-    gates = ones_gate_tensors(TOY)
+    gates = gate_tensors(GateSet.ones(TOY))
     gates["ranks"] = T.Tensor(np.ones(TOY.model_dim - 1))
     with pytest.raises(ContractError, match="rank"):
         encoder_forward(model, ids, gates)
@@ -571,7 +570,7 @@ def test_gate_length_must_match_the_layer_width():
     narrow.params[f"{p}.b1"] = T.Tensor(model.params[f"{p}.b1"].data[:5])
     narrow.params[f"{p}.w2"] = T.Tensor(model.params[f"{p}.w2"].data[:5])
     with pytest.raises(ContractError, match="hidden gate vector must have shape \\(5,\\)"):
-        encoder_forward(narrow, ids, ones_gate_tensors(TOY))
-    gates = ones_gate_tensors(TOY)
+        encoder_forward(narrow, ids, gate_tensors(GateSet.ones(TOY)))
+    gates = gate_tensors(GateSet.ones(TOY))
     gates["hiddens"][0] = T.Tensor(np.ones(5))
     assert encoder_forward(narrow, ids, gates).shape == ids.shape + (TOY.vocab_size,)

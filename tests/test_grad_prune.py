@@ -15,7 +15,7 @@ from prunelab.encoder import (
     encoder_forward,
     gate_tensors,
     mlm_loss,
-    ones_gate_tensors,
+    split_gates,
 )
 from prunelab.exceptions import ContractError, InputError
 from prunelab.grad_prune import (
@@ -63,16 +63,12 @@ def test_scores_match_finite_differences_on_gates():
 
 
 def gate_perturbed_loss(model, batch, cid, value):
-    gates = ones_gate_tensors(TOY)
-    kind, layer, index = cid.split(",")
-    if kind == "head":
-        gates["heads"][int(layer)].data[int(index)] = value
-    elif kind == "hidden":
-        gates["hiddens"][int(layer)].data[int(index)] = value
-    else:
-        gates["ranks"].data[int(index)] = value
+    universe = component_universe(TOY)
+    flat = np.ones(len(universe))
+    flat[universe.index(cid)] = value
     with T.no_grad():
-        logits = encoder_forward(model, batch.tokens, gates, pad_id=batch.pad_id)
+        logits = encoder_forward(model, batch.tokens, split_gates(TOY, T.Tensor(flat)),
+                                 pad_id=batch.pad_id)
         return mlm_loss(logits, batch.mask_positions, batch.gold_ids).item()
 
 
