@@ -315,10 +315,9 @@ def corr_accuracy_size(accuracy_losses: dict[str, float], corpus_sizes: dict[str
         raise NumericError("correlation undefined: a variable has zero variance")
     r = float((xc * yc).sum() / (sx * sy))
     if scatter_path is not None:
-        with open(scatter_path, "w") as f:
-            f.write("language,log2_size,accuracy_loss\n")
-            for l, xi, yi in zip(langs, x, y):
-                f.write(f"{l},{float(xi)!r},{float(yi)!r}\n")
+        rows = [{"language": l, "log2_size": xi, "accuracy_loss": yi}
+                for l, xi, yi in zip(langs, x, y)]
+        write_report(rows, ("language", "log2_size", "accuracy_loss"), scatter_path)
     return r
 
 

@@ -12,13 +12,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .analysis import (compact_model, corr_accuracy_size, hamming_matrix,
-                       layer_profile, save_plot, size_curve, throughput_bench,
-                       time_forward, write_report)
+from .analysis import (ThroughputRecord, compact_model, corr_accuracy_size,
+                       hamming_matrix, layer_profile, save_plot, size_curve,
+                       throughput_bench, time_forward, write_report)
 from .corpus import Corpus, default_language_specs, gen_corpus, probe_batches
 from .ds import DEFAULT_GRID, DSParams, subnetwork_at
 from .encoder import (GateSet, Model, ModelConfig, component_universe,
@@ -428,12 +428,8 @@ def cmd_bench(args) -> int:
             gatesets.setdefault(overall(gs), gs)
     records = throughput_bench(model, gatesets, seq_len=args.seq_len, reps=args.reps,
                                batch_size=args.batch_size)
-    rows = [{"sparsity": r.sparsity, "sentences_per_sec": r.sentences_per_sec,
-             "batch_size": r.batch_size, "seq_len": r.seq_len, "hardware": r.hardware}
-            for r in records]
     out = os.path.join(run_dir, "bench.csv")
-    write_report(rows, ("sparsity", "sentences_per_sec", "batch_size", "seq_len",
-                        "hardware"), out)
+    write_report([asdict(r) for r in records], [f.name for f in fields(ThroughputRecord)], out)
     _write_json(os.path.join(run_dir, "manifest_bench.json"), {
         "command": "bench", "run": run_dir, "seed": cfg["seed"],
         "batch_size": args.batch_size, "seq_len": args.seq_len, "reps": args.reps,
@@ -466,10 +462,8 @@ def cmd_report(args) -> int:
         if len(gatesets) < 2:
             raise ConfigError("hamming needs at least two per-language gate sets")
         langs, mat = hamming_matrix(gatesets)
-        with open(out, "w") as f:
-            f.write("language," + ",".join(langs) + "\n")
-            for i, lang in enumerate(langs):
-                f.write(lang + "," + ",".join(repr(float(v)) for v in mat[i]) + "\n")
+        rows = [{"language": lang, **dict(zip(langs, mat[i]))} for i, lang in enumerate(langs)]
+        write_report(rows, ("language", *langs), out)
     elif args.figure == "size-curve":
         ds = _run_ds(run_dir, config)
         if ds is None:

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .analysis import write_report
 from .corpus import PAD_ID, Corpus, ProbeSplits, mlm_batches
 from .ds import DEFAULT_GRID, DSParams, check_grid, gate_values_at, init_ds
 from .encoder import (GateSet, Model, ModelConfig, component_weights, cross_entropy,
@@ -180,11 +181,7 @@ METRIC_COLUMNS = ("step", "loss", "l0", "diag", "sparsity")
 
 
 def write_metrics(records: list[dict], path):
-    with open(path, "w") as f:
-        f.write(",".join(METRIC_COLUMNS) + "\n")
-        for rec in records:
-            f.write(",".join(repr(rec[c]) if c != "step" else str(rec[c])
-                             for c in METRIC_COLUMNS) + "\n")
+    write_report(records, METRIC_COLUMNS, path)
 
 
 def _git_hash():
