@@ -40,28 +40,12 @@ DEFAULT_CONFIG = {
         "ffn_dim": 64,
         "max_seq_len": 64,
     },
-    "schedule": {
-        "total_steps": 200,
-        "batch_size": 32,
-        "seq_len": 16,
-        "learning_rate": 1e-3,
-        "alpha_lr": 5e-2,
-        "warmup_fraction": 0.1,
-        "alpha_only_warmup_fraction": 0.1,
-        "lambda1": None,
-        "lambda2": None,
-        "target_size": 0.5,
-        "setting": NON_SHARED,
-        "algorithm": "grad",
-        "mask_rate": 0.15,
-        "importance_batches": 8,
-    },
+    # TrainSchedule's own defaults; total_steps is the one field without one
+    "schedule": {f.name: f.default for f in fields(TrainSchedule)
+                 if f.name not in ("seed", "grid")} | {"total_steps": 200},
     "grid": list(DEFAULT_GRID),
     "seed": 0,
 }
-
-_MODEL_KEYS = set(DEFAULT_CONFIG["model"])
-_SCHEDULE_KEYS = {f.name for f in fields(TrainSchedule)} - {"seed", "grid"}
 
 PRUNE_ALGOS = {"grad": "grad", "l0": "l0_vanilla", "l0-improved": "l0_improved"}
 DS_ALGOS = {"ds-grad": "ds_grad", "ds-l0": "ds_l0"}
@@ -86,11 +70,11 @@ def load_config(path=None) -> dict:
     unknown = set(user) - set(DEFAULT_CONFIG)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for section, allowed in (("model", _MODEL_KEYS), ("schedule", _SCHEDULE_KEYS)):
+    for section in ("model", "schedule"):
         if section in user:
             if not isinstance(user[section], dict):
                 raise ConfigError(f"config section {section!r} must be an object")
-            bad = set(user[section]) - allowed
+            bad = set(user[section]) - set(DEFAULT_CONFIG[section])
             if bad:
                 raise ConfigError(f"unknown {section} config keys: {sorted(bad)}")
             cfg[section].update(user[section])
@@ -102,29 +86,16 @@ def load_config(path=None) -> dict:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    """Copy flag values the user actually passed over the config."""
-    pairs = [
-        ("steps", "schedule", "total_steps"),
-        ("batch_size", "schedule", "batch_size"),
-        ("seq_len", "schedule", "seq_len"),
-        ("lr", "schedule", "learning_rate"),
-        ("alpha_lr", "schedule", "alpha_lr"),
-        ("lambda1", "schedule", "lambda1"),
-        ("lambda2", "schedule", "lambda2"),
-        ("target_size", "schedule", "target_size"),
-        ("setting", "schedule", "setting"),
-        ("mask_rate", "schedule", "mask_rate"),
-        ("importance_batches", "schedule", "importance_batches"),
-        ("layers", "model", "n_layers"),
-        ("heads", "model", "n_heads"),
-        ("dim", "model", "model_dim"),
-        ("ffn_dim", "model", "ffn_dim"),
-        ("max_seq_len", "model", "max_seq_len"),
-    ]
-    for flag, section, key in pairs:
-        v = getattr(args, flag, None)
-        if v is not None:
-            cfg[section][key] = v
+    """Copy flag values the user actually passed over the config.
+
+    Each flag's dest is its config key, so a set attribute named like a
+    model or schedule key overrides that key.
+    """
+    for section in ("model", "schedule"):
+        for key in cfg[section]:
+            v = getattr(args, key, None)
+            if v is not None:
+                cfg[section][key] = v
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "grid", None) is not None:
@@ -531,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--run-id", help="name for the run directory")
         p.add_argument("--seed", type=int)
         if schedule_flags:
-            p.add_argument("--steps", type=int)
+            p.add_argument("--steps", type=int, dest="total_steps")
             p.add_argument("--batch-size", type=int)
             p.add_argument("--seq-len", type=int)
-            p.add_argument("--lr", type=float)
+            p.add_argument("--lr", type=float, dest="learning_rate")
             p.add_argument("--alpha-lr", type=float)
             p.add_argument("--lambda1", type=float)
             p.add_argument("--lambda2", type=float)
@@ -550,9 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="train a dense baseline with masked language modeling")
     common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--dim", type=int)
+    p.add_argument("--layers", type=int, dest="n_layers")
+    p.add_argument("--heads", type=int, dest="n_heads")
+    p.add_argument("--dim", type=int, dest="model_dim")
     p.add_argument("--ffn-dim", type=int)
     p.add_argument("--max-seq-len", type=int)
     p.set_defaults(func=cmd_pretrain)
