@@ -55,8 +55,29 @@ DS_ALGOS = {"ds-grad": "ds_grad", "ds-l0": "ds_l0"}
 # Config handling
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_type(key: str, value, default):
+    """ConfigError unless value has the type of the key's default.
+
+    A float key also takes an int, a key whose default is null (lambda1,
+    lambda2) takes a number or null, and a bool is never a number.
+    """
+    if isinstance(default, int):
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, str):
+        ok, want = isinstance(value, str), "a string"
+    else:
+        ok = _is_number(value) or (default is None and value is None)
+        want = "a number" if default is not None else "a number or null"
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+
+
 def load_config(path=None) -> dict:
-    """Defaults overlaid with a JSON config file; unknown keys rejected."""
+    """Defaults overlaid with a JSON config file; unknown keys and wrong types rejected."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is None:
         return cfg
@@ -77,11 +98,17 @@ def load_config(path=None) -> dict:
             bad = set(user[section]) - set(DEFAULT_CONFIG[section])
             if bad:
                 raise ConfigError(f"unknown {section} config keys: {sorted(bad)}")
+            for key, value in user[section].items():
+                _check_type(key, value, cfg[section][key])
             cfg[section].update(user[section])
     if "grid" in user:
-        cfg["grid"] = [float(g) for g in user["grid"]]
+        grid = user["grid"]
+        if not (isinstance(grid, list) and all(_is_number(g) for g in grid)):
+            raise ConfigError(f"config key 'grid' must be a list of numbers, got {grid!r}")
+        cfg["grid"] = [float(g) for g in grid]
     if "seed" in user:
-        cfg["seed"] = int(user["seed"])
+        _check_type("seed", user["seed"], cfg["seed"])
+        cfg["seed"] = user["seed"]
     return cfg
 
 

@@ -67,6 +67,41 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(listy)
 
 
+@pytest.mark.parametrize("payload", [
+    {"grid": 5},
+    {"grid": ["a"]},
+    {"seed": "abc"},
+    {"schedule": {"total_steps": "10"}},
+    {"schedule": {"lambda1": "big"}},
+    {"model": {"n_layers": 1.5}},
+])
+def test_wrong_typed_config_values_exit_2(tmp_path, capsys, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["gen-corpus", "--out", str(tmp_path / "corpus"), "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "corpus")
+
+
+def test_config_types_follow_the_defaults(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schedule": {"learning_rate": 1, "lambda1": None,
+                                             "lambda2": 0.5, "setting": "shared"},
+                                "grid": [0, 0.5, 1], "seed": 4}))
+    cfg = load_config(path)
+    assert cfg["schedule"]["learning_rate"] == 1
+    assert cfg["schedule"]["lambda1"] is None and cfg["schedule"]["lambda2"] == 0.5
+    assert cfg["grid"] == [0.0, 0.5, 1.0] and cfg["seed"] == 4
+    for payload in ({"schedule": {"batch_size": True}}, {"schedule": {"mask_rate": False}},
+                    {"schedule": {"setting": 1}}, {"schedule": {"seq_len": None}},
+                    {"grid": [0.5, True]}, {"grid": {"a": 1}}, {"seed": 1.0}, {"seed": None}):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+
 def test_config_round_trip_is_identity(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
@@ -95,6 +130,35 @@ def test_flags_override_config_file(tmp_path):
     assert cfg["schedule"]["total_steps"] == 7
     assert cfg["schedule"]["batch_size"] == 4
     assert cfg["seed"] == 3
+
+
+PRUNE = ["prune", "--corpus", "x", "--baseline", "b", "--algo", "grad"]
+PRETRAIN = ["pretrain", "--corpus", "x"]
+
+
+@pytest.mark.parametrize("argv, section, key, value", [
+    (PRETRAIN + ["--steps", "7"], "schedule", "total_steps", 7),
+    (PRETRAIN + ["--batch-size", "5"], "schedule", "batch_size", 5),
+    (PRETRAIN + ["--seq-len", "9"], "schedule", "seq_len", 9),
+    (PRETRAIN + ["--lr", "0.25"], "schedule", "learning_rate", 0.25),
+    (PRETRAIN + ["--alpha-lr", "0.75"], "schedule", "alpha_lr", 0.75),
+    (PRETRAIN + ["--lambda1", "1.5"], "schedule", "lambda1", 1.5),
+    (PRETRAIN + ["--lambda2", "2.5"], "schedule", "lambda2", 2.5),
+    (PRETRAIN + ["--mask-rate", "0.3"], "schedule", "mask_rate", 0.3),
+    (PRETRAIN + ["--importance-batches", "3"], "schedule", "importance_batches", 3),
+    (PRUNE + ["--target-size", "0.3"], "schedule", "target_size", 0.3),
+    (PRUNE + ["--setting", "shared"], "schedule", "setting", "shared"),
+    (PRETRAIN + ["--layers", "3"], "model", "n_layers", 3),
+    (PRETRAIN + ["--heads", "4"], "model", "n_heads", 4),
+    (PRETRAIN + ["--dim", "48"], "model", "model_dim", 48),
+    (PRETRAIN + ["--ffn-dim", "40"], "model", "ffn_dim", 40),
+    (PRETRAIN + ["--max-seq-len", "20"], "model", "max_seq_len", 20),
+])
+def test_each_flag_lands_on_its_config_key(argv, section, key, value):
+    cfg = resolve_config(build_parser().parse_args(argv))
+    want = load_config(None)
+    want[section][key] = value
+    assert cfg == want
 
 
 # --- exit codes -------------------------------------------------------------
