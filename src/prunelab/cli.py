@@ -21,7 +21,7 @@ from .analysis import (ThroughputRecord, compact_model, corr_accuracy_size,
                        throughput_bench, time_forward, write_report)
 from .corpus import Corpus, default_language_specs, gen_corpus, probe_batches
 from .ds import DEFAULT_GRID, DSParams, subnetwork_at
-from .encoder import (GateSet, Model, ModelConfig, component_universe,
+from .encoder import (GateSet, Model, ModelConfig, _parse_floats, component_universe,
                       component_weights, count_params, encoder_sparsity,
                       retained_fraction)
 from .exceptions import ConfigError, InputError, PrunelabError
@@ -502,13 +502,18 @@ def _read_probe_macroless(path) -> dict[str, float]:
     out = {}
     with open(path) as f:
         header = f.readline().strip().split(",")
+        if not {"gates", "language", "accuracy"} <= set(header):
+            raise InputError(f"{path}:1: expected gates, language and accuracy columns, "
+                             f"got {','.join(header)!r}")
         gi, li, ai = header.index("gates"), header.index("language"), header.index("accuracy")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             cells = line.strip().split(",")
+            if len(cells) != len(header):
+                raise InputError(f"{path}:{lineno}: expected {len(header)} cells")
             lang = cells[li]
             # per-language gate rows carry that language's own accuracy
             if lang != "macro" and (cells[gi] == lang or cells[gi] in ("dense", SHARED)):
-                out[lang] = float(cells[ai])
+                out[lang] = _parse_floats(path, lineno, (cells[ai],))[0]
     return out
 
 

@@ -180,23 +180,32 @@ class Corpus:
             raise InputError(f"no vocabulary file at {vocab_path}")
         vocab: dict[str, int] = {}
         with open(vocab_path) as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                tok, idx = line.split("\t")
-                vocab[tok] = int(idx)
+                try:
+                    tok, idx = line.split("\t")
+                    vocab[tok] = int(idx)
+                except ValueError:
+                    raise InputError(f"{vocab_path}:{lineno}: expected token<TAB>index") from None
         rows_by_lang: dict[str, list[np.ndarray]] = {}
         specs = []
-        with open(os.path.join(root, "languages.csv")) as f:
+        langs_path = os.path.join(root, "languages.csv")
+        with open(langs_path) as f:
             header = f.readline().strip()
             if header != "id,family,size,seed":
                 raise InputError(f"unexpected languages.csv header {header!r}")
-            for line in f:
+            for lineno, line in enumerate(f, 2):
                 line = line.strip()
                 if not line:
                     continue
-                lang, family, size, seed = line.split(",")
+                try:
+                    lang, family, size, seed = line.split(",")
+                    size, seed = int(size), int(seed)
+                except ValueError:
+                    raise InputError(f"{langs_path}:{lineno}: expected id,family,size,seed "
+                                     "with integer size and seed") from None
                 rows = []
                 seen: set[str] = set()
                 with open(os.path.join(root, f"{lang}.txt")) as g:
@@ -211,7 +220,7 @@ class Corpus:
                 # the marker is injected, not part of the inventory
                 inventory = tuple(sorted(t for t in seen
                                          if not _RESERVED.match(t) and t != MARKER_TOKEN))
-                specs.append(LanguageSpec(lang, family, int(size), int(seed), inventory))
+                specs.append(LanguageSpec(lang, family, size, seed, inventory))
                 rows_by_lang[lang] = rows
         return cls(specs, vocab, rows_by_lang)
 

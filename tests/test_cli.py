@@ -305,6 +305,22 @@ def test_report_on_non_numeric_gate_value_exits_1(tmp_path, capsys):
     assert "non-numeric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("baseline, where", [
+    ("language,accuracy\naa,0.5\n", "base.csv:1:"),
+    ("gates,language,accuracy\ndense,aa,high\n", "base.csv:2: non-numeric"),
+    ("gates,language,accuracy\ndense,aa,0.5\ndense,bb\n", "base.csv:3:"),
+], ids=["no-gates-column", "non-numeric-accuracy", "short-row"])
+def test_malformed_probe_baseline_exits_1(tmp_path, capsys, baseline, where):
+    config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=3, vocab_size=7,
+                         max_seq_len=4)
+    Model.init(config, 0).save(tmp_path)
+    (tmp_path / "probe.csv").write_text("gates,language,accuracy\ndense,aa,0.5\n")
+    (tmp_path / "base.csv").write_text(baseline)
+    assert main(["report", "--run", str(tmp_path), "--figure", "corr", "--corpus",
+                 str(tmp_path / "corpus"), "--probe-baseline", str(tmp_path / "base.csv")]) == 1
+    assert where in capsys.readouterr().err
+
+
 def test_report_reads_the_config_without_the_weights(tmp_path, capsys):
     config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=3, vocab_size=7,
                          max_seq_len=4)

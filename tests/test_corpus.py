@@ -1,6 +1,7 @@
 """Corpus generation, masking statistics, and probe task tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,22 @@ def test_file_formats(tmp_path):
     text = (tmp_path / "aa.txt").read_text().splitlines()
     assert len(text) == 10
     assert all(tok in corpus.vocab for tok in text[0].split())
+
+
+@pytest.mark.parametrize("name, lineno, text", [
+    ("vocab.tsv", 4, "mrk 3"),
+    ("vocab.tsv", 2, "<mask>\tone"),
+    ("languages.csv", 2, "aa,Turkic,many,7"),
+    ("languages.csv", 3, "bb,Turkic,10"),
+])
+def test_malformed_corpus_files_name_path_and_line(tmp_path, name, lineno, text):
+    gen_corpus(small_specs(size=10), seed=1).save(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    lines[lineno - 1] = text + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(InputError, match=re.escape(f"{path}:{lineno}: expected")):
+        Corpus.load(tmp_path)
 
 
 def test_mask_counts_match_binomial_oracle():
