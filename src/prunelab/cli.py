@@ -368,11 +368,11 @@ def cmd_sweep(args) -> int:
     ds = _run_ds(run_dir, model.config)
     if ds is None:
         raise ConfigError("sweep needs a ds-train run (no ds.csv found)")
-    grid = parse_grid(args.grid) if args.grid else tuple(cfg["grid"])
+    grid = tuple(cfg["grid"])
     splits = probe_batches(corpus, batch_size=cfg["schedule"]["batch_size"],
                            seq_len=cfg["schedule"]["seq_len"], seed=cfg["seed"])
     weights = component_weights(model.config)
-    bench_seq = args.seq_len or cfg["schedule"]["seq_len"]
+    bench_seq = cfg["schedule"]["seq_len"]
     rows = []
     for t in grid:
         for lang, gs in sorted(_subnetworks_at(ds, t, model.config).items()):
@@ -413,7 +413,7 @@ def cmd_bench(args) -> int:
 
     gatesets: dict[float, GateSet] = {}
     if ds is not None:
-        grid = parse_grid(args.grid) if args.grid else tuple(cfg["grid"])
+        grid = tuple(cfg["grid"])
         lang = args.language or ds.languages()[0]
         for t in grid:
             gs = subnetwork_at(ds, float(t), lang, model.config)
