@@ -204,12 +204,19 @@ def _load_run_model(run_dir: str) -> Model:
 
 
 def _run_gatesets(run_dir: str, config: ModelConfig) -> dict[str, GateSet]:
-    """Hard gate sets stored by a pruning run, keyed by language."""
+    """Hard gate sets stored by a pruning run, keyed by language.
+
+    Every reader (probe, bench, reports) needs 0/1 gates, so a file with a
+    soft value is an InputError that names it.
+    """
     out = {}
     for name in sorted(os.listdir(run_dir)):
         if name.startswith("gates_") and name.endswith(".txt"):
             lang = name[len("gates_"):-len(".txt")]
-            out[lang] = GateSet.load_text(os.path.join(run_dir, name), config)
+            path = os.path.join(run_dir, name)
+            out[lang] = GateSet.load_text(path, config)
+            if not out[lang].hard:
+                raise InputError(f"{path}: gate values must be exactly 0 or 1")
     return out
 
 

@@ -449,7 +449,8 @@ def _check_input(op: str, x: Tensor, width: int):
 
 
 def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
-                    g_head: Tensor | None = None, attn_bias: np.ndarray | None = None) -> Tensor:
+                    g_head: Tensor | None = None, attn_bias: np.ndarray | None = None,
+                    rows: int | None = None) -> Tensor:
     """One post-LN attention sublayer, LN(x + MHA(x)), as one tape node.
 
     x has shape (batch, seq, d).  The head count is the width of wq over the
@@ -457,30 +458,47 @@ def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
     scaled by its gate before the output projection; g_head None leaves the
     heads ungated.  attn_bias, when given, is an additive (batch, 1, 1, seq)
     array applied to the pre-softmax scores.
+
+    rows, when given, computes only the first ``rows`` query positions: keys
+    and values still cover the whole sequence, and the output is
+    (batch, rows, d).  Those rows equal the full block's bit for bit as long
+    as rows >= 2, which keeps every product a matrix-matrix one.  It is for
+    inference only: under a recording tape whose inputs need gradients it
+    raises ContractError.
     """
     op = "attention_block"
     p = f"layers.{layer}"
     wq, bq, wk, bk, wv, bv, wo, bo = (params[f"{p}.attn.{n}"] for n in
                                       ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
     gain, shift = params[f"{p}.ln1.g"], params[f"{p}.ln1.b"]
+    inputs = (x, wq, bq, wk, bk, wv, bv, wo, bo, gain, shift)
     _check_input(op, x, wq.shape[0])
     hd = config.head_dim
     nh = wq.shape[1] // hd
     if g_head is not None:
         _check_gate(g_head, nh, "head")
+        inputs = (*inputs, g_head)
     b, s, _ = x.shape
     xd = x.data
+    xq = xd
+    if rows is not None:
+        if not 1 <= rows <= s:
+            raise ContractError(f"{op}: rows must lie in [1, {s}], got {rows}")
+        if T.active_tape().enabled and any(t.requires_grad for t in inputs):
+            raise ContractError(f"{op}: rows is for inference only; run it under no_grad")
+        xq = xd[:, :rows]
+    n = xq.shape[1]
     scale = hd ** -0.5
     gate = None if g_head is None else g_head.data.reshape(1, nh, 1, 1)
 
     def heads(t):
-        # (b, s, nh * hd) -> C-order (b, nh, s, hd)
-        return np.ascontiguousarray(t.reshape(b, s, nh, hd).transpose(0, 2, 1, 3))
+        # (b, n, nh * hd) -> C-order (b, nh, n, hd)
+        return np.ascontiguousarray(t.reshape(b, t.shape[1], nh, hd).transpose(0, 2, 1, 3))
 
     ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q, k, v = (heads(_affine(xd, w.data, bias.data, ok))
-                   for w, bias in ((wq, bq), (wk, bk), (wv, bv)))
+        q, k, v = (heads(_affine(xin, w.data, bias.data, ok))
+                   for xin, w, bias in ((xq, wq, bq), (xd, wk, bk), (xd, wv, bv)))
         kt = np.ascontiguousarray(k.transpose(0, 1, 3, 2))
         scores = ok(q @ kt)
         scores *= scale
@@ -491,9 +509,9 @@ def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
         probs = ok(_softmax(scores))
         ctx = ok(probs @ v)
         gated = ctx if gate is None else ok(ctx * gate)
-        merged = np.ascontiguousarray(gated.transpose(0, 2, 1, 3)).reshape(b, s, nh * hd)
+        merged = np.ascontiguousarray(gated.transpose(0, 2, 1, 3)).reshape(b, n, nh * hd)
         r = _affine(merged, wo.data, bo.data, ok)
-        r += xd
+        r += xq
         out, xhat, inv = _layer_norm(ok(r), gain.data, shift.data, ok)
 
     def backward(g):
@@ -519,8 +537,7 @@ def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
                       (bias, T._unbroadcast(g_lin, bias.shape))]
         return [(x, gx), *grads]
 
-    inputs = (x, wq, bq, wk, bk, wv, bv, wo, bo, gain, shift)
-    return T._make(op, out, inputs if g_head is None else (*inputs, g_head), backward)
+    return T._make(op, out, inputs, backward)
 
 
 def ffn_block(x: Tensor, params, config: ModelConfig, layer: int,
@@ -615,12 +632,14 @@ def attention_bias(ids: np.ndarray, pad_id: int) -> np.ndarray | None:
 
 
 def encoder_hidden(model: Model, ids: np.ndarray, gates: dict | None,
-                   pad_id: int | None = None) -> Tensor:
+                   pad_id: int | None = None, final_rows: int | None = None) -> Tensor:
     """Token ids to final hidden states (batch, seq, d) under the given gates.
 
     Each layer's head count, FFN width and the rank count are read from the
     weight shapes, so a compacted model runs here too; gates None runs the
-    model ungated.
+    model ungated.  final_rows, when given, computes the last layer at the
+    first final_rows positions only and returns (batch, final_rows, d); see
+    attention_block's rows, which makes it inference-only.
     """
     config, params = model.config, model.params
     if gates is None:
@@ -630,8 +649,10 @@ def encoder_hidden(model: Model, ids: np.ndarray, gates: dict | None,
         raise ContractError("gate tensors do not match the model layer count")
     bias = attention_bias(np.asarray(ids), pad_id) if pad_id is not None else None
     x = embed_forward(ids, params, config, gates["ranks"])
+    last = config.n_layers - 1
     for i in range(config.n_layers):
-        x = attention_block(x, params, config, i, gates["heads"][i], bias)
+        rows = final_rows if i == last else None
+        x = attention_block(x, params, config, i, gates["heads"][i], bias, rows)
         x = ffn_block(x, params, config, i, gates["hiddens"][i])
     return x
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .analysis import write_report
+from .analysis import compact_model, write_report
 from .corpus import PAD_ID, Corpus, ProbeSplits, mlm_batches
 from .ds import DEFAULT_GRID, DSParams, check_grid, gate_values_at, init_ds
 from .encoder import (GateSet, Model, ModelConfig, component_weights, cross_entropy,
@@ -427,11 +427,14 @@ class ProbeResult:
     dev_accuracy: float
 
 
-def _probe_features(model: Model, gates: dict, batches) -> tuple[np.ndarray, np.ndarray, list]:
+def _probe_features(model: Model, batches) -> tuple[np.ndarray, np.ndarray, list]:
     xs, ys, langs = [], [], []
     with no_grad():
         for b in batches:
-            h = encoder_hidden(model, b.tokens, gates, pad_id=b.pad_id)
+            # two rows, not one: a single query row would make numpy run
+            # vector-matrix products, which round differently from the rows of
+            # the full forward's matrix products
+            h = encoder_hidden(model, b.tokens, None, pad_id=b.pad_id, final_rows=2)
             xs.append(h.data[:, 0, :].copy())
             ys.append(b.labels)
             langs.extend(b.languages)
@@ -448,17 +451,19 @@ def finetune_probe(model: Model, gateset: GateSet, splits: ProbeSplits,
                    epochs: int = 30) -> ProbeResult:
     """Train a linear head on frozen encoder features; pick lr on dev.
 
-    Features are the hidden state at the leading cls position.  The best
-    grid point by dev accuracy is evaluated per language on the test split.
+    Features are the hidden state at the leading cls position of the
+    subnetwork as deployed: the model compacted to the hard gateset.  The
+    best grid point by dev accuracy is evaluated per language on the test
+    split.
     """
     if not splits.train or not splits.dev or not splits.test:
         raise InputError("probe needs non-empty train, dev and test splits")
     if not lr_grid:
         raise ContractError("lr_grid must not be empty")
-    gates = gate_tensors(gateset)
-    xtr, ytr, _ = _probe_features(model, gates, splits.train)
-    xdv, ydv, _ = _probe_features(model, gates, splits.dev)
-    xte, yte, lte = _probe_features(model, gates, splits.test)
+    compact = compact_model(model, gateset)
+    xtr, ytr, _ = _probe_features(compact, splits.train)
+    xdv, ydv, _ = _probe_features(compact, splits.dev)
+    xte, yte, lte = _probe_features(compact, splits.test)
     d = model.config.model_dim
     n = xtr.shape[0]
     bounds = [0]

@@ -14,6 +14,7 @@ from prunelab.cli import (
     parse_grid,
     resolve_config,
 )
+from prunelab.corpus import LanguageSpec, build_inventories, gen_corpus
 from prunelab.ds import DEFAULT_GRID, init_ds
 from prunelab.encoder import GateSet, Model, ModelConfig, component_universe, component_weights
 from prunelab.exceptions import ConfigError
@@ -337,6 +338,25 @@ def test_report_reads_the_config_without_the_weights(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--run", str(tmp_path), "--figure", "hamming"]) == 2
     assert "no model checkpoint" in capsys.readouterr().err
+
+
+def test_eval_probe_names_a_soft_gate_file(tmp_path, capsys):
+    specs = build_inventories([LanguageSpec("aa", "Uralic", 20, 1)], inventory_size=6)
+    corpus = gen_corpus(specs, seed=0)
+    corpus.save(tmp_path / "corpus")
+    config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=3,
+                         vocab_size=len(corpus.vocab), max_seq_len=32)
+    (tmp_path / "run").mkdir()
+    Model.init(config, 0).save(tmp_path / "run")
+    GateSet.ones(config).save_text(tmp_path / "run" / "gates_aa.txt", config)
+    values = GateSet.ones(config).values
+    values[0] = 0.5
+    GateSet(config, values, hard=False).save_text(tmp_path / "run" / "gates_x.txt", config)
+    assert main(["eval-probe", "--corpus", str(tmp_path / "corpus"), "--run",
+                 str(tmp_path / "run"), "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "gates_x.txt: gate values must be exactly 0 or 1" in err
+    assert not (tmp_path / "run" / "probe.csv").exists()
 
 
 def _report_run(tmp_path):

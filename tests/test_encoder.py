@@ -7,6 +7,7 @@ import pytest
 from scipy.special import erf
 
 from prunelab import tensor as T
+from prunelab.analysis import compact_model
 from prunelab.encoder import (
     GateSet,
     Model,
@@ -19,6 +20,7 @@ from prunelab.encoder import (
     count_params,
     cross_entropy,
     encoder_forward,
+    encoder_hidden,
     encoder_sparsity,
     ffn_block,
     gate_tensors,
@@ -574,3 +576,47 @@ def test_gate_length_must_match_the_layer_width():
     gates = gate_tensors(GateSet.ones(TOY))
     gates["hiddens"][0] = T.Tensor(np.ones(5))
     assert encoder_forward(narrow, ids, gates).shape == ids.shape + (TOY.vocab_size,)
+
+
+WIDE = ModelConfig(n_layers=4, n_heads=4, model_dim=32, ffn_dim=64, vocab_size=19,
+                   max_seq_len=10)
+
+
+@pytest.mark.parametrize("config", [TOY, WIDE], ids=["toy", "wide"])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_final_rows_equal_the_full_forward_bitwise(config, batch):
+    model = Model.init(config, seed=40)
+    ids = seeded_batch(config, 41, batch=batch, seq=9)
+    ids[0, 6:] = 0
+    rng = np.random.default_rng(42)
+    gs = GateSet.from_values(config, rng.integers(0, 2, len(component_universe(config))),
+                             hard=True)
+    # the layer that computes only the leading rows keeps no head and no unit
+    gs.heads[-1][:] = 0.0
+    gs.hiddens[-1][:] = 0.0
+    cases = {"dense": (model, None), "gated": (model, gate_tensors(gs)),
+             "compacted": (compact_model(model, gs), None)}
+    for name, (m, gates) in cases.items():
+        with T.no_grad():
+            full = encoder_hidden(m, ids, gates, pad_id=0).data
+            two = encoder_hidden(m, ids, gates, pad_id=0, final_rows=2).data
+        assert two.shape == (batch, 2, config.model_dim), name
+        assert two.tobytes() == full[:, :2].tobytes(), name
+
+
+def test_final_rows_refuse_a_recording_tape():
+    model = Model.init(TOY, seed=43)
+    ids = seeded_batch(TOY, 44)
+    T.active_tape().clear()
+    with pytest.raises(ContractError, match="inference only"):
+        encoder_hidden(model, ids, None, final_rows=2)
+    T.active_tape().clear()
+    x = T.Tensor(np.ones((2, 3, TOY.model_dim)), requires_grad=True)
+    with pytest.raises(ContractError, match="inference only"):
+        attention_block(x, model.params, TOY, 0, rows=2)
+    with T.no_grad(), pytest.raises(ContractError, match="rows must lie in"):
+        attention_block(x, model.params, TOY, 0, rows=4)
+    # constant inputs record nothing, so the restriction is allowed there
+    frozen = {k: T.Tensor(v.data) for k, v in model.params.items()}
+    assert attention_block(T.Tensor(x.data), frozen, TOY, 0, rows=2).shape == (2, 2, 8)
+    T.active_tape().clear()
