@@ -195,7 +195,8 @@ class Corpus:
         with open(langs_path) as f:
             header = f.readline().strip()
             if header != "id,family,size,seed":
-                raise InputError(f"unexpected languages.csv header {header!r}")
+                raise InputError(f"{langs_path}:1: expected header id,family,size,seed, "
+                                 f"got {header!r}")
             for lineno, line in enumerate(f, 2):
                 line = line.strip()
                 if not line:
@@ -208,13 +209,15 @@ class Corpus:
                                      "with integer size and seed") from None
                 rows = []
                 seen: set[str] = set()
-                with open(os.path.join(root, f"{lang}.txt")) as g:
-                    for sent in g:
+                text_path = os.path.join(root, f"{lang}.txt")
+                with open(text_path) as g:
+                    for text_lineno, sent in enumerate(g, 1):
                         toks = sent.split()
                         try:
                             rows.append(np.array([vocab[t] for t in toks], dtype=np.int64))
                         except KeyError as e:
-                            raise InputError(f"{lang}.txt: token {e.args[0]!r} not in vocabulary")
+                            raise InputError(f"{text_path}:{text_lineno}: token {e.args[0]!r} "
+                                             "not in vocabulary") from None
                         seen.update(toks)
                 # observed inventory: content tokens that actually occur;
                 # the marker is injected, not part of the inventory
@@ -356,18 +359,21 @@ def mlm_batches(corpus: Corpus, n_batches: int, batch_size: int, seq_len: int,
     return MLMBatchSet(batches, skipped)
 
 
-def marker_fraction(row) -> float:
-    """Fraction of marker tokens among real (non-pad, non-cls) positions."""
-    row = np.asarray(row)
-    real = (row != PAD_ID) & (row != CLS_ID)
-    if not real.any():
-        return 0.0
-    return float((row[real] == MARKER_ID).mean())
+def marker_fraction(rows):
+    """Fraction of marker tokens among real (non-pad, non-cls) positions.
+
+    Counts along the last axis, so a matrix of rows gives one fraction per
+    row; a row without real positions gives 0.
+    """
+    rows = np.asarray(rows)
+    real = ((rows != PAD_ID) & (rows != CLS_ID)).sum(axis=-1)
+    markers = (rows == MARKER_ID).sum(axis=-1)
+    return np.where(real > 0, markers / np.maximum(real, 1), 0.0)[()]
 
 
-def probe_label(row) -> int:
-    """1 when the realized marker fraction clears the threshold."""
-    return int(marker_fraction(row) >= MARKER_THRESHOLD)
+def probe_label(rows):
+    """1 when the realized marker fraction clears the threshold, per row."""
+    return (marker_fraction(rows) >= MARKER_THRESHOLD).astype(np.int64)[()]
 
 
 @dataclass
@@ -387,48 +393,50 @@ class ProbeSplits:
     test: list[ProbeBatch]
 
 
-def _probe_rows(corpus, seq_len):
-    rows = []
-    for lang in corpus.languages():
-        for sent in corpus.sentences[lang]:
-            if len(sent) < 1:
-                continue
-            row = np.full(seq_len, PAD_ID, dtype=np.int64)
-            row[0] = CLS_ID
-            length = min(len(sent), seq_len - 1)
-            row[1: 1 + length] = sent[:length]
-            # the label reads the truncated row, so it stays a deterministic
-            # function of exactly what the model sees
-            rows.append((lang, row, probe_label(row)))
+def _probe_rows(sents, seq_len) -> np.ndarray:
+    """Non-empty sentences as cls-prefixed rows, padded or truncated to seq_len."""
+    sents = [sent for sent in sents if len(sent)]
+    lengths = np.array([len(sent) for sent in sents], dtype=np.int64)
+    rows = np.full((len(sents), seq_len), PAD_ID, dtype=np.int64)
+    rows[:, 0] = CLS_ID
+    if sents:
+        cols = np.arange(seq_len - 1)
+        keep = cols < np.minimum(lengths, seq_len - 1)[:, None]
+        starts = np.cumsum(lengths) - lengths
+        rows[:, 1:][keep] = np.concatenate(sents)[(starts[:, None] + cols)[keep]]
     return rows
 
 
 def probe_batches(corpus: Corpus, batch_size: int, seq_len: int, seed: int = 0,
                   fractions=(0.7, 0.15, 0.15)) -> ProbeSplits:
-    """Split labeled rows 70/15/15 per language and batch each split."""
+    """Split labeled rows 70/15/15 per language and batch each split.
+
+    A label reads the truncated row, so it stays a deterministic function of
+    exactly what the model sees.
+    """
     if batch_size < 1 or seq_len < 2:
         raise ContractError("need batch_size >= 1 and seq_len >= 2")
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
         raise ContractError(f"split fractions must be three positives summing to 1, got {fractions}")
-    rows = _probe_rows(corpus, seq_len)
+    if not corpus.sentences:
+        raise InputError("probe_batches: the corpus has no languages")
     rng = np.random.default_rng(_seed_key(seed, 2))
-    splits: dict[str, list] = {"train": [], "dev": [], "test": []}
+    parts: dict[str, list] = {"train": [], "dev": [], "test": []}
     for lang in corpus.languages():
-        mine = [r for r in rows if r[0] == lang]
-        order = rng.permutation(len(mine))
-        n_train = int(round(fractions[0] * len(mine)))
-        n_dev = int(round(fractions[1] * len(mine)))
-        for j, k in enumerate(order):
-            name = "train" if j < n_train else ("dev" if j < n_train + n_dev else "test")
-            splits[name].append(mine[k])
+        rows = _probe_rows(corpus.sentences[lang], seq_len)
+        order = rng.permutation(len(rows))
+        n_train = int(round(fractions[0] * len(rows)))
+        n_dev = int(round(fractions[1] * len(rows)))
+        for name, idx in zip(parts, np.split(order, [n_train, n_train + n_dev])):
+            parts[name].append((rows[idx], np.full(idx.size, lang)))
     out = {}
-    for name, items in splits.items():
-        order = rng.permutation(len(items))
-        batches = []
-        for start in range(0, len(items), batch_size):
-            chunk = [items[k] for k in order[start: start + batch_size]]
-            tokens = np.stack([c[1] for c in chunk])
-            labels = np.array([c[2] for c in chunk], dtype=np.int64)
-            batches.append(ProbeBatch(tokens, labels, tuple(c[0] for c in chunk)))
-        out[name] = batches
+    for name, chunks in parts.items():
+        tokens = np.concatenate([c[0] for c in chunks])
+        langs = np.concatenate([c[1] for c in chunks])
+        order = rng.permutation(len(tokens))
+        tokens, langs = tokens[order], langs[order]
+        labels = probe_label(tokens)
+        out[name] = [ProbeBatch(tokens[i: i + batch_size], labels[i: i + batch_size],
+                                tuple(langs[i: i + batch_size].tolist()))
+                     for i in range(0, len(tokens), batch_size)]
     return ProbeSplits(out["train"], out["dev"], out["test"])

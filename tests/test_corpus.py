@@ -182,6 +182,7 @@ def test_file_formats(tmp_path):
     ("vocab.tsv", 2, "<mask>\tone"),
     ("languages.csv", 2, "aa,Turkic,many,7"),
     ("languages.csv", 3, "bb,Turkic,10"),
+    ("languages.csv", 1, "id,family,size"),
 ])
 def test_malformed_corpus_files_name_path_and_line(tmp_path, name, lineno, text):
     gen_corpus(small_specs(size=10), seed=1).save(tmp_path)
@@ -190,6 +191,16 @@ def test_malformed_corpus_files_name_path_and_line(tmp_path, name, lineno, text)
     lines[lineno - 1] = text + "\n"
     path.write_text("".join(lines))
     with pytest.raises(InputError, match=re.escape(f"{path}:{lineno}: expected")):
+        Corpus.load(tmp_path)
+
+
+def test_unknown_sentence_token_names_path_and_line(tmp_path):
+    gen_corpus(small_specs(size=10), seed=1).save(tmp_path)
+    path = tmp_path / "bb.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = "zzz " + lines[4]
+    path.write_text("".join(lines))
+    with pytest.raises(InputError, match=re.escape(f"{path}:5: token 'zzz' not in vocabulary")):
         Corpus.load(tmp_path)
 
 
