@@ -469,7 +469,9 @@ def load_checkpoint(path) -> dict:
             name = read(f, nlen, "name").decode("utf-8")
             (rank,) = struct.unpack("<I", read(f, 4, "rank"))
             dims = struct.unpack(f"<{rank}I", read(f, 4 * rank, "dims")) if rank else ()
-            n = int(np.prod(dims)) if rank else 1
-            payload = read(f, 8 * n, f"payload of {name}")
-            out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+            # read straight into the array, without an intermediate bytes copy
+            arr = np.empty(dims, dtype="<f8")
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise InputError(f"checkpoint truncated while reading payload of {name}")
+            out[name] = arr
     return out
