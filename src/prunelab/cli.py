@@ -351,7 +351,7 @@ def cmd_eval_probe(args) -> int:
                            seq_len=cfg["schedule"]["seq_len"], seed=cfg["seed"])
     rows = []
     for name in sorted(targets):
-        res = finetune_probe(model, targets[name], splits, seed=cfg["seed"],
+        res = finetune_probe(compact_model(model, targets[name]), splits, seed=cfg["seed"],
                              epochs=args.epochs)
         for lang in sorted(res.per_language):
             rows.append({"gates": name, "language": lang,
@@ -383,10 +383,11 @@ def cmd_sweep(args) -> int:
     rows = []
     for t in grid:
         for lang, gs in sorted(_subnetworks_at(ds, t, model.config).items()):
-            res = finetune_probe(model, gs, splits, seed=cfg["seed"], epochs=args.epochs)
+            compact = compact_model(model, gs)
+            res = finetune_probe(compact, splits, seed=cfg["seed"], epochs=args.epochs)
             acc = res.per_language.get(lang, res.mean)
             counts = count_params(model.config, gs)
-            sps = time_forward(compact_model(model, gs), bench_seq, reps=args.reps)
+            sps = time_forward(compact, bench_seq, reps=args.reps)
             rows.append({
                 "t": float(t),
                 "language": lang,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .analysis import compact_model, write_report
+from .analysis import write_report
 from .corpus import PAD_ID, Corpus, ProbeSplits, mlm_batches
 from .ds import DEFAULT_GRID, DSParams, check_grid, gate_values_at, init_ds
 from .encoder import (GateSet, Model, ModelConfig, component_weights, cross_entropy,
@@ -446,24 +446,23 @@ def _accuracy(x, w, b, y) -> float:
     return float((pred == y).mean())
 
 
-def finetune_probe(model: Model, gateset: GateSet, splits: ProbeSplits,
+def finetune_probe(model: Model, splits: ProbeSplits,
                    lr_grid=(1e-3, 1e-2, 1e-1), seed: int = 0,
                    epochs: int = 30) -> ProbeResult:
     """Train a linear head on frozen encoder features; pick lr on dev.
 
-    Features are the hidden state at the leading cls position of the
-    subnetwork as deployed: the model compacted to the hard gateset.  The
-    best grid point by dev accuracy is evaluated per language on the test
-    split.
+    model is the subnetwork as deployed, run ungated: a compacted model
+    (analysis.compact_model), or the dense one for the unpruned baseline.
+    Features are its hidden state at the leading cls position.  The best
+    grid point by dev accuracy is evaluated per language on the test split.
     """
     if not splits.train or not splits.dev or not splits.test:
         raise InputError("probe needs non-empty train, dev and test splits")
     if not lr_grid:
         raise ContractError("lr_grid must not be empty")
-    compact = compact_model(model, gateset)
-    xtr, ytr, _ = _probe_features(compact, splits.train)
-    xdv, ydv, _ = _probe_features(compact, splits.dev)
-    xte, yte, lte = _probe_features(compact, splits.test)
+    xtr, ytr, _ = _probe_features(model, splits.train)
+    xdv, ydv, _ = _probe_features(model, splits.dev)
+    xte, yte, lte = _probe_features(model, splits.test)
     d = model.config.model_dim
     n = xtr.shape[0]
     bounds = [0]

@@ -14,7 +14,6 @@ from prunelab import tensor as T
 from prunelab.corpus import LanguageSpec, gen_corpus, probe_batches
 from prunelab.ds import DEFAULT_GRID, gate_values_at, init_ds
 from prunelab.encoder import (
-    GateSet,
     Model,
     ModelConfig,
     component_universe,
@@ -553,7 +552,7 @@ def test_each_training_step_makes_one_forward_and_one_loss_call(kind, monkeypatc
 def test_probe_learns_marker_signal_and_reports_macro_mean():
     base = toy_baseline().model
     splits = probe_batches(toy_corpus(), batch_size=8, seq_len=12, seed=7)
-    res = finetune_probe(base, GateSet.ones(base.config), splits, epochs=5)
+    res = finetune_probe(base, splits, epochs=5)
     langs = toy_corpus().languages()
     assert sorted(res.per_language) == langs
     for acc in res.per_language.values():
@@ -568,8 +567,8 @@ def test_probe_learns_marker_signal_and_reports_macro_mean():
 def test_probe_is_reproducible():
     base = toy_baseline().model
     splits = probe_batches(toy_corpus(), batch_size=8, seq_len=12, seed=7)
-    a = finetune_probe(base, GateSet.ones(base.config), splits, epochs=3)
-    b = finetune_probe(base, GateSet.ones(base.config), splits, epochs=3)
+    a = finetune_probe(base, splits, epochs=3)
+    b = finetune_probe(base, splits, epochs=3)
     assert a.per_language == b.per_language
     assert a.mean == b.mean and a.best_lr == b.best_lr and a.dev_accuracy == b.dev_accuracy
 
