@@ -75,18 +75,13 @@ def hamming_matrix(gatesets: dict[str, GateSet]) -> tuple[list[str], np.ndarray]
 # Size curves
 
 
-def size_curve(ds: DSParams, config: ModelConfig, language: str | None = None) -> list[dict]:
-    """Parameter counts and per-kind sparsities at every grid size.
+def size_curve(ds: DSParams, config: ModelConfig, language: str) -> list[dict]:
+    """Parameter counts and per-kind sparsities of one language at every grid size.
 
     Each row carries both the encoder-only sparsity (embedding ranks
     excluded) and the all-components weighted sparsity, since per-component
     figures can use either axis.
     """
-    if language is None:
-        langs = ds.languages()
-        if len(langs) != 1:
-            raise InputError(f"size_curve: pick one of the languages {langs}")
-        language = langs[0]
     weights = component_weights(config)
     rows = []
     for t in ds.grid:
@@ -244,8 +239,7 @@ def _await_idle_threads(limit: float = 1.0, window: float = 0.005):
             return
 
 
-def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1,
-                 seed: int = 0) -> float:
+def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1) -> float:
     """Median sentences/second over reps timed forward passes of random ids.
 
     The warm-up pass runs pinned too, since a pass on the full BLAS pool
@@ -254,7 +248,7 @@ def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1,
     """
     if reps < 3:
         raise ContractError(f"need at least 3 repetitions, got {reps}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     ids = rng.integers(0, cm.config.vocab_size, size=(batch_size, seq_len))
     resolution = time.get_clock_info("perf_counter").resolution
     elapsed = []
@@ -278,17 +272,13 @@ def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1,
 
 
 def throughput_bench(model: Model, gatesets: dict[float, GateSet], seq_len: int,
-                     reps: int = 5, batch_size: int = 1, seed: int = 0,
-                     hardware: str | None = None) -> list[ThroughputRecord]:
+                     reps: int = 5, batch_size: int = 1) -> list[ThroughputRecord]:
     """Compact the model at each sparsity level and time it, batch-wise."""
-    if reps < 3:
-        raise ContractError(f"need at least 3 repetitions, got {reps}")
-    if hardware is None:
-        hardware = platform.processor() or platform.machine()
+    hardware = platform.processor() or platform.machine()
     records = []
     for sparsity in sorted(gatesets):
         cm = compact_model(model, gatesets[sparsity])
-        sps = time_forward(cm, seq_len, reps, batch_size, seed)
+        sps = time_forward(cm, seq_len, reps, batch_size)
         records.append(ThroughputRecord(float(sparsity), sps, batch_size, seq_len, hardware))
     return records
 

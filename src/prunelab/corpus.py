@@ -48,6 +48,9 @@ TOKEN_BUDGET_HI = 200_000
 # successors per state in the sentence grammar
 K_SUCC = 4
 
+# floor on the Jaccard overlap of two same-family inventories
+FAMILY_OVERLAP = 0.5
+
 FAMILIES = frozenset({
     "Afro-Asiatic", "Austro-Asiatic", "Austronesian", "Constructed language",
     "Dravidian", "Indo-European", "Japonic", "Kartvelian", "Koreanic",
@@ -89,8 +92,8 @@ def _family_slug(family: str) -> str:
     return "".join(c for c in family.lower() if c.isalnum())
 
 
-def build_inventories(specs, inventory_size: int = 40, overlap: float = 0.5):
-    """Fill inventories so same-family Jaccard overlap is >= the floor.
+def build_inventories(specs, inventory_size: int = 40):
+    """Fill inventories so same-family Jaccard overlap is >= FAMILY_OVERLAP.
 
     Every language gets the same inventory size n: s family-shared tokens
     plus n - s of its own, with s = ceil(2 n J / (1 + J)) so that the
@@ -98,9 +101,7 @@ def build_inventories(specs, inventory_size: int = 40, overlap: float = 0.5):
     """
     if inventory_size < 2:
         raise ContractError("inventory_size must be >= 2")
-    if not 0.0 < overlap < 1.0:
-        raise ContractError("overlap floor must be in (0, 1)")
-    shared = math.ceil(2.0 * inventory_size * overlap / (1.0 + overlap))
+    shared = math.ceil(2.0 * inventory_size * FAMILY_OVERLAP / (1.0 + FAMILY_OVERLAP))
     shared = min(shared, inventory_size - 1)
     own = inventory_size - shared
     out = []
@@ -112,14 +113,12 @@ def build_inventories(specs, inventory_size: int = 40, overlap: float = 0.5):
     return out
 
 
-def default_language_specs(seed: int = 11, n_families: int = 4,
-                           per_family: int = 2) -> list[LanguageSpec]:
+def default_language_specs(seed: int = 11) -> list[LanguageSpec]:
     """Desk-scale default: 8 languages over 4 families, log-uniform budgets."""
     codes = [("en", "Indo-European"), ("de", "Indo-European"),
              ("ar", "Afro-Asiatic"), ("he", "Afro-Asiatic"),
              ("tr", "Turkic"), ("kk", "Turkic"),
              ("fi", "Uralic"), ("hu", "Uralic")]
-    codes = codes[: n_families * per_family]
     rng = np.random.default_rng([seed, 0])
     specs = []
     for i, (code, family) in enumerate(codes):
@@ -179,6 +178,7 @@ class Corpus:
         if not os.path.exists(vocab_path):
             raise InputError(f"no vocabulary file at {vocab_path}")
         vocab: dict[str, int] = {}
+        id_lines: dict[int, int] = {}  # id -> the line that lists it
         with open(vocab_path) as f:
             for lineno, line in enumerate(f, 1):
                 line = line.rstrip("\n")
@@ -186,9 +186,20 @@ class Corpus:
                     continue
                 try:
                     tok, idx = line.split("\t")
-                    vocab[tok] = int(idx)
+                    idx = int(idx)
                 except ValueError:
                     raise InputError(f"{vocab_path}:{lineno}: expected token<TAB>index") from None
+                if tok in vocab:
+                    raise InputError(f"{vocab_path}:{lineno}: second row for token {tok!r}")
+                if idx < 0 or idx in id_lines:
+                    raise InputError(f"{vocab_path}:{lineno}: id {idx} negative or listed twice")
+                vocab[tok] = idx
+                id_lines[idx] = lineno
+        # n distinct non-negative ids are 0..n-1 exactly when none reaches n
+        gap = max(id_lines, default=-1)
+        if gap >= len(id_lines):
+            raise InputError(f"{vocab_path}:{id_lines[gap]}: id {gap} leaves a gap; "
+                             f"ids must run 0..{len(id_lines) - 1}")
         rows_by_lang: dict[str, list[np.ndarray]] = {}
         specs = []
         langs_path = os.path.join(root, "languages.csv")
@@ -207,6 +218,8 @@ class Corpus:
                 except ValueError:
                     raise InputError(f"{langs_path}:{lineno}: expected id,family,size,seed "
                                      "with integer size and seed") from None
+                if lang in rows_by_lang:
+                    raise InputError(f"{langs_path}:{lineno}: second row for language {lang!r}")
                 rows = []
                 seen: set[str] = set()
                 text_path = os.path.join(root, f"{lang}.txt")
@@ -285,20 +298,6 @@ class MLMBatch:
     pad_id: int = PAD_ID
 
 
-@dataclass
-class MLMBatchSet:
-    """A concrete batch stream plus the count of sentences too short to use."""
-
-    batches: list[MLMBatch]
-    n_skipped: int
-
-    def __iter__(self):
-        return iter(self.batches)
-
-    def __len__(self):
-        return len(self.batches)
-
-
 def _mask_row(tokens, row, length, rng, mask_rate, content_ids):
     hit = np.flatnonzero(rng.random(length) < mask_rate)
     if hit.size == 0:
@@ -314,12 +313,12 @@ def _mask_row(tokens, row, length, rng, mask_rate, content_ids):
 
 def mlm_batches(corpus: Corpus, n_batches: int, batch_size: int, seq_len: int,
                 mask_rate: float = 0.15, seed: int = 0,
-                languages=None) -> MLMBatchSet:
+                languages=None) -> list[MLMBatch]:
     """Sample masked batches; rows mix languages in proportion to corpus size.
 
     Per masked position: 80% mask token, 10% random content token, 10% left
     unchanged.  Every row gets at least one mask.  Sentences shorter than
-    two tokens are skipped and counted.
+    two tokens are skipped.
     """
     if not 0.0 < mask_rate < 1.0:
         raise ContractError(f"mask_rate must be in (0, 1), got {mask_rate}")
@@ -328,15 +327,10 @@ def mlm_batches(corpus: Corpus, n_batches: int, batch_size: int, seq_len: int,
     if languages is None:
         languages = corpus.languages()
     pool: list[tuple[str, np.ndarray]] = []
-    skipped = 0
     for lang in languages:
         if lang not in corpus.sentences:
             raise InputError(f"unknown language {lang!r}")
-        for row in corpus.sentences[lang]:
-            if len(row) < 2:
-                skipped += 1
-            else:
-                pool.append((lang, row))
+        pool.extend((lang, row) for row in corpus.sentences[lang] if len(row) >= 2)
     if not pool:
         raise InputError("no usable sentences after skipping short ones")
     content_ids = corpus.content_ids()
@@ -356,7 +350,7 @@ def mlm_batches(corpus: Corpus, n_batches: int, batch_size: int, seq_len: int,
             mask[r, _mask_row(tokens, r, length, rng, mask_rate, content_ids)] = True
             langs.append(lang)
         batches.append(MLMBatch(tokens, mask, gold, tuple(langs)))
-    return MLMBatchSet(batches, skipped)
+    return batches
 
 
 def marker_fraction(rows):
@@ -407,8 +401,7 @@ def _probe_rows(sents, seq_len) -> np.ndarray:
     return rows
 
 
-def probe_batches(corpus: Corpus, batch_size: int, seq_len: int, seed: int = 0,
-                  fractions=(0.7, 0.15, 0.15)) -> ProbeSplits:
+def probe_batches(corpus: Corpus, batch_size: int, seq_len: int, seed: int = 0) -> ProbeSplits:
     """Split labeled rows 70/15/15 per language and batch each split.
 
     A label reads the truncated row, so it stays a deterministic function of
@@ -416,8 +409,6 @@ def probe_batches(corpus: Corpus, batch_size: int, seq_len: int, seed: int = 0,
     """
     if batch_size < 1 or seq_len < 2:
         raise ContractError("need batch_size >= 1 and seq_len >= 2")
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
-        raise ContractError(f"split fractions must be three positives summing to 1, got {fractions}")
     if not corpus.sentences:
         raise InputError("probe_batches: the corpus has no languages")
     rng = np.random.default_rng(_seed_key(seed, 2))
@@ -425,8 +416,8 @@ def probe_batches(corpus: Corpus, batch_size: int, seq_len: int, seed: int = 0,
     for lang in corpus.languages():
         rows = _probe_rows(corpus.sentences[lang], seq_len)
         order = rng.permutation(len(rows))
-        n_train = int(round(fractions[0] * len(rows)))
-        n_dev = int(round(fractions[1] * len(rows)))
+        n_train = int(round(0.7 * len(rows)))
+        n_dev = int(round(0.15 * len(rows)))
         for name, idx in zip(parts, np.split(order, [n_train, n_train + n_dev])):
             parts[name].append((rows[idx], np.full(idx.size, lang)))
     out = {}

@@ -38,7 +38,7 @@ from scipy.special import expit
 from .encoder import GateSet, component_index, _component_key, _format_distinct, _parse_floats
 from .exceptions import ContractError, InputError
 from .grad_prune import ImportanceTable, rank_order
-from .l0 import DEFAULT_HC, HardConcrete
+from .l0 import HC_L, HC_R, ONE_THRESHOLD, ZERO_THRESHOLD
 
 # widening of the logit targets, relative to f_inv(1) - f_inv(0); large
 # against rounding error in alpha + t * theta, negligible against the gap
@@ -60,7 +60,7 @@ def check_grid(grid) -> tuple[float, ...]:
     return grid
 
 
-def solve_ds_params(t_hat, delta, constants: HardConcrete = DEFAULT_HC):
+def solve_ds_params(t_hat, delta):
     """Closed-form (alpha, theta) for boundary sizes t_hat and widths delta.
 
     Scalars or matching arrays; every pair needs 0 < delta <= t_hat <= 1.
@@ -71,7 +71,7 @@ def solve_ds_params(t_hat, delta, constants: HardConcrete = DEFAULT_HC):
     if not np.all(ok):
         t_bad, d_bad = (a[~ok][0] for a in np.broadcast_arrays(t_hat, delta))
         raise ContractError(f"need 0 < delta <= t_hat <= 1, got t_hat={t_bad}, delta={d_bad}")
-    lo, hi = constants.zero_threshold, constants.one_threshold
+    lo, hi = ZERO_THRESHOLD, ONE_THRESHOLD
     margin = BOUNDARY_MARGIN * (hi - lo)
     hi += margin
     lo -= margin
@@ -80,12 +80,12 @@ def solve_ds_params(t_hat, delta, constants: HardConcrete = DEFAULT_HC):
     return alpha, theta
 
 
-def ds_gate(alpha, theta, t: float, constants: HardConcrete = DEFAULT_HC):
+def ds_gate(alpha, theta, t: float):
     """Deterministic gate value at size t; numpy in, numpy out."""
     alpha = np.asarray(alpha, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     z = expit(alpha + t * theta)
-    return np.clip(z * (constants.r - constants.l) + constants.l, 0.0, 1.0)
+    return np.clip(z * (HC_R - HC_L) + HC_L, 0.0, 1.0)
 
 
 def bucketize(scores: np.ndarray, weights: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +126,6 @@ class DSParams:
     components: list[str]
     grid: tuple[float, ...]
     tables: dict[str, dict[str, np.ndarray]]
-    constants: HardConcrete = DEFAULT_HC
 
     def languages(self):
         return sorted(self.tables)
@@ -140,8 +139,8 @@ class DSParams:
                                 for name, a, th, t, d in zip(self.components, *columns)))
 
     @classmethod
-    def load_csv(cls, path, components, grid, constants: HardConcrete = DEFAULT_HC):
-        """Read save_csv output; each language must list every component exactly once.
+    def load_csv(cls, path, components, grid):
+        """Read save_csv output: one or more languages, each listing every component once.
 
         The file is read line by line; a row keeps its position (language
         number times the component count plus the component's position) and
@@ -184,6 +183,8 @@ class DSParams:
                     # names a non-numeric or non-finite cell; a finite row whose sum overflows passes
                     _parse_floats(path, lineno, parts[4:])
                 values.extend((a, th, t, d))
+        if not langs:
+            raise InputError(f"{path}: no rows after the header")
         for lang, k in langs.items():
             if 0 in seen[k * n:(k + 1) * n]:
                 raise InputError(f"{path}: language {lang!r} does not list every component")
@@ -192,11 +193,10 @@ class DSParams:
         table[:, pos] = rows.T
         tables = {lang: dict(zip(DS_COLUMNS, table[:, k * n:(k + 1) * n]))
                   for lang, k in langs.items()}
-        return cls(list(components), check_grid(grid), tables, constants)
+        return cls(list(components), check_grid(grid), tables)
 
 
-def init_ds(tables: dict[str, ImportanceTable], weights: np.ndarray,
-            grid, constants: HardConcrete = DEFAULT_HC) -> DSParams:
+def init_ds(tables: dict[str, ImportanceTable], weights: np.ndarray, grid) -> DSParams:
     """Bucketize each language's ranking and solve every component's params.
 
     weights is in canonical order; the tables name the components, and all
@@ -209,9 +209,9 @@ def init_ds(tables: dict[str, ImportanceTable], weights: np.ndarray,
     out: dict[str, dict[str, np.ndarray]] = {}
     for lang, table in tables.items():
         t_hat, delta = bucketize(table.vector(components), weights, grid)
-        alpha, theta = solve_ds_params(t_hat, delta, constants)
+        alpha, theta = solve_ds_params(t_hat, delta)
         out[lang] = {"alpha": alpha, "theta": theta, "t_hat": t_hat, "delta": delta}
-    return DSParams(components, grid, out, constants)
+    return DSParams(components, grid, out)
 
 
 def subnetwork_at(ds: DSParams, t: float, language: str, config) -> GateSet:
@@ -221,8 +221,8 @@ def subnetwork_at(ds: DSParams, t: float, language: str, config) -> GateSet:
     if not 0.0 <= t <= 1.0:
         raise ContractError(f"size t must be in [0, 1], got {t}")
     tab = ds.tables[language]
-    values = ds_gate(tab["alpha"], tab["theta"], t, ds.constants)
-    return GateSet(config, (values >= 0.5).astype(np.float64), hard=True)
+    values = ds_gate(tab["alpha"], tab["theta"], t)
+    return GateSet(config, (values >= 0.5).astype(np.float64))
 
 
 def gate_values_at(ds: DSParams, t: float, language: str) -> np.ndarray:
@@ -230,4 +230,4 @@ def gate_values_at(ds: DSParams, t: float, language: str) -> np.ndarray:
     if language not in ds.tables:
         raise InputError(f"no dynamic sparsification parameters for language {language!r}")
     tab = ds.tables[language]
-    return ds_gate(tab["alpha"], tab["theta"], t, ds.constants)
+    return ds_gate(tab["alpha"], tab["theta"], t)

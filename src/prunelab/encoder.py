@@ -205,10 +205,10 @@ class GateSet:
     ``values`` is the float64 vector over component_universe order;
     ``heads`` and ``hiddens`` are per-layer views into it and ``ranks`` the
     view of the embedding ranks, so writing through a view writes ``values``.
-    ``hard`` asserts every value is exactly 0 or 1.
+    ``hard`` tells whether every value was exactly 0 or 1 at construction.
     """
 
-    def __init__(self, config: ModelConfig, values: np.ndarray, hard: bool):
+    def __init__(self, config: ModelConfig, values: np.ndarray):
         """Wrap ``values`` without copying it; from_values copies."""
         self.slices = component_slices(config)
         self.values = np.asarray(values, dtype=np.float64)
@@ -217,20 +217,18 @@ class GateSet:
                                 f"got shape {self.values.shape}")
         views = split_gates(config, self.values)
         self.heads, self.hiddens, self.ranks = views["heads"], views["hiddens"], views["ranks"]
-        self.hard = bool(hard)
         if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ContractError("GateSet: gate values must lie in [0, 1]")
-        if self.hard and not np.all((self.values == 0.0) | (self.values == 1.0)):
-            raise ContractError("GateSet: hard gates must be exactly 0 or 1")
+        self.hard = bool(np.all((self.values == 0.0) | (self.values == 1.0)))
 
     @classmethod
     def ones(cls, config: ModelConfig) -> "GateSet":
-        return cls(config, np.ones(component_slices(config)["ranks"].stop), hard=True)
+        return cls(config, np.ones(component_slices(config)["ranks"].stop))
 
     @classmethod
-    def from_values(cls, config: ModelConfig, values, hard: bool) -> "GateSet":
+    def from_values(cls, config: ModelConfig, values) -> "GateSet":
         """Build from a copy of a canonical-order value vector."""
-        return cls(config, np.array(values, dtype=np.float64), hard)
+        return cls(config, np.array(values, dtype=np.float64))
 
     def to_vector(self) -> np.ndarray:
         """A copy of the gate values in canonical order."""
@@ -274,8 +272,7 @@ class GateSet:
         if None in values:
             raise InputError(f"{path}: missing gate value for component "
                              f"{universe[values.index(None)]}")
-        values = np.array(values)
-        return cls(config, values, hard=bool(np.all((values == 0.0) | (values == 1.0))))
+        return cls(config, np.array(values))
 
 
 def gate_tensors(gateset: GateSet) -> dict:

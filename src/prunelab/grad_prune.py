@@ -22,7 +22,6 @@ from .encoder import (
     GateSet,
     Model,
     component_universe,
-    component_weights,
     encoder_forward,
     mlm_loss,
     split_gates,
@@ -95,8 +94,6 @@ class ImportanceTable:
 class PruningProfile:
     """Hard gate assignment per language produced by one pruning run."""
 
-    setting: str
-    target_size: float
     gatesets: dict[str, GateSet]
     tables: dict[str, ImportanceTable] = field(default_factory=dict)
 
@@ -152,7 +149,7 @@ def select_threshold(table: ImportanceTable, weights: np.ndarray,
         # the first position whose cumulative weight reaches the goal is kept too
         last = int(np.searchsorted(np.cumsum(weights[order]), goal, side="left"))
         values[order[:last + 1]] = 1.0
-    return GateSet(config, values, hard=True)
+    return GateSet(config, values)
 
 
 def importance_tables(model: Model, batches_by_language: dict,
@@ -177,11 +174,9 @@ def importance_tables(model: Model, batches_by_language: dict,
 
 
 def build_profile(model: Model, batches_by_language: dict, setting: str,
-                  target_size: float, weights=None) -> PruningProfile:
+                  target_size: float, weights: np.ndarray) -> PruningProfile:
     """Score with importance_tables, then threshold each table at the target."""
     tables = importance_tables(model, batches_by_language, setting)
-    if weights is None:
-        weights = component_weights(model.config)
     gatesets = {lang: select_threshold(table, weights, target_size, model.config)
                 for lang, table in tables.items()}
-    return PruningProfile(setting, target_size, gatesets, tables)
+    return PruningProfile(gatesets, tables)

@@ -30,37 +30,16 @@ from .exceptions import ContractError, InputError
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class HardConcrete:
-    """Stretch limits and temperature for hard-concrete sampling."""
-
-    l: float = -0.1
-    r: float = 1.1
-    beta: float = 2.0 / 3.0
-
-    def __post_init__(self):
-        if not (self.l < 0.0 < 1.0 < self.r):
-            raise ContractError(f"hard concrete needs l < 0 < 1 < r, got l={self.l}, r={self.r}")
-        if self.beta <= 0.0:
-            raise ContractError("hard concrete temperature must be positive")
-
-    @property
-    def zero_threshold(self) -> float:
-        """Largest alpha whose inference gate is exactly 0."""
-        return float(logit(-self.l / (self.r - self.l)))
-
-    @property
-    def one_threshold(self) -> float:
-        """Smallest alpha whose inference gate is exactly 1."""
-        return float(logit((1.0 - self.l) / (self.r - self.l)))
-
-    @property
-    def penalty_shift(self) -> float:
-        """log(-l / r), subtracted from alpha inside the expected-L0 sigmoid."""
-        return float(np.log(-self.l / self.r))
-
-
-DEFAULT_HC = HardConcrete()
+# stretch limits l < 0 < 1 < r and temperature of the hard-concrete gate
+# (Louizos et al., 2018)
+HC_L = -0.1
+HC_R = 1.1
+HC_BETA = 2.0 / 3.0
+# largest alpha whose inference gate is exactly 0, smallest whose gate is exactly 1
+ZERO_THRESHOLD = float(logit(-HC_L / (HC_R - HC_L)))
+ONE_THRESHOLD = float(logit((1.0 - HC_L) / (HC_R - HC_L)))
+# log(-l / r), subtracted from alpha inside the expected-L0 sigmoid
+PENALTY_SHIFT = float(np.log(-HC_L / HC_R))
 
 ALPHA_INIT_STD = 0.1
 
@@ -75,7 +54,6 @@ class HardConcreteParams:
 
     languages: list[str]
     alphas: Tensor
-    constants: HardConcrete = DEFAULT_HC
 
     def __post_init__(self):
         if self.alphas.shape[:1] != (len(self.languages),) or self.alphas.ndim != 2:
@@ -83,12 +61,11 @@ class HardConcreteParams:
                                 f"of {self.languages}")
 
     @classmethod
-    def init(cls, languages, n_components: int, seed: int,
-             constants: HardConcrete = DEFAULT_HC) -> "HardConcreteParams":
+    def init(cls, languages, n_components: int, seed: int) -> "HardConcreteParams":
         languages = list(languages)
         rng = np.random.default_rng(seed)
         alphas = rng.normal(0.0, ALPHA_INIT_STD, size=(len(languages), n_components))
-        return cls(languages, Tensor(alphas, requires_grad=True), constants)
+        return cls(languages, Tensor(alphas, requires_grad=True))
 
     def save_csv(self, path, components):
         """One row per (language, component), languages sorted."""
@@ -109,30 +86,30 @@ def _check_u(u: np.ndarray):
     return u
 
 
-def sample_gate(alpha: Tensor, u, constants: HardConcrete = DEFAULT_HC) -> Tensor:
+def sample_gate(alpha: Tensor, u) -> Tensor:
     """Differentiable stochastic gate; u holds uniform draws, one per gate."""
     u = _check_u(u)
     if u.shape != alpha.shape:
         raise ContractError(f"noise shape {u.shape} does not match alpha {alpha.shape}")
     noise = np.log(u / (1.0 - u))
-    s = T.sigmoid(T.multiply(T.add(alpha, Tensor(noise)), 1.0 / constants.beta))
-    shat = T.add(T.multiply(s, constants.r - constants.l), constants.l)
+    s = T.sigmoid(T.multiply(T.add(alpha, Tensor(noise)), 1.0 / HC_BETA))
+    shat = T.add(T.multiply(s, HC_R - HC_L), HC_L)
     return T.clamp(shat, 0.0, 1.0)
 
 
-def inference_gate(alpha, constants: HardConcrete = DEFAULT_HC):
+def inference_gate(alpha):
     """Deterministic gate value; numpy in, numpy out."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    return np.clip(expit(alpha) * (constants.r - constants.l) + constants.l, 0.0, 1.0)
+    return np.clip(expit(alpha) * (HC_R - HC_L) + HC_L, 0.0, 1.0)
 
 
-def expected_gate(alpha: Tensor, constants: HardConcrete = DEFAULT_HC) -> Tensor:
+def expected_gate(alpha: Tensor) -> Tensor:
     """Differentiable inference-mode gate, used by the diversity term."""
-    shat = T.add(T.multiply(T.sigmoid(alpha), constants.r - constants.l), constants.l)
+    shat = T.add(T.multiply(T.sigmoid(alpha), HC_R - HC_L), HC_L)
     return T.clamp(shat, 0.0, 1.0)
 
 
-def l0_penalty(alpha: Tensor, weights, constants: HardConcrete = DEFAULT_HC) -> Tensor:
+def l0_penalty(alpha: Tensor, weights) -> Tensor:
     """Weighted expected number of nonzero gates, sum_g w_g * sigmoid(alpha - log(-l/r)).
 
     alpha is one gate vector or a (languages x components) matrix; the sum
@@ -143,7 +120,7 @@ def l0_penalty(alpha: Tensor, weights, constants: HardConcrete = DEFAULT_HC) -> 
         raise ContractError(f"weight shape {weights.shape} does not match alpha {alpha.shape}")
     if np.any(weights <= 0.0):
         raise ContractError("component weights must be positive")
-    probs = T.sigmoid(T.add(alpha, -constants.penalty_shift))
+    probs = T.sigmoid(T.add(alpha, -PENALTY_SHIFT))
     return T.multiply(probs, Tensor(weights)).sum(axis=-1)
 
 

@@ -70,16 +70,10 @@ class Tensor:
         return add(self, other)
 
     def sum(self, axis=None, keepdims: bool = False):
-        return _reduce(self, axis, keepdims, mean=False)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return _reduce(self, axis, keepdims, mean=True)
+        return _sum(self, axis, keepdims)
 
     def __getitem__(self, key):
         return basic_slice(self, key)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 class _Node:
@@ -331,39 +325,20 @@ def absolute(x) -> Tensor:
     return _make("abs", value, (x,), grad)
 
 
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.log(x.data)
-
-    def grad(g):
-        return [(x, g / x.data)]
-
-    return _make("log", value, (x,), grad)
-
-
-def _reduce(x: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
-    op = "mean" if mean else "sum"
+def _sum(x: Tensor, axis, keepdims: bool) -> Tensor:
     if axis is not None and not isinstance(axis, int):
-        raise ContractError(f"{op}: axis must be None or an int")
+        raise ContractError("sum: axis must be None or an int")
     if axis is not None and not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"{op}: axis {axis} out of range for shape {x.shape}")
-    value = getattr(x.data, op)(axis=axis, keepdims=keepdims)
-    scale = 1.0
-    if mean:
-        scale = 1.0 / (x.size if axis is None else x.shape[axis])
+        raise DimensionError(f"sum: axis {axis} out of range for shape {x.shape}")
+    value = x.data.sum(axis=axis, keepdims=keepdims)
 
     def grad(g):
         g = np.asarray(g)
-        if axis is None:
-            gx = np.broadcast_to(g, x.shape)
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            gx = np.broadcast_to(g, x.shape)
-        return [(x, gx * scale)]
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return [(x, np.broadcast_to(g, x.shape).copy())]
 
-    return _make(op, value, (x,), grad)
+    return _make("sum", value, (x,), grad)
 
 
 def transpose(x, axes) -> Tensor:

@@ -84,6 +84,11 @@ class TrainSchedule:
             raise ConfigError(f"unknown setting {self.setting!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm in ("ds_grad", "ds_l0"):
+            try:
+                check_grid(self.grid)
+            except ContractError as e:
+                raise ConfigError(str(e)) from None
         if not 0.0 < self.mask_rate < 1.0:
             raise ConfigError(f"mask_rate must lie in (0, 1), got {self.mask_rate}")
         if self.importance_batches < 1:
@@ -355,10 +360,10 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
                      [(_adam({"alpha": hc.alphas}, schedule.alpha_lr, schedule), 0),
                       (_adam(model.params, schedule.learning_rate, schedule), warm)], step)
     hard = (inference_gate(hc.alphas.data) >= 0.5).astype(np.float64)
-    gatesets = {l: GateSet(config, hard[i], hard=True) for i, l in enumerate(langs)}
+    gatesets = {l: GateSet(config, hard[i]) for i, l in enumerate(langs)}
     achieved = {l: retained_fraction(hard[i], weights) for i, l in enumerate(langs)}
-    profile = PruningProfile(schedule.setting, schedule.target_size, gatesets)
-    return TrainResult(model, records, profile=profile, hc=hc, achieved_sizes=achieved)
+    return TrainResult(model, records, profile=PruningProfile(gatesets), hc=hc,
+                       achieved_sizes=achieved)
 
 
 def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> TrainResult:
@@ -394,7 +399,7 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         t = float(grid[int(np.random.default_rng([schedule.seed, 11, k]).integers(1, len(grid)))])
         if not trainable:
             values = gate_values_at(ds, t, lang)
-            mlm = _mlm(model, batch, gate_tensors(GateSet(config, values, hard=False)))
+            mlm = _mlm(model, batch, gate_tensors(GateSet(config, values)))
             return mlm, {"sparsity": 1.0 - retained_fraction(values, weights)}
         z = T.add(alphas, T.multiply(thetas, t))
         flat = expected_gate(z[row])
@@ -412,19 +417,21 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         tables_out = {l: {"alpha": alphas.data[i].copy(), "theta": thetas.data[i].copy(),
                           "t_hat": ds.tables[l]["t_hat"].copy(),
                           "delta": ds.tables[l]["delta"].copy()} for i, l in enumerate(langs)}
-        ds = DSParams(ds.components, ds.grid, tables_out, ds.constants)
+        ds = DSParams(ds.components, ds.grid, tables_out)
     return TrainResult(model, records, ds=ds)
+
+
+# learning rates the probe head tries; the best on dev is kept
+PROBE_LR_GRID = (1e-3, 1e-2, 1e-1)
 
 
 @dataclass
 class ProbeResult:
-    """Probe accuracies: per language, their mean, and row-level overall."""
+    """Probe test accuracies per language and their mean, at the learning rate chosen on dev."""
 
     per_language: dict[str, float]
     mean: float
-    overall: float
     best_lr: float
-    dev_accuracy: float
 
 
 def _probe_features(model: Model, batches) -> tuple[np.ndarray, np.ndarray, list]:
@@ -446,8 +453,7 @@ def _accuracy(x, w, b, y) -> float:
     return float((pred == y).mean())
 
 
-def finetune_probe(model: Model, splits: ProbeSplits,
-                   lr_grid=(1e-3, 1e-2, 1e-1), seed: int = 0,
+def finetune_probe(model: Model, splits: ProbeSplits, seed: int = 0,
                    epochs: int = 30) -> ProbeResult:
     """Train a linear head on frozen encoder features; pick lr on dev.
 
@@ -458,8 +464,6 @@ def finetune_probe(model: Model, splits: ProbeSplits,
     """
     if not splits.train or not splits.dev or not splits.test:
         raise InputError("probe needs non-empty train, dev and test splits")
-    if not lr_grid:
-        raise ContractError("lr_grid must not be empty")
     xtr, ytr, _ = _probe_features(model, splits.train)
     xdv, ydv, _ = _probe_features(model, splits.dev)
     xte, yte, lte = _probe_features(model, splits.test)
@@ -469,7 +473,7 @@ def finetune_probe(model: Model, splits: ProbeSplits,
     for b in splits.train:
         bounds.append(bounds[-1] + b.tokens.shape[0])
     best = None
-    for lr in lr_grid:
+    for lr in PROBE_LR_GRID:
         rng = np.random.default_rng([seed, 12])
         w = Tensor(rng.normal(0.0, 0.01, size=(d, 2)), requires_grad=True)
         bias = Tensor(np.zeros(2), requires_grad=True)
@@ -486,13 +490,11 @@ def finetune_probe(model: Model, splits: ProbeSplits,
         acc = _accuracy(xdv, w.data, bias.data, ydv)
         if best is None or acc > best[0]:
             best = (acc, lr, w.data.copy(), bias.data.copy())
-    dev_acc, best_lr, w, bias = best
+    _, best_lr, w, bias = best
     langs = sorted(set(lte))
     lte = np.array(lte)
     per_language = {}
     for lang in langs:
         mask = lte == lang
         per_language[lang] = _accuracy(xte[mask], w, bias, yte[mask])
-    overall = _accuracy(xte, w, bias, yte)
-    return ProbeResult(per_language, float(np.mean(list(per_language.values()))),
-                       overall, best_lr, dev_acc)
+    return ProbeResult(per_language, float(np.mean(list(per_language.values()))), best_lr)

@@ -121,7 +121,7 @@ def _random_hard_gateset(config, rng, p_keep=None):
         p_keep = rng.uniform(0.15, 0.85)
     universe = component_universe(config)
     bits = (rng.random(len(universe)) < p_keep).astype(float)
-    return GateSet.from_values(config, bits, hard=True)
+    return GateSet.from_values(config, bits)
 
 
 @criterion(1, "parameter accounting")
@@ -201,7 +201,7 @@ def test_criterion_04_sparsity_targeting():
     worst_full = worst_enc = 0.0
     for step in range(1, 10):
         t = step / 10.0
-        profile = build_profile(model, batches, SHARED, t)
+        profile = build_profile(model, batches, SHARED, t, wvec)
         vec = profile.gatesets[SHARED].to_vector()
         dev_full = abs(float((vec * wvec).sum()) - t * wvec.sum())
         dev_enc = abs(float((vec[enc] * wvec[enc]).sum()) - t * wvec[enc].sum())

@@ -41,12 +41,11 @@ TOY = ModelConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=6, vocab_size=29, 
 def random_hard_gateset(config, seed, p_keep=0.6):
     rng = np.random.default_rng(seed)
     n = len(component_universe(config))
-    return GateSet.from_values(config, [float(rng.random() < p_keep) for _ in range(n)],
-                               hard=True)
+    return GateSet.from_values(config, [float(rng.random() < p_keep) for _ in range(n)])
 
 
 def all_off(config):
-    return GateSet.from_values(config, np.zeros(len(component_universe(config))), hard=True)
+    return GateSet.from_values(config, np.zeros(len(component_universe(config))))
 
 
 def synthetic_ds(config, seed=0):
@@ -91,8 +90,8 @@ def test_layer_profile_requires_hard_gates():
 
 def test_hamming_identical_and_complementary():
     a = random_hard_gateset(TOY, 1)
-    b = GateSet.from_values(TOY, 1.0 - a.values, hard=True)
-    langs, mat = hamming_matrix({"aa": a, "bb": GateSet.from_values(TOY, a.values, hard=True),
+    b = GateSet.from_values(TOY, 1.0 - a.values)
+    langs, mat = hamming_matrix({"aa": a, "bb": GateSet.from_values(TOY, a.values),
                                  "cc": b})
     assert langs == ["aa", "bb", "cc"]
     assert mat[0, 1] == 0.0
@@ -133,7 +132,7 @@ def test_hamming_rejects_mismatched_universes_and_soft_gates():
 
 def test_size_curve_endpoints_and_monotonicity():
     ds = synthetic_ds(TOY)
-    rows = size_curve(ds, TOY)
+    rows = size_curve(ds, TOY, "xx")
     assert [r["t"] for r in rows] == [pytest.approx(t) for t in DEFAULT_GRID]
     dense = count_params(TOY, GateSet.ones(TOY))
     empty = count_params(TOY, all_off(TOY))
@@ -152,7 +151,7 @@ def test_size_curve_endpoints_and_monotonicity():
 
 def test_size_curve_flags_embedding_knee():
     ds = synthetic_ds(TOY)
-    rows = size_curve(ds, TOY)
+    rows = size_curve(ds, TOY, "xx")
     knee = max((r["t"] for r in rows if r["embed_pruning_active"]), default=None)
     assert knee is not None
     for row in rows:
@@ -164,15 +163,19 @@ def test_size_curve_flags_embedding_knee():
 
 
 def test_size_curve_language_selection():
-    ds = synthetic_ds(TOY)
-    assert size_curve(ds, TOY, "xx") == size_curve(ds, TOY)
+    ds, other = synthetic_ds(TOY), synthetic_ds(TOY, seed=1)
+    ds.tables["yy"] = other.tables["xx"]
+    xx, yy = size_curve(ds, TOY, "xx"), size_curve(ds, TOY, "yy")
+    assert xx != yy
+    assert xx == size_curve(synthetic_ds(TOY), TOY, "xx")
+    assert yy == size_curve(other, TOY, "xx")
     with pytest.raises(InputError):
-        size_curve(ds, TOY, "yy")
+        size_curve(ds, TOY, "zz")
 
 
 def test_size_curve_xlmr_dry_run_matches_reference_scale():
     ds = synthetic_ds(XLMR_BASE, seed=3)
-    rows = size_curve(ds, XLMR_BASE)
+    rows = size_curve(ds, XLMR_BASE, "xx")
     dense_total = rows[-1]["total_params"]
     assert abs(dense_total - 279e6) / 279e6 < 0.01
     v, d, df = XLMR_BASE.vocab_size, XLMR_BASE.model_dim, XLMR_BASE.ffn_dim
@@ -323,7 +326,8 @@ def test_throughput_batch_doubling_increases_rate():
 
 def test_throughput_validation_and_timer_floor(monkeypatch):
     model = Model.init(TOY, 13)
-    with pytest.raises(ContractError):
+    # throughput_bench times through time_forward, which owns the reps check
+    with pytest.raises(ContractError, match="3 repetitions"):
         throughput_bench(model, {0.0: GateSet.ones(TOY)}, seq_len=8, reps=2)
     cm = compact_model(model, GateSet.ones(TOY))
     with pytest.raises(ContractError):

@@ -329,7 +329,7 @@ def test_report_reads_the_config_without_the_weights(tmp_path, capsys):
     for lang, value in (("aa", 1.0), ("bb", 0.0)):
         values = np.ones(GateSet.ones(config).values.size)
         values[0] = value
-        GateSet(config, values, hard=True).save_text(tmp_path / f"gates_{lang}.txt", config)
+        GateSet(config, values).save_text(tmp_path / f"gates_{lang}.txt", config)
     (tmp_path / "weights.gcpt").unlink()
     assert main(["report", "--run", str(tmp_path), "--figure", "hamming"]) == 0
     assert main(["report", "--run", str(tmp_path), "--figure", "layer-profile"]) == 0
@@ -351,7 +351,7 @@ def test_eval_probe_names_a_soft_gate_file(tmp_path, capsys):
     GateSet.ones(config).save_text(tmp_path / "run" / "gates_aa.txt", config)
     values = GateSet.ones(config).values
     values[0] = 0.5
-    GateSet(config, values, hard=False).save_text(tmp_path / "run" / "gates_x.txt", config)
+    GateSet(config, values).save_text(tmp_path / "run" / "gates_x.txt", config)
     assert main(["eval-probe", "--corpus", str(tmp_path / "corpus"), "--run",
                  str(tmp_path / "run"), "--epochs", "1"]) == 1
     err = capsys.readouterr().err
@@ -389,6 +389,32 @@ def test_report_on_malformed_model_json_exits_1(tmp_path, capsys):
         capsys.readouterr()
         assert main(["report", "--run", str(tmp_path), "--figure", "size-curve"]) == 1, text
         assert "model.json: expected a JSON object" in capsys.readouterr().err
+
+
+def test_report_on_a_ds_table_without_rows_exits_1(tmp_path, capsys):
+    _report_run(tmp_path)
+    path = tmp_path / "ds.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    assert main(["report", "--run", str(tmp_path), "--figure", "size-curve"]) == 1
+    assert f"{path}: no rows" in capsys.readouterr().err
+    assert not (tmp_path / f"report_size-curve_{tmp_path.name}.csv").exists()
+
+
+def test_ds_train_on_a_grid_without_both_ends_exits_2(tmp_path, capsys):
+    specs = build_inventories([LanguageSpec("aa", "Uralic", 20, 1)], inventory_size=6)
+    gen_corpus(specs, seed=0).save(tmp_path / "corpus")
+    config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=3, vocab_size=11,
+                         max_seq_len=32)
+    (tmp_path / "base").mkdir()
+    Model.init(config, 0).save(tmp_path / "base")
+    (tmp_path / "grid.json").write_text(json.dumps({"grid": [0.0, 0.5]}))
+    args = ["ds-train", "--corpus", str(tmp_path / "corpus"), "--baseline",
+            str(tmp_path / "base"), "--out-root", str(tmp_path / "runs")]
+    for extra in (["--grid", "0.2:1.0:0.4"], ["--config", str(tmp_path / "grid.json")]):
+        capsys.readouterr()
+        assert main(args + extra) == 2, extra
+        assert "config error: size grid must start at 0 and end at 1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_report_on_malformed_manifest_exits_1(tmp_path, capsys):

@@ -73,12 +73,6 @@ def test_family_overlap_floor():
                 assert j == 0.0
 
 
-def test_overlap_floor_is_configurable():
-    specs = [LanguageSpec("aa", "Dravidian", 5, 1), LanguageSpec("bb", "Dravidian", 5, 2)]
-    filled = build_inventories(specs, inventory_size=30, overlap=0.8)
-    assert jaccard(filled[0].token_inventory, filled[1].token_inventory) >= 0.8
-
-
 def test_spec_validation():
     with pytest.raises(InputError):
         LanguageSpec("aa", "NotAFamily", 5, 1)
@@ -204,6 +198,32 @@ def test_unknown_sentence_token_names_path_and_line(tmp_path):
         Corpus.load(tmp_path)
 
 
+def test_repeated_language_row_names_path_and_line(tmp_path):
+    gen_corpus(small_specs(size=10), seed=1).save(tmp_path)
+    path = tmp_path / "languages.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[-1:]))
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}:{len(lines) + 1}: second row for language 'cc'")):
+        Corpus.load(tmp_path)
+
+
+@pytest.mark.parametrize("lineno, edit, fault", [
+    (6, lambda rows: rows[5].__setitem__(1, str(int(rows[5][1]) + 100)), "leaves a gap"),
+    (7, lambda rows: rows[6].__setitem__(0, rows[5][0]), "second row for token"),
+    (7, lambda rows: rows[6].__setitem__(1, rows[5][1]), "listed twice"),
+    (7, lambda rows: rows[6].__setitem__(1, "-1"), "negative"),
+])
+def test_vocab_ids_run_from_0_once_each(tmp_path, lineno, edit, fault):
+    gen_corpus(small_specs(size=10), seed=1).save(tmp_path)
+    path = tmp_path / "vocab.tsv"
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    edit(rows)
+    path.write_text("".join("\t".join(row) + "\n" for row in rows))
+    with pytest.raises(InputError, match=re.escape(f"{path}:{lineno}: ") + ".*" + fault):
+        Corpus.load(tmp_path)
+
+
 def test_mask_counts_match_binomial_oracle():
     corpus = gen_corpus(small_specs(size=300), seed=12)
     p = 0.15
@@ -252,12 +272,14 @@ def test_mask_rows_and_positions_are_well_formed():
         assert len(batch.languages) == batch.tokens.shape[0]
 
 
-def test_short_sentences_are_skipped_and_counted():
+def test_short_sentences_are_skipped():
     corpus = gen_corpus(small_specs(size=30), seed=15)
-    corpus.sentences["aa"].append(np.array([MARKER_ID], dtype=np.int64))
-    corpus.sentences["bb"].append(np.array([], dtype=np.int64))
-    out = mlm_batches(corpus, n_batches=2, batch_size=4, seq_len=8, seed=1)
-    assert out.n_skipped == 2
+    corpus.sentences["bb"] = [np.array([MARKER_ID], dtype=np.int64), np.array([], dtype=np.int64)]
+    out = mlm_batches(corpus, n_batches=20, batch_size=4, seq_len=8, seed=1)
+    assert isinstance(out, list) and len(out) == 20
+    assert all("bb" not in b.languages for b in out)
+    with pytest.raises(InputError, match="no usable sentences"):
+        mlm_batches(corpus, n_batches=1, batch_size=4, seq_len=8, languages=["bb"])
 
 
 def test_mlm_batches_language_restriction_and_errors():
@@ -315,12 +337,14 @@ def test_probe_batches_validation():
     with pytest.raises(ContractError):
         probe_batches(corpus, batch_size=0, seq_len=12)
     with pytest.raises(ContractError):
-        probe_batches(corpus, batch_size=4, seq_len=12, fractions=(0.5, 0.5, 0.5))
+        probe_batches(corpus, batch_size=4, seq_len=1)
+    with pytest.raises(InputError):
+        probe_batches(Corpus(corpus.specs, corpus.vocab, {}), batch_size=4, seq_len=12)
 
 
 def test_unmasked_logits_never_reach_the_loss():
     corpus = gen_corpus(small_specs(size=20), seed=20)
-    batch = mlm_batches(corpus, n_batches=1, batch_size=4, seq_len=8, seed=6).batches[0]
+    batch = mlm_batches(corpus, n_batches=1, batch_size=4, seq_len=8, seed=6)[0]
     rng = np.random.default_rng(21)
     raw = rng.normal(size=(4, 8, len(corpus.vocab)))
     base = mlm_loss(Tensor(raw), batch.mask_positions, batch.gold_ids).item()

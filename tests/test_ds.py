@@ -19,7 +19,7 @@ from prunelab.encoder import (GateSet, ModelConfig, XLMR_BASE, component_univers
                               component_weights)
 from prunelab.exceptions import ContractError, InputError
 from prunelab.grad_prune import ImportanceTable, select_threshold
-from prunelab.l0 import DEFAULT_HC
+from prunelab.l0 import ZERO_THRESHOLD
 
 LN11 = float(np.log(11.0))
 TOY = ModelConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=6, vocab_size=13, max_seq_len=9)
@@ -47,7 +47,7 @@ def test_solved_boundaries_saturate_exactly():
 def test_solve_degenerate_full_width():
     # t_hat == delta: gate turns on across the whole [0, t_hat] ramp
     alpha, theta = solve_ds_params(0.3, 0.3)
-    assert abs(alpha - DEFAULT_HC.zero_threshold) < 1e-4
+    assert abs(alpha - ZERO_THRESHOLD) < 1e-4
     assert ds_gate(alpha, theta, 0.3) == 1.0
     assert ds_gate(alpha, theta, 0.0) == 0.0
 
@@ -262,6 +262,7 @@ def test_ds_params_load_csv_rejects_malformed_tables(tmp_path):
         "second row": lines + [lines[1]],
         "non-numeric": lines[:1] + [lines[1].rsplit(",", 1)[0] + ",x\n"] + lines[2:],
         "short row": lines[:1] + [lines[1].rsplit(",", 1)[0] + "\n"] + lines[2:],
+        "no rows": lines[:1] + ["\n"],
     }
     for rows in cases.values():
         path.write_text("".join(rows))
@@ -327,7 +328,7 @@ def test_component_files_round_trip_byte_for_byte_at_xlmr_base(tmp_path):
         "hard.txt": (lambda p: select_threshold(tables["bb"], weights, 0.5, XLMR_BASE)
                      .save_text(p, XLMR_BASE),
                      lambda p: GateSet.load_text(p, XLMR_BASE).save_text(p, XLMR_BASE)),
-        "soft.txt": (lambda p: GateSet.from_values(XLMR_BASE, soft, hard=False)
+        "soft.txt": (lambda p: GateSet.from_values(XLMR_BASE, soft)
                      .save_text(p, XLMR_BASE),
                      lambda p: GateSet.load_text(p, XLMR_BASE).save_text(p, XLMR_BASE)),
         "ds.csv": (lambda p: init_ds(tables, weights, grid).save_csv(p),

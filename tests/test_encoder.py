@@ -103,7 +103,7 @@ def numeric_key(name):
 
 
 def all_off(config):
-    return GateSet.from_values(config, np.zeros(len(component_universe(config))), hard=True)
+    return GateSet.from_values(config, np.zeros(len(component_universe(config))))
 
 
 def test_component_universe_order_and_size():
@@ -139,7 +139,7 @@ def test_forward_matches_reference_random_gates():
         gs = GateSet.from_values(TOY, np.concatenate(
             [rng.uniform(size=TOY.n_heads) for _ in range(TOY.n_layers)]
             + [rng.uniform(size=TOY.ffn_dim) for _ in range(TOY.n_layers)]
-            + [rng.uniform(size=TOY.model_dim)]), hard=False)
+            + [rng.uniform(size=TOY.model_dim)]))
         with T.no_grad():
             got = encoder_forward(model, ids, gate_tensors(gs)).data
         want = reference_encoder(model, ids, gs)
@@ -378,13 +378,15 @@ def test_gateset_validation():
     out_of_range = np.ones(n)
     out_of_range[:2] = [0.5, 1.5]
     with pytest.raises(ContractError):
-        GateSet.from_values(TOY, out_of_range, hard=False)
+        GateSet.from_values(TOY, out_of_range)
+    # hard is read off the values: exactly 0 or 1 everywhere
     fractional = np.ones(n)
     fractional[0] = 0.5
+    assert not GateSet.from_values(TOY, fractional).hard
+    fractional[0] = 0.0
+    assert GateSet.from_values(TOY, fractional).hard
     with pytest.raises(ContractError):
-        GateSet.from_values(TOY, fractional, hard=True)
-    with pytest.raises(ContractError):
-        GateSet.from_values(TOY, np.ones(n - 1), hard=True)
+        GateSet.from_values(TOY, np.ones(n - 1))
 
 
 def test_gateset_text_round_trip(tmp_path):
@@ -392,7 +394,7 @@ def test_gateset_text_round_trip(tmp_path):
     gs = GateSet.from_values(TOY, np.concatenate(
         [rng.integers(0, 2, TOY.n_heads).astype(float) for _ in range(TOY.n_layers)]
         + [rng.integers(0, 2, TOY.ffn_dim).astype(float) for _ in range(TOY.n_layers)]
-        + [rng.integers(0, 2, TOY.model_dim).astype(float)]), hard=True)
+        + [rng.integers(0, 2, TOY.model_dim).astype(float)]))
     path = tmp_path / "gates.csv"
     gs.save_text(path, TOY)
     loaded = GateSet.load_text(path, TOY)
@@ -407,7 +409,7 @@ def test_save_text_writes_each_value_as_formatted_alone(tmp_path):
     values = np.ones(len(component_universe(TOY)))
     values[:4] = [-0.0, 0.0, 0.25, -0.0]
     path = tmp_path / "gates.txt"
-    GateSet.from_values(TOY, values, hard=False).save_text(path, TOY)
+    GateSet.from_values(TOY, values).save_text(path, TOY)
     lines = path.read_text().splitlines()
     assert lines[:5] == ["head,0,0,-0", "head,0,1,0", "head,1,0,0.25", "head,1,1,-0",
                          "hidden,0,0,1"]
@@ -523,7 +525,7 @@ def test_forward_determinism_and_finiteness_random_hard_gates():
     rng = np.random.default_rng(25)
     for _ in range(5):
         vec = rng.integers(0, 2, len(component_universe(TOY))).astype(float)
-        gs = GateSet.from_values(TOY, vec, hard=True)
+        gs = GateSet.from_values(TOY, vec)
         with T.no_grad():
             a = encoder_forward(model, ids, gate_tensors(gs)).data
             b = encoder_forward(model, ids, gate_tensors(gs)).data
@@ -589,8 +591,7 @@ def test_final_rows_equal_the_full_forward_bitwise(config, batch):
     ids = seeded_batch(config, 41, batch=batch, seq=9)
     ids[0, 6:] = 0
     rng = np.random.default_rng(42)
-    gs = GateSet.from_values(config, rng.integers(0, 2, len(component_universe(config))),
-                             hard=True)
+    gs = GateSet.from_values(config, rng.integers(0, 2, len(component_universe(config))))
     # the layer that computes only the leading rows keeps no head and no unit
     gs.heads[-1][:] = 0.0
     gs.hiddens[-1][:] = 0.0

@@ -27,6 +27,7 @@ from prunelab.grad_prune import (
 )
 
 TOY = ModelConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=6, vocab_size=13, max_seq_len=9)
+WEIGHTS = component_weights(TOY)
 
 
 @dataclass
@@ -224,8 +225,8 @@ def test_ranked_components_deterministic_ties():
 def test_build_profile_shared_vs_single_language():
     model = Model.init(TOY, seed=46)
     batches = [make_batch(47), make_batch(48)]
-    shared = build_profile(model, {"xx": batches}, "shared", 0.5)
-    non_shared = build_profile(model, {"xx": batches}, "non-shared", 0.5)
+    shared = build_profile(model, {"xx": batches}, "shared", 0.5, WEIGHTS)
+    non_shared = build_profile(model, {"xx": batches}, "non-shared", 0.5, WEIGHTS)
     assert np.array_equal(
         shared.gatesets["shared"].to_vector(),
         non_shared.gatesets["xx"].to_vector(),
@@ -235,19 +236,18 @@ def test_build_profile_shared_vs_single_language():
 def test_build_profile_non_shared_per_language():
     model = Model.init(TOY, seed=49)
     data = {"aa": [make_batch(50)], "bb": [make_batch(51)]}
-    profile = build_profile(model, data, "non-shared", 0.4)
+    profile = build_profile(model, data, "non-shared", 0.4, WEIGHTS)
     assert set(profile.gatesets) == {"aa", "bb"}
-    assert profile.setting == "non-shared"
 
 
 def test_build_profile_missing_language_data():
     model = Model.init(TOY, seed=52)
     with pytest.raises(InputError, match="bb"):
-        build_profile(model, {"aa": [make_batch(53)], "bb": []}, "non-shared", 0.5)
+        build_profile(model, {"aa": [make_batch(53)], "bb": []}, "non-shared", 0.5, WEIGHTS)
     with pytest.raises(InputError):
-        build_profile(model, {}, "shared", 0.5)
+        build_profile(model, {}, "shared", 0.5, WEIGHTS)
     with pytest.raises(ContractError):
-        build_profile(model, {"aa": [make_batch(54)]}, "both", 0.5)
+        build_profile(model, {"aa": [make_batch(54)]}, "both", 0.5, WEIGHTS)
 
 
 def test_importance_table_csv_round_trip(tmp_path):

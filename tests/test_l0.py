@@ -6,8 +6,9 @@ import pytest
 from prunelab import tensor as T
 from prunelab.exceptions import ContractError, InputError
 from prunelab.l0 import (
-    DEFAULT_HC,
-    HardConcrete,
+    ONE_THRESHOLD,
+    PENALTY_SHIFT,
+    ZERO_THRESHOLD,
     HardConcreteParams,
     build_prior,
     diversity_loss,
@@ -22,20 +23,11 @@ from prunelab.l0 import (
 LN11 = float(np.log(11.0))
 
 
-def test_constants_validation():
-    with pytest.raises(ContractError):
-        HardConcrete(l=0.0)
-    with pytest.raises(ContractError):
-        HardConcrete(r=1.0)
-    with pytest.raises(ContractError):
-        HardConcrete(beta=0.0)
-
-
 def test_thresholds_for_default_stretch():
     # l=-0.1, r=1.1: zero threshold logit(1/12) = -ln 11, one logit(11/12) = ln 11
-    assert abs(DEFAULT_HC.zero_threshold + LN11) < 1e-12
-    assert abs(DEFAULT_HC.one_threshold - LN11) < 1e-12
-    assert abs(DEFAULT_HC.penalty_shift + LN11) < 1e-12
+    assert abs(ZERO_THRESHOLD + LN11) < 1e-12
+    assert abs(ONE_THRESHOLD - LN11) < 1e-12
+    assert abs(PENALTY_SHIFT + LN11) < 1e-12
 
 
 def test_sample_gate_median_noise():
@@ -69,10 +61,10 @@ def test_sample_gate_monotone_in_alpha():
 
 def test_inference_gate_values():
     assert abs(inference_gate(0.0) - 0.5) < 1e-12
-    assert inference_gate(DEFAULT_HC.zero_threshold - 1e-9) == 0.0
-    assert inference_gate(DEFAULT_HC.zero_threshold) <= 1e-12
-    assert inference_gate(DEFAULT_HC.zero_threshold + 1e-6) > 0.0
-    assert inference_gate(DEFAULT_HC.one_threshold + 1e-9) == 1.0
+    assert inference_gate(ZERO_THRESHOLD - 1e-9) == 0.0
+    assert inference_gate(ZERO_THRESHOLD) <= 1e-12
+    assert inference_gate(ZERO_THRESHOLD + 1e-6) > 0.0
+    assert inference_gate(ONE_THRESHOLD + 1e-9) == 1.0
     assert inference_gate(-50.0) == 0.0 and inference_gate(50.0) == 1.0
     grid = inference_gate(np.linspace(-8, 8, 33))
     assert np.all(np.diff(grid) >= 0.0)

@@ -91,12 +91,15 @@ def test_schedule_rejects_bad_values():
         dict(total_steps=1, algorithm="magnitude"),
         dict(total_steps=1, mask_rate=1.0),
         dict(total_steps=1, importance_batches=0),
+        dict(total_steps=1, algorithm="ds_grad", grid=(0.2, 0.6, 1.0)),
+        dict(total_steps=1, algorithm="ds_l0", grid=(0.0, 0.5, 0.5, 1.0)),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
             TrainSchedule(**kwargs)
-    # the dense no-op target is allowed
+    # the dense no-op target is allowed, and only the DS algorithms read the grid
     TrainSchedule(total_steps=1, target_size=1.0)
+    TrainSchedule(total_steps=1, algorithm="grad", grid=(0.2, 0.6, 1.0))
 
 
 def test_lambda_resolution_defaults_and_overrides():
@@ -570,7 +573,7 @@ def test_probe_is_reproducible():
     a = finetune_probe(base, splits, epochs=3)
     b = finetune_probe(base, splits, epochs=3)
     assert a.per_language == b.per_language
-    assert a.mean == b.mean and a.best_lr == b.best_lr and a.dev_accuracy == b.dev_accuracy
+    assert a.mean == b.mean and a.best_lr == b.best_lr
 
 
 # --- artifacts --------------------------------------------------------------
