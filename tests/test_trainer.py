@@ -1,5 +1,6 @@
 """Training loops: schedules, optimizer, run kinds, probe, artifacts."""
 
+import hashlib
 import json
 import os
 from collections import Counter
@@ -19,7 +20,7 @@ from prunelab.encoder import (
     component_universe,
     component_weights,
 )
-from prunelab.exceptions import ConfigError, ContractError, RunError
+from prunelab.exceptions import ConfigError, ContractError, NumericError, RunError
 from prunelab.grad_prune import NON_SHARED, SHARED, importance_scores
 from prunelab.l0 import HardConcreteParams, inference_gate
 from prunelab.tensor import Tensor
@@ -574,6 +575,49 @@ def test_probe_is_reproducible():
     b = finetune_probe(base, splits, epochs=3)
     assert a.per_language == b.per_language
     assert a.mean == b.mean and a.best_lr == b.best_lr
+
+
+# sha256 of w then b, as bytes, for each PROBE_LR_GRID rate after 30 epochs
+# on the toy baseline; a change of rounding can leave every accuracy as it was
+PROBE_HEAD_DIGESTS = [
+    "9b6ba4ba0a7560d9696b8905d9a597df7efccdc4416bf7b9c7e437123d0bc625",
+    "fd263e630f41f64bd1d7aee641d7e06990a09d075594c05976d6876be8323869",
+    "af7da30337565384caa3663361376bdfcdf2920e49d690743e69c782a8aacb0a",
+]
+
+
+def test_trained_probe_heads_are_pinned(monkeypatch):
+    base = toy_baseline().model
+    splits = probe_batches(toy_corpus(), batch_size=8, seq_len=12, seed=7)
+    heads = []
+    accuracy = trainer._accuracy
+
+    def recording(x, w, b, y):
+        heads.append(hashlib.sha256(w.tobytes() + b.tobytes()).hexdigest())
+        return accuracy(x, w, b, y)
+
+    monkeypatch.setattr(trainer, "_accuracy", recording)
+    res = finetune_probe(base, splits)
+    n = len(trainer.PROBE_LR_GRID)
+    # one dev call per candidate head, then one test call per language with the best
+    assert heads[:n] == PROBE_HEAD_DIGESTS
+    best = PROBE_HEAD_DIGESTS[trainer.PROBE_LR_GRID.index(res.best_lr)]
+    assert heads[n:] == [best] * len(res.per_language)
+
+
+def test_non_finite_probe_logits_raise_numeric_error(monkeypatch):
+    base = toy_baseline().model
+    splits = probe_batches(toy_corpus(), batch_size=8, seq_len=12, seed=7)
+    features = trainer._probe_features
+
+    def with_inf(model, batches):
+        x, y, langs = features(model, batches)
+        x[0, 0] = np.inf
+        return x, y, langs
+
+    monkeypatch.setattr(trainer, "_probe_features", with_inf)
+    with pytest.raises(NumericError):
+        finetune_probe(base, splits, epochs=1)
 
 
 # --- artifacts --------------------------------------------------------------
