@@ -703,17 +703,6 @@ def mlm_loss(logits: Tensor, mask_positions: np.ndarray, gold_ids: np.ndarray) -
     return T._make(op, value, (logits,), backward)
 
 
-def cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
-    """Mean cross entropy for (rows, classes) logits against integer labels."""
-    n, c = logits.shape
-    gold = np.asarray(gold)
-    if gold.shape != (n,):
-        raise ContractError(f"labels must have shape ({n},), got {gold.shape}")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), gold] = 1.0
-    return T.multiply(T.multiply(T.log_softmax(logits), onehot).sum(), -1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # Accounting
 

@@ -262,22 +262,6 @@ def sigmoid(x) -> Tensor:
     return _make("sigmoid", value, (x,), grad)
 
 
-def log_softmax(x) -> Tensor:
-    """Numerically stable log of the last-axis softmax."""
-    x = as_tensor(x)
-    if x.ndim < 1:
-        raise DimensionError("log_softmax: operand must have at least one axis")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    value = shifted - lse
-
-    def grad(g):
-        soft = np.exp(value)
-        return [(x, g - soft * g.sum(axis=-1, keepdims=True))]
-
-    return _make("log_softmax", value, (x,), grad)
-
-
 def embedding_gather(table, ids) -> Tensor:
     """Select rows of a 2-d table by integer id; gradient scatter-adds."""
     table = as_tensor(table)

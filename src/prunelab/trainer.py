@@ -24,10 +24,10 @@ from . import tensor as T
 from .analysis import write_report
 from .corpus import PAD_ID, Corpus, ProbeSplits, mlm_batches
 from .ds import DEFAULT_GRID, DSParams, check_grid, gate_values_at, init_ds
-from .encoder import (GateSet, Model, ModelConfig, component_weights, cross_entropy,
-                      encoder_forward, encoder_hidden, gate_tensors, mlm_loss,
-                      retained_fraction, split_gates)
-from .exceptions import ConfigError, ContractError, InputError, RunError
+from .encoder import (GateSet, Model, ModelConfig, component_weights, encoder_forward,
+                      encoder_hidden, gate_tensors, mlm_loss, retained_fraction,
+                      split_gates)
+from .exceptions import ConfigError, ContractError, InputError, NumericError, RunError
 from .grad_prune import NON_SHARED, SHARED, PruningProfile, build_profile, importance_tables
 from .l0 import (HardConcreteParams, build_prior, diversity_loss,
                  expected_gate, inference_gate, l0_penalty, sample_gate,
@@ -468,25 +468,30 @@ def finetune_probe(model: Model, splits: ProbeSplits, seed: int = 0,
     xdv, ydv, _ = _probe_features(model, splits.dev)
     xte, yte, lte = _probe_features(model, splits.test)
     d = model.config.model_dim
-    n = xtr.shape[0]
-    bounds = [0]
-    for b in splits.train:
-        bounds.append(bounds[-1] + b.tokens.shape[0])
+    cuts = np.cumsum([b.tokens.shape[0] for b in splits.train])[:-1]
+    # each batch's features, and the gradient of its mean cross entropy with
+    # respect to the log-probabilities
+    batches = [(xb, (-1.0 / len(yb)) * np.eye(2)[yb])
+               for xb, yb in zip(np.split(xtr, cuts), np.split(ytr, cuts))]
     best = None
     for lr in PROBE_LR_GRID:
         rng = np.random.default_rng([seed, 12])
-        w = Tensor(rng.normal(0.0, 0.01, size=(d, 2)), requires_grad=True)
-        bias = Tensor(np.zeros(2), requires_grad=True)
+        w = Tensor(rng.normal(0.0, 0.01, size=(d, 2)))
+        bias = Tensor(np.zeros(2))
         opt = Adam({"w": w, "b": bias}, lr)
-        for _ in range(epochs):
-            for i in range(len(bounds) - 1):
-                xb = xtr[bounds[i]: bounds[i + 1]]
-                yb = ytr[bounds[i]: bounds[i + 1]]
-                logits = T.add(T.matmul(Tensor(xb), w), bias)
-                loss = cross_entropy(logits, yb)
-                T.backward(loss)
-                opt.step()
-                opt.zero()
+        # the log-softmax backward g - softmax * sum(g), not the shorter
+        # (softmax - onehot) / n, which rounds differently
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(epochs):
+                for xb, g in batches:
+                    z = xb @ w.data + bias.data
+                    shifted = z - z.max(axis=-1, keepdims=True)
+                    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+                    if not np.isfinite(logp).all():
+                        raise NumericError("probe head produced a non-finite log-probability")
+                    gz = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+                    w.grad, bias.grad = xb.T @ gz, gz.sum(axis=0)
+                    opt.step()
         acc = _accuracy(xdv, w.data, bias.data, ydv)
         if best is None or acc > best[0]:
             best = (acc, lr, w.data.copy(), bias.data.copy())

@@ -89,7 +89,6 @@ def op_cases(rng):
         "multiply": (lambda xs: T.multiply(xs[0], xs[1]), [(b, m, d), (m, 1)]),
         "matmul": (lambda xs: T.matmul(xs[0], xs[1]), [(b, m, k), (k, d)]),
         "sigmoid": (lambda xs: T.sigmoid(xs[0]), [(m, d)]),
-        "log_softmax": (lambda xs: T.log_softmax(xs[0]), [(m, d)]),
         "embedding_gather": (
             lambda xs: T.embedding_gather(xs[0], ids),
             [(m, k)],
@@ -148,7 +147,6 @@ ALL_OPS = (
     "multiply",
     "matmul",
     "sigmoid",
-    "log_softmax",
     "embedding_gather",
     "clamp",
     "abs",

@@ -18,7 +18,6 @@ from prunelab.encoder import (
     component_universe,
     component_weights,
     count_params,
-    cross_entropy,
     encoder_forward,
     encoder_hidden,
     encoder_sparsity,
@@ -307,11 +306,6 @@ def test_mlm_loss_requires_masks_and_valid_gold():
         mlm_loss(logits, np.zeros((1, 2), dtype=bool), np.zeros((1, 2), dtype=int))
     with pytest.raises(InputError):
         mlm_loss(logits, np.array([[True, False]]), np.array([[9, 0]]))
-
-
-def test_cross_entropy_uniform():
-    logits = T.Tensor(np.zeros((4, 2)))
-    assert abs(cross_entropy(logits, np.array([0, 1, 0, 1])).item() - np.log(2.0)) < 1e-12
 
 
 def test_count_params_xlmr_scale():

@@ -620,6 +620,16 @@ def test_non_finite_probe_logits_raise_numeric_error(monkeypatch):
         finetune_probe(base, splits, epochs=1)
 
 
+def test_probe_head_trains_off_the_tape(monkeypatch):
+    def refuse(loss):
+        raise AssertionError("the probe head needs no backward")
+
+    monkeypatch.setattr(T, "backward", refuse)
+    splits = probe_batches(toy_corpus(), batch_size=8, seq_len=12, seed=7)
+    finetune_probe(toy_baseline().model, splits, epochs=1)
+    assert T.active_tape().nodes == []
+
+
 # --- artifacts --------------------------------------------------------------
 
 
