@@ -29,6 +29,8 @@ PAD_TOKEN = "<pad>"
 MASK_TOKEN = "<mask>"
 CLS_TOKEN = "<cls>"
 MARKER_TOKEN = "mrk"
+RESERVED_IDS = {PAD_TOKEN: PAD_ID, MASK_TOKEN: MASK_ID, CLS_TOKEN: CLS_ID,
+                MARKER_TOKEN: MARKER_ID}
 
 # marker injection rates (fair coin per sentence) and the label threshold
 # between them
@@ -130,8 +132,7 @@ def default_language_specs(seed: int = 11) -> list[LanguageSpec]:
 
 def build_vocab(specs) -> dict[str, int]:
     """Specials, the marker, per-language tags, then the inventory union."""
-    vocab = {PAD_TOKEN: PAD_ID, MASK_TOKEN: MASK_ID, CLS_TOKEN: CLS_ID,
-             MARKER_TOKEN: MARKER_ID}
+    vocab = dict(RESERVED_IDS)
     for spec in sorted(specs, key=lambda s: s.id):
         vocab[f"<{spec.id}>"] = len(vocab)
     for tok in sorted({t for spec in specs for t in spec.token_inventory}):
@@ -193,6 +194,11 @@ class Corpus:
                     raise InputError(f"{vocab_path}:{lineno}: second row for token {tok!r}")
                 if idx < 0 or idx in id_lines:
                     raise InputError(f"{vocab_path}:{lineno}: id {idx} negative or listed twice")
+                # the code hard-codes ids 0..3 for the reserved tokens
+                reserved = RESERVED_IDS.get(tok)
+                if (reserved is not None or idx < len(RESERVED_IDS)) and reserved != idx:
+                    raise InputError(f"{vocab_path}:{lineno}: {tok!r} at id {idx}; ids 0..3 are "
+                                     f"{', '.join(RESERVED_IDS)} in that order")
                 vocab[tok] = idx
                 id_lines[idx] = lineno
         # n distinct non-negative ids are 0..n-1 exactly when none reaches n
@@ -200,6 +206,8 @@ class Corpus:
         if gap >= len(id_lines):
             raise InputError(f"{vocab_path}:{id_lines[gap]}: id {gap} leaves a gap; "
                              f"ids must run 0..{len(id_lines) - 1}")
+        if len(vocab) < len(RESERVED_IDS):
+            raise InputError(f"{vocab_path}: no row for {list(RESERVED_IDS)[len(vocab)]}")
         rows_by_lang: dict[str, list[np.ndarray]] = {}
         specs = []
         langs_path = os.path.join(root, "languages.csv")
@@ -232,6 +240,9 @@ class Corpus:
                             raise InputError(f"{text_path}:{text_lineno}: token {e.args[0]!r} "
                                              "not in vocabulary") from None
                         seen.update(toks)
+                if len(rows) != size:
+                    raise InputError(f"{langs_path}:{lineno}: size {size} for {lang!r}, but "
+                                     f"{text_path} has {len(rows)} rows")
                 # observed inventory: content tokens that actually occur;
                 # the marker is injected, not part of the inventory
                 inventory = tuple(sorted(t for t in seen

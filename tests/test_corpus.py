@@ -224,6 +224,31 @@ def test_vocab_ids_run_from_0_once_each(tmp_path, lineno, edit, fault):
         Corpus.load(tmp_path)
 
 
+def test_reserved_tokens_keep_their_ids(tmp_path):
+    gen_corpus(small_specs(size=10), seed=1).save(tmp_path)
+    path = tmp_path / "vocab.tsv"
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    # swap the ids of <mask> (line 2) and the last content token
+    rows[1][1], rows[-1][1] = rows[-1][1], rows[1][1]
+    path.write_text("".join("\t".join(row) + "\n" for row in rows))
+    with pytest.raises(InputError, match=re.escape(f"{path}:2: '<mask>' at id {rows[1][1]}")):
+        Corpus.load(tmp_path)
+    path.write_text("<pad>\t0\n<mask>\t1\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}: no row for <cls>")):
+        Corpus.load(tmp_path)
+
+
+def test_language_size_matches_its_text_rows(tmp_path):
+    gen_corpus(small_specs(size=10), seed=1).save(tmp_path)
+    path = tmp_path / "languages.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace("bb,Turkic,10,", "bb,Turkic,5000,")
+    path.write_text("".join(lines))
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}:3: size 5000 for 'bb', but {tmp_path / 'bb.txt'} has 10 rows")):
+        Corpus.load(tmp_path)
+
+
 def test_mask_counts_match_binomial_oracle():
     corpus = gen_corpus(small_specs(size=300), seed=12)
     p = 0.15
