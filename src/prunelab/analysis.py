@@ -119,7 +119,7 @@ class CompactModel(Model):
     def logits(self, ids: np.ndarray, pad_id: int | None = None) -> np.ndarray:
         with no_grad():
             x = encoder_hidden(self, ids, None, pad_id).data
-        # the tied head on arrays: the tape's transpose would copy the
+        # the tied head on arrays: mlm_head would copy the
         # (vocab x ranks) table on every call
         return (x @ self.params["embed.proj"].data.T) @ self.params["embed.tok"].data.T
 

@@ -33,12 +33,11 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .encoder import GateSet, component_index, _component_key, _format_distinct, _parse_floats
 from .exceptions import ContractError, InputError
 from .grad_prune import ImportanceTable, rank_order
-from .l0 import HC_L, HC_R, ONE_THRESHOLD, ZERO_THRESHOLD
+from .l0 import ONE_THRESHOLD, ZERO_THRESHOLD, _hard_concrete
 
 # widening of the logit targets, relative to f_inv(1) - f_inv(0); large
 # against rounding error in alpha + t * theta, negligible against the gap
@@ -84,8 +83,7 @@ def ds_gate(alpha, theta, t: float):
     """Deterministic gate value at size t; numpy in, numpy out."""
     alpha = np.asarray(alpha, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    z = expit(alpha + t * theta)
-    return np.clip(z * (HC_R - HC_L) + HC_L, 0.0, 1.0)
+    return _hard_concrete(alpha + t * theta)[0]
 
 
 def bucketize(scores: np.ndarray, weights: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:

@@ -358,24 +358,48 @@ def _check_gate(g: Tensor, n: int, what: str):
 
 
 def embed_forward(ids: np.ndarray, params, config: ModelConfig, g_rank: Tensor | None) -> Tensor:
-    """Low-rank factored token embedding plus ungated positional embedding.
+    """Low-rank factored token embedding plus ungated positional embedding, as one tape node.
 
     The rank count is the width of the token table; g_rank None leaves the
-    ranks ungated.
+    ranks ungated.  The backward scatter-adds the rows of repeated ids.
     """
+    op = "embed_forward"
+    tok, proj, pos = params["embed.tok"], params["embed.proj"], params["embed.pos"]
     if g_rank is not None:
-        _check_gate(g_rank, params["embed.tok"].shape[1], "rank")
+        _check_gate(g_rank, tok.shape[1], "rank")
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise ContractError(f"token ids must be (batch, seq), got shape {ids.shape}")
-    if ids.shape[1] > config.max_seq_len:
-        raise InputError(f"sequence length {ids.shape[1]} exceeds max {config.max_seq_len}")
-    tok = T.embedding_gather(params["embed.tok"], ids)
-    if g_rank is not None:
-        tok = T.multiply(tok, g_rank)
-    x = T.matmul(tok, params["embed.proj"])
-    pos = T.embedding_gather(params["embed.pos"], np.arange(ids.shape[1]))
-    return x + pos
+    s, limit = ids.shape[1], min(config.max_seq_len, pos.shape[0])
+    if s > limit:
+        raise InputError(f"sequence length {s} exceeds max {limit}")
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise InputError(f"{op}: ids must be integers")
+    if ids.size and (ids.min() < 0 or ids.max() >= tok.shape[0]):
+        raise InputError(f"{op}: id out of range for table with {tok.shape[0]} rows")
+    ok = _finite(op)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = ok(tok.data[ids])
+        gated = rows if g_rank is None else ok(rows * g_rank.data)
+        out = ok(ok(gated @ proj.data) + ok(pos.data[:s]))
+
+    def backward(g):
+        g_pos = np.zeros_like(pos.data)
+        # each position once, so this adds each row to zero once
+        g_pos[:s] += T._unbroadcast(g, g.shape[1:])
+        grads = [(pos, g_pos),
+                 (proj, T._unbroadcast(np.swapaxes(gated, -1, -2) @ g, proj.shape))]
+        g_rows = g @ np.swapaxes(proj.data, -1, -2)
+        if g_rank is not None:
+            if g_rank.requires_grad:
+                grads.append((g_rank, T._unbroadcast(g_rows * rows, g_rank.shape)))
+            g_rows = g_rows * g_rank.data
+        g_tok = np.zeros_like(tok.data)
+        np.add.at(g_tok, ids.reshape(-1), g_rows.reshape(-1, tok.shape[1]))
+        return [*grads, (tok, g_tok)]
+
+    inputs = (tok, proj, pos) if g_rank is None else (tok, proj, pos, g_rank)
+    return T._make(op, out, inputs, backward)
 
 
 def _finite(op: str):

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import tensor as T
+from .encoder import _finite
 from .exceptions import ContractError, InputError
 from .tensor import Tensor
 
@@ -86,27 +87,50 @@ def _check_u(u: np.ndarray):
     return u
 
 
+def _hard_concrete(z):
+    """(g, s, shat) for s = sigmoid(z), shat = s * (r - l) + l, g = clip(shat, 0, 1)."""
+    s = expit(z)
+    shat = s * (HC_R - HC_L) + HC_L
+    return np.clip(shat, 0.0, 1.0), s, shat
+
+
+# Each objective below is one tape node.  Like encoder's fused nodes, it
+# computes what a chain of single tape ops (add, multiply, sigmoid, clip, abs,
+# matmul, sum) would, with the same numpy expressions in the same order and a
+# finite check on each intermediate, so the golden runs keep every bit.
+
+
+def _gate_node(op: str, alpha: Tensor, noise) -> Tensor:
+    """The gate of z = (alpha + noise) / beta, or of z = alpha when noise is None."""
+    ok = _finite(op)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = alpha.data if noise is None else ok(ok(alpha.data + noise) * (1.0 / HC_BETA))
+        gate, s, shat = map(ok, _hard_concrete(z))
+
+    def backward(g):
+        # zero outside [0, 1], where the clip saturates
+        gz = g * ((shat >= 0.0) & (shat <= 1.0)) * (HC_R - HC_L) * s * (1.0 - s)
+        return [(alpha, gz if noise is None else gz * (1.0 / HC_BETA))]
+
+    return T._make(op, gate, (alpha,), backward)
+
+
 def sample_gate(alpha: Tensor, u) -> Tensor:
     """Differentiable stochastic gate; u holds uniform draws, one per gate."""
     u = _check_u(u)
     if u.shape != alpha.shape:
         raise ContractError(f"noise shape {u.shape} does not match alpha {alpha.shape}")
-    noise = np.log(u / (1.0 - u))
-    s = T.sigmoid(T.multiply(T.add(alpha, Tensor(noise)), 1.0 / HC_BETA))
-    shat = T.add(T.multiply(s, HC_R - HC_L), HC_L)
-    return T.clamp(shat, 0.0, 1.0)
+    return _gate_node("sample_gate", alpha, np.log(u / (1.0 - u)))
 
 
 def inference_gate(alpha):
     """Deterministic gate value; numpy in, numpy out."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return np.clip(expit(alpha) * (HC_R - HC_L) + HC_L, 0.0, 1.0)
+    return _hard_concrete(np.asarray(alpha, dtype=np.float64))[0]
 
 
 def expected_gate(alpha: Tensor) -> Tensor:
     """Differentiable inference-mode gate, used by the diversity term."""
-    shat = T.add(T.multiply(T.sigmoid(alpha), HC_R - HC_L), HC_L)
-    return T.clamp(shat, 0.0, 1.0)
+    return _gate_node("expected_gate", alpha, None)
 
 
 def l0_penalty(alpha: Tensor, weights) -> Tensor:
@@ -120,8 +144,15 @@ def l0_penalty(alpha: Tensor, weights) -> Tensor:
         raise ContractError(f"weight shape {weights.shape} does not match alpha {alpha.shape}")
     if np.any(weights <= 0.0):
         raise ContractError("component weights must be positive")
-    probs = T.sigmoid(T.add(alpha, -PENALTY_SHIFT))
-    return T.multiply(probs, Tensor(weights)).sum(axis=-1)
+    ok = _finite("l0_penalty")
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = ok(expit(ok(alpha.data - PENALTY_SHIFT)))
+        value = ok(ok(probs * weights).sum(axis=-1))
+
+    def backward(g):
+        return [(alpha, np.expand_dims(g, -1) * weights * probs * (1.0 - probs))]
+
+    return T._make("l0_penalty", value, (alpha,), backward)
 
 
 def sparsity_constraint_loss(sizes: Tensor, target: float) -> Tensor:
@@ -136,7 +167,16 @@ def sparsity_constraint_loss(sizes: Tensor, target: float) -> Tensor:
     if sizes.ndim != 1 or sizes.size == 0:
         raise ContractError(f"sparsity constraint needs a non-empty vector of sizes, "
                             f"got shape {sizes.shape}")
-    return T.fold_sum(T.absolute(T.add(sizes, -target)))
+    ok = _finite("sparsity_constraint_loss")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = ok(sizes.data - target)
+        value = ok(np.add.accumulate(ok(np.abs(diff)))[-1])
+
+    def backward(g):
+        # the subgradient of |d| at 0 is 0
+        return [(sizes, g * np.sign(diff))]
+
+    return T._make("sparsity_constraint_loss", value, (sizes,), backward)
 
 
 @dataclass
@@ -189,8 +229,20 @@ def diversity_loss(gate_matrix: Tensor, prior: np.ndarray) -> Tensor:
             f"gate matrix {gate_matrix.shape} and prior {prior.shape} do not conform"
         )
     mask = prior * (1.0 - np.eye(n_lang))
-    gram = T.matmul(gate_matrix, T.transpose(gate_matrix, (1, 0)))
-    return T.absolute(T.multiply(gram, Tensor(mask))).sum()
+    gates = gate_matrix.data
+    ok = _finite("diversity_loss")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a C-order copy: BLAS may round a product with a transposed view differently
+        gates_t = ok(np.ascontiguousarray(gates.T))
+        masked = ok(ok(gates @ gates_t) * mask)
+        value = ok(ok(np.abs(masked)).sum())
+
+    def backward(g):
+        g_gram = g * np.sign(masked) * mask
+        g_t = np.swapaxes(gates, -1, -2) @ g_gram
+        return [(gate_matrix, g_gram @ np.swapaxes(gates_t, -1, -2) + g_t.T)]
+
+    return T._make("diversity_loss", value, (gate_matrix,), backward)
 
 
 def total_loss(mlm: Tensor, l0_term: Tensor, diversity: Tensor | None,

@@ -16,7 +16,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import expit
 
 from .exceptions import ContractError, DimensionError, InputError, NumericError
 
@@ -66,9 +65,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
     # Convenience operators; all defer to the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
     def sum(self, axis=None, keepdims: bool = False):
         return _sum(self, axis, keepdims)
 
@@ -198,7 +194,8 @@ def backward(loss: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# Elementwise and linear algebra ops
+# Generic ops.  The model's layers and the gate objectives are fused nodes
+# (encoder, l0) that record themselves through _make.
 
 
 def add(a, b) -> Tensor:
@@ -232,83 +229,6 @@ def multiply(a, b) -> Tensor:
     return _make("multiply", value, (a, b), grad)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = a.data @ b.data
-    except ValueError:
-        raise DimensionError(f"matmul: batch dims of {a.shape} and {b.shape} do not broadcast")
-
-    def grad(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return [(a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape))]
-
-    return _make("matmul", value, (a, b), grad)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    value = expit(x.data)
-
-    def grad(g):
-        return [(x, g * value * (1.0 - value))]
-
-    return _make("sigmoid", value, (x,), grad)
-
-
-def embedding_gather(table, ids) -> Tensor:
-    """Select rows of a 2-d table by integer id; gradient scatter-adds."""
-    table = as_tensor(table)
-    if table.ndim != 2:
-        raise DimensionError(f"embedding_gather: table must be 2-d, got {table.shape}")
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise InputError("embedding_gather: ids must be integers")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise InputError(
-            f"embedding_gather: id out of range for table with {table.shape[0]} rows"
-        )
-    value = table.data[ids]
-
-    def grad(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        return [(table, gt)]
-
-    return _make("embedding_gather", value, (table,), grad)
-
-
-def clamp(x, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; zero gradient strictly outside the interval."""
-    if not lo < hi:
-        raise ContractError(f"clamp: lo must be < hi, got {lo} and {hi}")
-    x = as_tensor(x)
-    value = np.clip(x.data, lo, hi)
-
-    def grad(g):
-        inside = (x.data >= lo) & (x.data <= hi)
-        return [(x, g * inside)]
-
-    return _make("clamp", value, (x,), grad)
-
-
-def absolute(x) -> Tensor:
-    """Elementwise absolute value; subgradient 0 at the origin."""
-    x = as_tensor(x)
-    value = np.abs(x.data)
-
-    def grad(g):
-        return [(x, g * np.sign(x.data))]
-
-    return _make("abs", value, (x,), grad)
-
-
 def _sum(x: Tensor, axis, keepdims: bool) -> Tensor:
     if axis is not None and not isinstance(axis, int):
         raise ContractError("sum: axis must be None or an int")
@@ -325,26 +245,12 @@ def _sum(x: Tensor, axis, keepdims: bool) -> Tensor:
     return _make("sum", value, (x,), grad)
 
 
-def transpose(x, axes) -> Tensor:
-    x = as_tensor(x)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise DimensionError(f"transpose: axes {axes} invalid for shape {x.shape}")
-    value = x.data.transpose(axes)
-    inverse = np.argsort(axes)
-
-    def grad(g):
-        return [(x, g.transpose(inverse))]
-
-    return _make("transpose", value, (x,), grad)
-
-
 def basic_slice(x, key) -> Tensor:
     """x[key] for a key of ints and slices; gradient is written into zeros.
 
     Basic indexing selects each element at most once, so the backward needs
-    no scatter-add (compare ``embedding_gather``).  The value is a copy, so
-    an in-place update of x, such as an optimizer step, does not reach it.
+    no scatter-add.  The value is a copy, so an in-place update of x, such as
+    an optimizer step, does not reach it.
     """
     x = as_tensor(x)
     parts = key if isinstance(key, tuple) else (key,)

@@ -7,8 +7,27 @@ so it is independent of the backward implementation it checks.
 import numpy as np
 
 from prunelab import tensor as T
-from prunelab.encoder import (ATTN_MASK_FILL, ModelConfig, attention_block, ffn_block,
-                              mlm_head, mlm_loss)
+from prunelab.encoder import (ATTN_MASK_FILL, ModelConfig, attention_block, embed_forward,
+                              ffn_block, mlm_head, mlm_loss)
+from prunelab.l0 import (HC_BETA, ONE_THRESHOLD, ZERO_THRESHOLD, diversity_loss,
+                         expected_gate, l0_penalty, sample_gate, sparsity_constraint_loss)
+
+# the gate objectives' fixed inputs: a target size and a same-family pair in the prior
+TARGET = 0.3
+
+
+def _noise_u(n):
+    return (np.arange(n) + 0.5) / n
+
+
+def _weights(n):
+    return 1.0 + np.arange(n) % 3
+
+
+def _prior(n):
+    prior = 1.0 - np.eye(n)
+    prior[0, 1] = prior[1, 0] = 0.0
+    return prior
 
 
 def fd_grad(build_loss, arrays, which, h=1e-5):
@@ -60,6 +79,12 @@ def _ffn(xs, gated):
     return ffn_block(xs[0], params, config, 0, xs[7] if gated else None)
 
 
+def _embed(xs, ids, gated):
+    params = {"embed.tok": xs[0], "embed.proj": xs[1], "embed.pos": xs[2]}
+    config = ModelConfig(1, 1, xs[1].shape[1], 1, xs[0].shape[0], xs[2].shape[0])
+    return embed_forward(ids, params, config, xs[3] if gated else None)
+
+
 def _head(xs, gated):
     params = {"embed.proj": xs[1], "embed.tok": xs[2]}
     return mlm_head(xs[0], params, xs[3] if gated else None)
@@ -84,24 +109,18 @@ def op_cases(rng):
     head = [(b, m, d), (k, d), (d + 3, k)]
     mask = np.arange(b * m).reshape(b, m) % 2 == 0
     gold = (3 * np.arange(b * m) % d).reshape(b, m)
+    embed = [(m, k), (k, dm), (d, dm)]
     return {
         "add": (lambda xs: T.add(xs[0], xs[1]), [(b, m, d), (d,)]),
         "multiply": (lambda xs: T.multiply(xs[0], xs[1]), [(b, m, d), (m, 1)]),
-        "matmul": (lambda xs: T.matmul(xs[0], xs[1]), [(b, m, k), (k, d)]),
-        "sigmoid": (lambda xs: T.sigmoid(xs[0]), [(m, d)]),
-        "embedding_gather": (
-            lambda xs: T.embedding_gather(xs[0], ids),
-            [(m, k)],
-        ),
-        "clamp": (lambda xs: T.clamp(xs[0], -0.5, 0.5), [(m, d)]),
-        "abs": (lambda xs: T.absolute(xs[0]), [(m, d)]),
         "sum": (lambda xs: xs[0].sum(axis=axis_pick, keepdims=True), [(m, d)]),
-        "transpose": (lambda xs: T.transpose(xs[0], (1, 0, 2)), [(b, m, d)]),
         "slice": (
             lambda xs: T.basic_slice(xs[0], (slice(None), axis_pick, slice(1, None, 2))),
             [(b, m, d)],
         ),
         "fold_sum": (lambda xs: T.fold_sum(xs[0]), [(m * d,)]),
+        "embed_forward": (lambda xs: _embed(xs, ids, False), embed),
+        "embed_forward_gated": (lambda xs: _embed(xs, ids, True), embed + [(k,)]),
         "attention_block": (lambda xs: _attention(xs, 2, False, None), attn),
         "attention_block_gated": (lambda xs: _attention(xs, 2, True, None), attn + [(2,)]),
         "attention_block_padded": (lambda xs: _attention(xs, 2, False, pad), attn),
@@ -112,17 +131,40 @@ def op_cases(rng):
         "mlm_head": (lambda xs: _head(xs, False), head),
         "mlm_head_gated": (lambda xs: _head(xs, True), head + [(k,)]),
         "mlm_loss": (lambda xs: mlm_loss(xs[0], mask, gold), [(b, m, d)]),
+        "sample_gate": (lambda xs: sample_gate(xs[0], _noise_u(m * d)), [(m * d,)]),
+        "expected_gate": (lambda xs: expected_gate(xs[0]), [(m, d)]),
+        "l0_penalty": (lambda xs: l0_penalty(xs[0], _weights(d)), [(m, d)]),
+        "sparsity_constraint_loss": (lambda xs: sparsity_constraint_loss(xs[0], TARGET),
+                                     [(m * d,)]),
+        "diversity_loss": (lambda xs: diversity_loss(xs[0], _prior(m)), [(m, d)]),
     }
+
+
+def _off_kinks(op_name, arrays):
+    """Move samples at least 1e-3 off the points where a subgradient jumps."""
+    a = arrays[0]
+    if op_name == "sparsity_constraint_loss":
+        a[np.abs(a - TARGET) < 1e-3] += 0.01
+    elif op_name == "diversity_loss":
+        # |gram| at 0 on a penalised pair: lift one row of the pair
+        gram = a @ a.T
+        for i, j in zip(*np.nonzero((np.abs(gram) < 1e-3) & (_prior(len(a)) > 0))):
+            a[i] += 0.01 * np.sign(a[j])
+    elif op_name in ("sample_gate", "expected_gate"):
+        # the clip edges of the gate lie at fixed values of its sigmoid's argument
+        z = a
+        if op_name == "sample_gate":
+            u = _noise_u(a.size)
+            z = (a + np.log(u / (1.0 - u))) / HC_BETA
+        for edge in (ZERO_THRESHOLD, ONE_THRESHOLD):
+            a[np.abs(z - edge) < 1e-3] += 0.01
 
 
 def run_case(op_name, rng):
     """One seeded gradient check; returns the max relative error."""
     builder, shapes = op_cases(rng)[op_name]
     arrays = [rng.normal(size=s) for s in shapes]
-    if op_name == "clamp":
-        # keep samples away from the clamp edges where the subgradient jumps
-        for a in arrays:
-            a[np.abs(np.abs(a) - 0.5) < 1e-3] += 0.01
+    _off_kinks(op_name, arrays)
     tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
     out = builder(tensors)
     w = rng.normal(size=out.shape)
@@ -145,15 +187,11 @@ def run_case(op_name, rng):
 ALL_OPS = (
     "add",
     "multiply",
-    "matmul",
-    "sigmoid",
-    "embedding_gather",
-    "clamp",
-    "abs",
     "sum",
-    "transpose",
     "slice",
     "fold_sum",
+    "embed_forward",
+    "embed_forward_gated",
     "attention_block",
     "attention_block_gated",
     "attention_block_padded",
@@ -163,4 +201,9 @@ ALL_OPS = (
     "mlm_head",
     "mlm_head_gated",
     "mlm_loss",
+    "sample_gate",
+    "expected_gate",
+    "l0_penalty",
+    "sparsity_constraint_loss",
+    "diversity_loss",
 )

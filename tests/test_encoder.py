@@ -18,6 +18,7 @@ from prunelab.encoder import (
     component_universe,
     component_weights,
     count_params,
+    embed_forward,
     encoder_forward,
     encoder_hidden,
     encoder_sparsity,
@@ -201,7 +202,10 @@ def test_fused_nodes_name_themselves_on_non_finite_values():
     bad = T.Tensor(np.full((1, 3, TOY.model_dim), np.inf))
     mask = np.array([[True, False, False]])
     gold = np.zeros((1, 3), dtype=int)
+    inf_tok = {**model.params, "embed.tok": T.Tensor(np.full((TOY.vocab_size, TOY.model_dim),
+                                                              np.inf))}
     nodes = {
+        "embed_forward": lambda: embed_forward(gold, inf_tok, TOY, None),
         "attention_block": lambda: attention_block(bad, model.params, TOY, 0),
         "ffn_block": lambda: ffn_block(bad, model.params, TOY, 0),
         "mlm_head": lambda: mlm_head(bad, model.params),
@@ -226,6 +230,33 @@ def test_ffn_block_rejects_an_overflowing_layer_norm_variance():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="ffn_block"):
                 ffn_block(big, model.params, TOY, 0)
+
+
+def test_embed_forward_rejects_bad_ids():
+    model = Model.init(TOY, seed=14)
+    for ids in (np.array([[0, TOY.vocab_size]]), np.array([[-1, 0]])):
+        with pytest.raises(InputError, match="out of range"):
+            embed_forward(ids, model.params, TOY, None)
+    with pytest.raises(InputError, match="integers"):
+        embed_forward(np.array([[0.0, 1.0]]), model.params, TOY, None)
+    short = {**model.params, "embed.pos": T.Tensor(model.params["embed.pos"].data[:1])}
+    with pytest.raises(InputError, match="exceeds"):
+        embed_forward(np.array([[0, 1]]), short, TOY, None)
+
+
+def test_embed_forward_scatter_adds_repeated_ids():
+    # identity projection: each output row is a token row times the gate
+    # plus a position row
+    config = ModelConfig(n_layers=1, n_heads=1, model_dim=2, ffn_dim=1, vocab_size=4,
+                         max_seq_len=3)
+    for g_rank, g in ((None, 1.0), (T.Tensor([1.0, 0.5]), np.array([1.0, 0.5]))):
+        params = {"embed.tok": T.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True),
+                  "embed.proj": T.Tensor(np.eye(2)), "embed.pos": T.Tensor(np.zeros((3, 2)))}
+        T.backward(embed_forward(np.array([[1, 1, 3]]), params, config, g_rank).sum())
+        expect = np.zeros((4, 2))
+        expect[1] = 2.0 * g
+        expect[3] = g
+        assert np.array_equal(params["embed.tok"].grad, expect)
 
 
 def test_single_rank_gate_gives_rank_one_embedding():

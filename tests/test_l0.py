@@ -188,6 +188,17 @@ def test_diversity_gradient_pushes_overlap_down():
     assert np.all(gbar.grad > 0.0)
 
 
+def test_diversity_subgradient_is_zero_where_gates_do_not_overlap():
+    # disjoint rows make a zero gram entry, where |x| has subgradient 0
+    gbar = T.Tensor([[1.0, 0.0], [0.0, 1.0]], requires_grad=True)
+    T.backward(diversity_loss(gbar, np.ones((2, 2))))
+    assert np.array_equal(gbar.grad, np.zeros((2, 2)))
+    # a negative overlap has subgradient -1: loss 2 |g0 . g1|, gradients -2 g1 and -2 g0
+    gbar = T.Tensor([[1.0, 0.0], [-1.0, 1.0]], requires_grad=True)
+    T.backward(diversity_loss(gbar, np.ones((2, 2))))
+    assert np.array_equal(gbar.grad, [[2.0, -2.0], [-2.0, 0.0]])
+
+
 def test_build_prior_families():
     prior = build_prior({"en": "IE", "es": "IE", "th": "KD", "lo": "KD"})
     i = {l: k for k, l in enumerate(prior.languages)}
@@ -237,6 +248,17 @@ def test_expected_gate_matches_inference_gate():
     with T.no_grad():
         diff = expected_gate(T.Tensor(alphas)).data - inference_gate(alphas)
     assert np.max(np.abs(diff)) == 0.0
+
+
+def test_gate_gradient_is_zero_where_the_gate_saturates():
+    # alphas far below, between and far above the clip edges
+    for gate in (expected_gate, lambda a: sample_gate(a, np.full(3, 0.5))):
+        alpha = T.Tensor([-10.0, 0.0, 10.0], requires_grad=True)
+        out = gate(alpha)
+        assert out.data[0] == 0.0 and out.data[2] == 1.0
+        T.backward(out.sum())
+        assert alpha.grad[0] == 0.0 and alpha.grad[2] == 0.0
+        assert alpha.grad[1] > 0.0
 
 
 def test_gradient_reaches_alpha_through_sampling():

@@ -726,24 +726,42 @@ def _tape_nodes_at_last_backward(monkeypatch, runner, schedule):
     return seen[-1]
 
 
+# The model forward of a step is 7 nodes: the embedding, one node per
+# sublayer of the two layers, the head and the loss.  Each gate objective is
+# one node, and split_gates takes the 2 * 2 + 1 gate vectors as slices.
+
+
 def test_improved_l0_step_records_one_chain_for_all_languages(monkeypatch):
-    # 8 languages at the toy shape: one row take, one penalty over all rows,
-    # one expected-gate matrix; per-language chains recorded about 219 nodes
+    # 8 languages at the toy shape: one row take, one sample, 5 gate slices,
+    # one penalty over all rows and its scaling, the size constraint, one
+    # expected-gate matrix, the diversity term and its scaling, 4 for the
+    # total; per-language chains recorded about 219 nodes
     sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3,
                           algorithm="l0_improved", setting=NON_SHARED)
-    assert _tape_nodes_at_last_backward(monkeypatch, run_l0_pruning, sched) <= 45
+    assert _tape_nodes_at_last_backward(monkeypatch, run_l0_pruning, sched) == 7 + 17
 
 
 def test_ds_l0_step_records_one_chain_for_all_languages(monkeypatch):
+    # z = alpha + t * theta (2), one row take, one expected gate, 5 gate
+    # slices, the penalty and its scaling, the size constraint, 2 for the total
     sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3,
                           algorithm="ds_l0", setting=NON_SHARED, importance_batches=1)
-    assert _tape_nodes_at_last_backward(monkeypatch, run_ds_training, sched) <= 33
+    assert _tape_nodes_at_last_backward(monkeypatch, run_ds_training, sched) == 7 + 14
+
+
+def test_vanilla_l0_and_ds_grad_steps_record_one_node_per_objective(monkeypatch):
+    # vanilla: one row take, one sample, 5 gate slices, the penalty and its
+    # scaling, the mean size (2), 2 for the total; DS-grad gates are constants
+    sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3,
+                          algorithm="l0_vanilla", setting=NON_SHARED)
+    assert _tape_nodes_at_last_backward(monkeypatch, run_l0_pruning, sched) == 7 + 13
+    sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3,
+                          algorithm="ds_grad", setting=NON_SHARED, importance_batches=1)
+    assert _tape_nodes_at_last_backward(monkeypatch, run_ds_training, sched) == 7
 
 
 def test_pretrain_step_records_no_gate_nodes(monkeypatch):
-    # four embedding ops, one node per sublayer of the two layers, the head
-    # and the loss
     sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3)
     nodes = _tape_nodes_at_last_backward(
         monkeypatch, lambda model, corpus, s: pretrain_baseline(model.config, corpus, s), sched)
-    assert nodes == 10
+    assert nodes == 7
