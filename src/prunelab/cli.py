@@ -26,6 +26,7 @@ from .encoder import (GateSet, Model, ModelConfig, _parse_floats, component_univ
                       retained_fraction)
 from .exceptions import ConfigError, InputError, PrunelabError
 from .grad_prune import NON_SHARED, SHARED
+from .l0 import save_alphas
 from .trainer import (TrainSchedule, _git_hash, finetune_probe,
                       pretrain_baseline, run_ds_training, run_grad_pruning,
                       run_l0_pruning, write_manifest, write_metrics)
@@ -234,7 +235,7 @@ def _run_ds(run_dir: str, config: ModelConfig) -> DSParams | None:
 
 
 def _subnetworks_at(ds: DSParams, t: float, config: ModelConfig) -> dict[str, GateSet]:
-    return {lang: subnetwork_at(ds, t, lang, config) for lang in ds.languages()}
+    return {lang: subnetwork_at(ds, t, lang, config) for lang in ds.languages}
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +292,13 @@ def cmd_prune(args) -> int:
         result = run_l0_pruning(model, corpus, sched)
     run_dir, runid = _new_run_dir(args, f"prune-{args.algo}", cfg)
     result.model.save(run_dir)
-    for lang, gs in result.profile.gatesets.items():
+    for lang, gs in result.gatesets.items():
         gs.save_text(os.path.join(run_dir, f"gates_{lang}.txt"), model.config)
-    for lang, table in result.profile.tables.items():
+    for lang, table in result.tables.items():
         table.save_csv(os.path.join(run_dir, f"importance_{lang}.csv"))
-    if result.hc is not None:
-        result.hc.save_csv(os.path.join(run_dir, "alphas.csv"),
-                           component_universe(model.config))
+    if result.alphas is not None:
+        save_alphas(os.path.join(run_dir, "alphas.csv"), sorted(result.gatesets), result.alphas,
+                    component_universe(model.config))
     write_metrics(result.records, os.path.join(run_dir, "metrics.csv"))
     write_manifest(run_dir, sched, model.config, extra={
         "command": "prune", "run_id": runid, "corpus": args.corpus,
@@ -324,7 +325,7 @@ def cmd_ds_train(args) -> int:
         "baseline": base_dir,
     })
     print(f"ds-train {runid}: algorithm {args.algo}, "
-          f"{len(result.ds.languages())} gate table(s)")
+          f"{len(result.ds.languages)} gate table(s)")
     return 0
 
 
@@ -422,7 +423,7 @@ def cmd_bench(args) -> int:
     gatesets: dict[float, GateSet] = {}
     if ds is not None:
         grid = tuple(cfg["grid"])
-        lang = args.language or ds.languages()[0]
+        lang = args.language or ds.languages[0]
         for t in grid:
             gs = subnetwork_at(ds, float(t), lang, model.config)
             gatesets.setdefault(overall(gs), gs)
@@ -475,7 +476,7 @@ def cmd_report(args) -> int:
         if ds is None:
             raise ConfigError("size-curve needs a ds-train run (no ds.csv found)")
         rows = []
-        for lang in ds.languages():
+        for lang in ds.languages:
             for row in size_curve(ds, config, lang):
                 rows.append({"language": lang, **row})
         write_report(rows, ("language", "t", "total_params", "embedding_params",

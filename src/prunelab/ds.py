@@ -119,20 +119,30 @@ def bucketize(scores: np.ndarray, weights: np.ndarray, grid) -> tuple[np.ndarray
 
 @dataclass
 class DSParams:
-    """Per-language (alpha, theta, t_hat, delta) vectors over a list of component names."""
+    """(alpha, theta, t_hat, delta) of every language over a list of component names.
+
+    Each of the four is a (languages x components) matrix: row i belongs to
+    ``languages[i]``, which are sorted, and the columns follow ``components``.
+    """
 
     components: list[str]
     grid: tuple[float, ...]
-    tables: dict[str, dict[str, np.ndarray]]
+    languages: list[str]
+    alpha: np.ndarray
+    theta: np.ndarray
+    t_hat: np.ndarray
+    delta: np.ndarray
 
-    def languages(self):
-        return sorted(self.tables)
+    def row(self, language: str) -> int:
+        if language not in self.languages:
+            raise InputError(f"no dynamic sparsification parameters for language {language!r}")
+        return self.languages.index(language)
 
     def save_csv(self, path):
         with open(path, "w") as f:
             f.write(f"{DS_HEADER}\n")
-            for lang in self.languages():
-                columns = (_format_distinct(self.tables[lang][k], repr) for k in DS_COLUMNS)
+            for i, lang in enumerate(self.languages):
+                columns = (_format_distinct(getattr(self, k)[i], repr) for k in DS_COLUMNS)
                 f.write("".join(f"{lang},{name},{a},{th},{t},{d}\n"
                                 for name, a, th, t, d in zip(self.components, *columns)))
 
@@ -141,8 +151,9 @@ class DSParams:
         """Read save_csv output: one or more languages, each listing every component once.
 
         The file is read line by line; a row keeps its position (language
-        number times the component count plus the component's position) and
-        its four values.
+        number, in order of first appearance, times the component count plus
+        the component's position) and its four values.  Languages may come in
+        any order; the result has them sorted.
         """
         index = component_index(components)
         n, width = len(components), len(DS_COLUMNS)
@@ -189,9 +200,9 @@ class DSParams:
         rows = np.frombuffer(values).reshape(-1, width)
         table = np.empty((width, len(langs) * n))
         table[:, pos] = rows.T
-        tables = {lang: dict(zip(DS_COLUMNS, table[:, k * n:(k + 1) * n]))
-                  for lang, k in langs.items()}
-        return cls(list(components), check_grid(grid), tables)
+        languages = sorted(langs)
+        table = table.reshape(width, len(langs), n)[:, [langs[l] for l in languages]]
+        return cls(list(components), check_grid(grid), languages, *table)
 
 
 def init_ds(tables: dict[str, ImportanceTable], weights: np.ndarray, grid) -> DSParams:
@@ -204,28 +215,22 @@ def init_ds(tables: dict[str, ImportanceTable], weights: np.ndarray, grid) -> DS
     if not tables:
         raise InputError("init_ds: no importance tables supplied")
     components = sorted(next(iter(tables.values())).scores, key=_component_key)
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for lang, table in tables.items():
-        t_hat, delta = bucketize(table.vector(components), weights, grid)
-        alpha, theta = solve_ds_params(t_hat, delta)
-        out[lang] = {"alpha": alpha, "theta": theta, "t_hat": t_hat, "delta": delta}
-    return DSParams(components, grid, out)
+    languages = sorted(tables)
+    ramps = [bucketize(tables[lang].vector(components), weights, grid) for lang in languages]
+    t_hat, delta = np.stack([r[0] for r in ramps]), np.stack([r[1] for r in ramps])
+    return DSParams(components, grid, languages, *solve_ds_params(t_hat, delta), t_hat, delta)
 
 
 def subnetwork_at(ds: DSParams, t: float, language: str, config) -> GateSet:
     """Hard GateSet at size t; off-grid sizes binarize fractional gates at 0.5."""
-    if language not in ds.tables:
-        raise InputError(f"no dynamic sparsification parameters for language {language!r}")
+    i = ds.row(language)
     if not 0.0 <= t <= 1.0:
         raise ContractError(f"size t must be in [0, 1], got {t}")
-    tab = ds.tables[language]
-    values = ds_gate(tab["alpha"], tab["theta"], t)
+    values = ds_gate(ds.alpha[i], ds.theta[i], t)
     return GateSet(config, (values >= 0.5).astype(np.float64))
 
 
 def gate_values_at(ds: DSParams, t: float, language: str) -> np.ndarray:
     """Raw (possibly fractional) gate values at size t, in component order."""
-    if language not in ds.tables:
-        raise InputError(f"no dynamic sparsification parameters for language {language!r}")
-    tab = ds.tables[language]
-    return ds_gate(tab["alpha"], tab["theta"], t)
+    i = ds.row(language)
+    return ds_gate(ds.alpha[i], ds.theta[i], t)

@@ -275,46 +275,47 @@ class GateSet:
         return cls(config, np.array(values))
 
 
-def gate_tensors(gateset: GateSet) -> dict:
-    """Constant tensors for a GateSet, in the layout the forwards expect."""
-    return {
-        "heads": [Tensor(h) for h in gateset.heads],
-        "hiddens": [Tensor(h) for h in gateset.hiddens],
-        "ranks": Tensor(gateset.ranks),
-    }
+def gate_tensors(gateset: GateSet) -> Tensor:
+    """A constant gate tensor for a GateSet, in the layout encoder_forward takes."""
+    return Tensor(gateset.values)
 
 
 # ---------------------------------------------------------------------------
 # Parameters
 
 
-def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Seeded parameter dictionary with dotted names, all requiring grad."""
-    rng = np.random.default_rng(seed)
-    d, df, v = config.model_dim, config.ffn_dim, config.vocab_size
-    scale = d ** -0.5
-    params: dict[str, Tensor] = {}
-
-    def leaf(name, value):
-        params[name] = Tensor(value, requires_grad=True)
-
-    leaf("embed.tok", rng.normal(0.0, scale, size=(v, d)))
-    leaf("embed.proj", rng.normal(0.0, scale, size=(d, d)))
-    leaf("embed.pos", rng.normal(0.0, 0.02, size=(config.max_seq_len, d)))
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The dotted name and shape of every parameter, in the order init_params draws them."""
+    d, df = config.model_dim, config.ffn_dim
+    shapes = {"embed.tok": (config.vocab_size, d), "embed.proj": (d, d),
+              "embed.pos": (config.max_seq_len, d)}
     for i in range(config.n_layers):
         p = f"layers.{i}"
-        for w in ("wq", "wk", "wv", "wo"):
-            leaf(f"{p}.attn.{w}", rng.normal(0.0, scale, size=(d, d)))
-        for b in ("bq", "bk", "bv", "bo"):
-            leaf(f"{p}.attn.{b}", np.zeros(d))
-        leaf(f"{p}.ln1.g", np.ones(d))
-        leaf(f"{p}.ln1.b", np.zeros(d))
-        leaf(f"{p}.ffn.w1", rng.normal(0.0, scale, size=(d, df)))
-        leaf(f"{p}.ffn.b1", np.zeros(df))
-        leaf(f"{p}.ffn.w2", rng.normal(0.0, df ** -0.5, size=(df, d)))
-        leaf(f"{p}.ffn.b2", np.zeros(d))
-        leaf(f"{p}.ln2.g", np.ones(d))
-        leaf(f"{p}.ln2.b", np.zeros(d))
+        shapes.update({f"{p}.attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
+        shapes.update({f"{p}.attn.{b}": (d,) for b in ("bq", "bk", "bv", "bo")})
+        shapes.update({f"{p}.ln1.g": (d,), f"{p}.ln1.b": (d,), f"{p}.ffn.w1": (d, df),
+                       f"{p}.ffn.b1": (df,), f"{p}.ffn.w2": (df, d), f"{p}.ffn.b2": (d,),
+                       f"{p}.ln2.g": (d,), f"{p}.ln2.b": (d,)})
+    return shapes
+
+
+def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """Seeded parameter dictionary with dotted names, all requiring grad.
+
+    Matrices are drawn from zero-mean normals in param_shapes order; layer
+    norm gains are ones and every other vector is zeros.
+    """
+    rng = np.random.default_rng(seed)
+    scale, ffn_scale = config.model_dim ** -0.5, config.ffn_dim ** -0.5
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config).items():
+        if name == "embed.pos":
+            value = rng.normal(0.0, 0.02, size=shape)
+        elif len(shape) == 2:
+            value = rng.normal(0.0, ffn_scale if name.endswith(".w2") else scale, size=shape)
+        else:
+            value = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+        params[name] = Tensor(value, requires_grad=True)
     return params
 
 
@@ -336,8 +337,20 @@ class Model:
 
     @classmethod
     def load(cls, run_dir) -> "Model":
+        """The model a run saved; weights.gcpt must hold exactly the tensors of model.json."""
         config = ModelConfig.load(run_dir)
-        arrays = T.load_checkpoint(f"{run_dir}/weights.gcpt")
+        path = f"{run_dir}/weights.gcpt"
+        arrays = T.load_checkpoint(path)
+        shapes = param_shapes(config)
+        for name, shape in shapes.items():
+            if name not in arrays:
+                raise InputError(f"{path}: no tensor {name}, which model.json implies")
+            if arrays[name].shape != shape:
+                raise InputError(f"{path}: tensor {name} has shape {arrays[name].shape}, "
+                                 f"model.json implies {shape}")
+        extra = sorted(set(arrays) - set(shapes))
+        if extra:
+            raise InputError(f"{path}: tensor {extra[0]} is not a parameter of the model")
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         return cls(config, params)
 
@@ -654,20 +667,19 @@ def attention_bias(ids: np.ndarray, pad_id: int) -> np.ndarray | None:
 
 def encoder_hidden(model: Model, ids: np.ndarray, gates: dict | None,
                    pad_id: int | None = None, final_rows: int | None = None) -> Tensor:
-    """Token ids to final hidden states (batch, seq, d) under the given gates.
+    """Token ids to final hidden states (batch, seq, d) under per-block gates.
 
+    gates is in the split_gates layout, or None to run the model ungated.
     Each layer's head count, FFN width and the rank count are read from the
-    weight shapes, so a compacted model runs here too; gates None runs the
-    model ungated.  final_rows, when given, computes the last layer at the
-    first final_rows positions only and returns (batch, final_rows, d); see
-    attention_block's rows, which makes it inference-only.
+    weight shapes, so a compacted model runs here too.  final_rows, when
+    given, computes the last layer at the first final_rows positions only and
+    returns (batch, final_rows, d); see attention_block's rows, which makes it
+    inference-only.
     """
     config, params = model.config, model.params
     if gates is None:
         gates = {"heads": [None] * config.n_layers, "hiddens": [None] * config.n_layers,
                  "ranks": None}
-    elif len(gates["heads"]) != config.n_layers or len(gates["hiddens"]) != config.n_layers:
-        raise ContractError("gate tensors do not match the model layer count")
     bias = attention_bias(np.asarray(ids), pad_id) if pad_id is not None else None
     x = embed_forward(ids, params, config, gates["ranks"])
     last = config.n_layers - 1
@@ -678,14 +690,21 @@ def encoder_hidden(model: Model, ids: np.ndarray, gates: dict | None,
     return x
 
 
-def encoder_forward(model: Model, ids: np.ndarray, gates: dict | None,
+def encoder_forward(model: Model, ids: np.ndarray, gates: Tensor | None,
                     pad_id: int | None = None) -> Tensor:
     """Token ids to MLM logits (batch, seq, vocab) under the given gates.
 
-    gates holds tensors as produced by gate_tensors or split_gates, or
-    is None for an ungated forward, which equals the all-ones gates bit for
-    bit.  The MLM projection reuses the gated embedding factorization.
+    gates is one canonical-order gate tensor, such as gate_tensors gives or
+    a learned vector, or None for an ungated forward, which equals the
+    all-ones gates bit for bit.  The MLM projection reuses the gated
+    embedding factorization.
     """
+    if gates is not None:
+        n = component_slices(model.config)["ranks"].stop
+        if not (isinstance(gates, Tensor) and gates.shape == (n,)):
+            shape = gates.shape if isinstance(gates, Tensor) else type(gates).__name__
+            raise ContractError(f"gates must be None or a Tensor of shape ({n},), got {shape}")
+        gates = split_gates(model.config, gates)
     x = encoder_hidden(model, ids, gates, pad_id)
     return mlm_head(x, model.params, None if gates is None else gates["ranks"])
 

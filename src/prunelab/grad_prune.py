@@ -13,7 +13,7 @@ weighted size target is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .encoder import (
     component_universe,
     encoder_forward,
     mlm_loss,
-    split_gates,
     _component_key,
     _component_name,
     _parse_floats,
@@ -90,14 +89,6 @@ class ImportanceTable:
         return cls(scores, language, n_batches=0)
 
 
-@dataclass
-class PruningProfile:
-    """Hard gate assignment per language produced by one pruning run."""
-
-    gatesets: dict[str, GateSet]
-    tables: dict[str, ImportanceTable] = field(default_factory=dict)
-
-
 def importance_scores(model: Model, batches, language: str = SHARED) -> ImportanceTable:
     """Score every component on the given MLM batches.
 
@@ -105,14 +96,12 @@ def importance_scores(model: Model, batches, language: str = SHARED) -> Importan
     .gold_ids arrays.  Scores are nonnegative; all gates are held at one
     while scoring.
     """
-    config = model.config
-    universe = component_universe(config)
+    universe = component_universe(model.config)
     acc = np.zeros(len(universe))
     n = 0
     for batch in batches:
         leaf = T.Tensor(np.ones(len(universe)), requires_grad=True)
-        logits = encoder_forward(model, batch.tokens, split_gates(config, leaf),
-                                 pad_id=batch.pad_id)
+        logits = encoder_forward(model, batch.tokens, leaf, pad_id=batch.pad_id)
         T.backward(mlm_loss(logits, batch.mask_positions, batch.gold_ids))
         acc += np.abs(leaf.grad)
         for p in model.params.values():
@@ -173,10 +162,13 @@ def importance_tables(model: Model, batches_by_language: dict,
     return {lang: importance_scores(model, batches_by_language[lang], lang) for lang in langs}
 
 
-def build_profile(model: Model, batches_by_language: dict, setting: str,
-                  target_size: float, weights: np.ndarray) -> PruningProfile:
-    """Score with importance_tables, then threshold each table at the target."""
+def build_profile(model: Model, batches_by_language: dict, setting: str, target_size: float,
+                  weights: np.ndarray) -> tuple[dict[str, GateSet], dict[str, ImportanceTable]]:
+    """Score with importance_tables, then threshold each table at the target.
+
+    Returns the hard gate set and the importance table of every language.
+    """
     tables = importance_tables(model, batches_by_language, setting)
     gatesets = {lang: select_threshold(table, weights, target_size, model.config)
                 for lang, table in tables.items()}
-    return PruningProfile(gatesets, tables)
+    return gatesets, tables

@@ -20,8 +20,6 @@ masked so same-family pairs and the diagonal are exempt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit, logit
 
@@ -45,39 +43,20 @@ PENALTY_SHIFT = float(np.log(-HC_L / HC_R))
 ALPHA_INIT_STD = 0.1
 
 
-@dataclass
-class HardConcreteParams:
-    """Learnable alphas as one (languages x components) leaf tensor.
+def save_alphas(path, languages, alphas: np.ndarray, components):
+    """One row per (language, component) of a (languages x components) alpha matrix.
 
-    Row i holds the alphas of ``languages[i]`` ('shared' for one set);
-    columns follow the canonical component order.
+    Row i of alphas belongs to languages[i]; the file lists languages sorted.
     """
-
-    languages: list[str]
-    alphas: Tensor
-
-    def __post_init__(self):
-        if self.alphas.shape[:1] != (len(self.languages),) or self.alphas.ndim != 2:
-            raise ContractError(f"alphas {self.alphas.shape} need one row per language "
-                                f"of {self.languages}")
-
-    @classmethod
-    def init(cls, languages, n_components: int, seed: int) -> "HardConcreteParams":
-        languages = list(languages)
-        rng = np.random.default_rng(seed)
-        alphas = rng.normal(0.0, ALPHA_INIT_STD, size=(len(languages), n_components))
-        return cls(languages, Tensor(alphas, requires_grad=True))
-
-    def save_csv(self, path, components):
-        """One row per (language, component), languages sorted."""
-        if len(components) != self.alphas.shape[1]:
-            raise ContractError("component list does not match alpha vector length")
-        with open(path, "w") as f:
-            f.write("language,kind,layer,index,alpha\n")
-            for lang in sorted(self.languages):
-                values = self.alphas.data[self.languages.index(lang)].tolist()
-                for name, a in zip(components, values):
-                    f.write(f"{lang},{name},{a!r}\n")
+    if alphas.shape != (len(languages), len(components)):
+        raise ContractError(f"alphas {alphas.shape} need one row per language of {languages} "
+                            f"and one column per component ({len(components)})")
+    with open(path, "w") as f:
+        f.write("language,kind,layer,index,alpha\n")
+        for lang in sorted(languages):
+            values = alphas[languages.index(lang)].tolist()
+            for name, a in zip(components, values):
+                f.write(f"{lang},{name},{a!r}\n")
 
 
 def _check_u(u: np.ndarray):
@@ -179,41 +158,28 @@ def sparsity_constraint_loss(sizes: Tensor, target: float) -> Tensor:
     return T._make("sparsity_constraint_loss", value, (sizes,), backward)
 
 
-@dataclass
-class PriorMatrix:
-    """Language order plus the 0/1 penalty mask; same family and diagonal are 0."""
-
-    languages: list[str]
-    matrix: np.ndarray
-
-    def submatrix(self, languages) -> np.ndarray:
-        missing = [l for l in languages if l not in self.languages]
-        if missing:
-            raise InputError(f"unknown language ids in prior: {missing}")
-        idx = [self.languages.index(l) for l in languages]
-        return self.matrix[np.ix_(idx, idx)]
-
-
 MISSING_FAMILY = "Missing"
 
 
-def build_prior(families: dict[str, str]) -> PriorMatrix:
-    """Prior from language -> family labels.
+def build_prior(families: dict[str, str], languages) -> np.ndarray:
+    """The 0/1 diversity mask over languages, in that order, from language -> family labels.
 
-    The label 'Missing' puts a language in its own singleton family, so two
-    'Missing' languages still count as cross-family.
+    Same-family pairs and the diagonal are 0.  The label 'Missing' puts a
+    language in its own singleton family, so two 'Missing' languages still
+    count as cross-family.
     """
     if not families:
         raise InputError("build_prior: no languages given")
-    languages = sorted(families)
-    n = len(languages)
-    mat = np.ones((n, n))
-    for i, a in enumerate(languages):
-        for j, b in enumerate(languages):
-            same = families[a] == families[b] and families[a] != MISSING_FAMILY
-            if i == j or same:
+    missing = [l for l in languages if l not in families]
+    if missing:
+        raise InputError(f"unknown language ids in prior: {missing}")
+    labels = [families[l] for l in languages]
+    mat = np.ones((len(labels), len(labels)))
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            if i == j or (a == b and a != MISSING_FAMILY):
                 mat[i, j] = 0.0
-    return PriorMatrix(languages, mat)
+    return mat
 
 
 def diversity_loss(gate_matrix: Tensor, prior: np.ndarray) -> Tensor:

@@ -319,24 +319,28 @@ def load_checkpoint(path) -> dict:
     def read(f, n, what):
         buf = f.read(n)
         if len(buf) != n:
-            raise InputError(f"checkpoint truncated while reading {what}")
+            raise InputError(f"{path}: checkpoint truncated while reading {what}")
         return buf
 
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
         if read(f, 4, "magic") != CHECKPOINT_MAGIC:
-            raise InputError("not a checkpoint file (bad magic)")
+            raise InputError(f"{path}: not a checkpoint file (bad magic)")
         version, count = struct.unpack("<II", read(f, 8, "header"))
         if version != CHECKPOINT_VERSION:
-            raise InputError(f"unsupported checkpoint version {version}")
+            raise InputError(f"{path}: unsupported checkpoint version {version}")
         for _ in range(count):
             (nlen,) = struct.unpack("<I", read(f, 4, "name length"))
-            name = read(f, nlen, "name").decode("utf-8")
+            raw = read(f, nlen, "name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise InputError(f"{path}: tensor name {raw!r} is not UTF-8") from None
             (rank,) = struct.unpack("<I", read(f, 4, "rank"))
             dims = struct.unpack(f"<{rank}I", read(f, 4 * rank, "dims")) if rank else ()
             # read straight into the array, without an intermediate bytes copy
             arr = np.empty(dims, dtype="<f8")
             if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-                raise InputError(f"checkpoint truncated while reading payload of {name}")
+                raise InputError(f"{path}: checkpoint truncated while reading payload of {name}")
             out[name] = arr
     return out

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import subprocess
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,13 +25,11 @@ from .analysis import write_report
 from .corpus import PAD_ID, Corpus, ProbeSplits, mlm_batches
 from .ds import DEFAULT_GRID, DSParams, check_grid, gate_values_at, init_ds
 from .encoder import (GateSet, Model, ModelConfig, component_weights, encoder_forward,
-                      encoder_hidden, gate_tensors, mlm_loss, retained_fraction,
-                      split_gates)
+                      encoder_hidden, gate_tensors, mlm_loss, retained_fraction)
 from .exceptions import ConfigError, ContractError, InputError, NumericError, RunError
-from .grad_prune import NON_SHARED, SHARED, PruningProfile, build_profile, importance_tables
-from .l0 import (HardConcreteParams, build_prior, diversity_loss,
-                 expected_gate, inference_gate, l0_penalty, sample_gate,
-                 sparsity_constraint_loss, total_loss)
+from .grad_prune import NON_SHARED, SHARED, ImportanceTable, build_profile, importance_tables
+from .l0 import (ALPHA_INIT_STD, build_prior, diversity_loss, expected_gate, inference_gate,
+                 l0_penalty, sample_gate, sparsity_constraint_loss, total_loss)
 from .tensor import Tensor, no_grad
 
 ALGORITHMS = ("grad", "l0_vanilla", "l0_improved", "ds_grad", "ds_l0")
@@ -172,12 +170,18 @@ class Adam:
 
 @dataclass
 class TrainResult:
-    """Model after training plus per-step records and run artifacts."""
+    """Model after training plus per-step records and run artifacts.
+
+    A pruning run leaves a hard gate set per language (or 'shared'); a
+    gradient run also its importance tables, an L0 run its (languages x
+    components) alphas, rows in sorted language order.
+    """
 
     model: Model
     records: list[dict]
-    profile: PruningProfile | None = None
-    hc: HardConcreteParams | None = None
+    gatesets: dict[str, GateSet] = field(default_factory=dict)
+    tables: dict[str, ImportanceTable] = field(default_factory=dict)
+    alphas: np.ndarray | None = None
     ds: DSParams | None = None
     achieved_sizes: dict[str, float] = field(default_factory=dict)
 
@@ -292,18 +296,18 @@ def run_grad_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -
     """Score components, freeze hard gates at the target, keep training."""
     model = baseline.copy()
     weights = component_weights(model.config)
-    profile = build_profile(
+    gatesets, tables = build_profile(
         model, _language_batches(corpus, schedule, 4, schedule.importance_batches),
         schedule.setting, schedule.target_size, weights)
-    fixed = {lang: gate_tensors(gs) for lang, gs in profile.gatesets.items()}
+    fixed = {lang: gate_tensors(gs) for lang, gs in gatesets.items()}
     sparsity = {lang: 1.0 - retained_fraction(gs.values, weights)
-                for lang, gs in profile.gatesets.items()}
+                for lang, gs in gatesets.items()}
     achieved = {lang: 1.0 - v for lang, v in sparsity.items()}
-    records = _train(corpus, schedule, sorted(profile.gatesets), 5,
+    records = _train(corpus, schedule, sorted(gatesets), 5,
                      [(_adam(model.params, schedule.learning_rate, schedule), 0)],
                      lambda k, row, lang, batch: (_mlm(model, batch, fixed[lang]),
                                                   {"sparsity": sparsity[lang]}))
-    return TrainResult(model, records, profile=profile, achieved_sizes=achieved)
+    return TrainResult(model, records, gatesets, tables, achieved_sizes=achieved)
 
 
 def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> TrainResult:
@@ -326,24 +330,24 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
     weights = component_weights(config)
     total_w = float(weights.sum())
     langs = corpus.languages() if schedule.setting == NON_SHARED else [SHARED]
-    hc = HardConcreteParams.init(langs, weights.size, seed=[schedule.seed, 6])
-    prior_sub = None
-    if improved:
-        prior_sub = build_prior({s.id: s.family for s in corpus.specs}).submatrix(langs)
+    # one row per language, columns in canonical order
+    alphas = Tensor(np.random.default_rng([schedule.seed, 6]).normal(
+        0.0, ALPHA_INIT_STD, size=(len(langs), weights.size)), requires_grad=True)
+    prior = build_prior({s.id: s.family for s in corpus.specs}, langs) if improved else None
     lam1, lam2 = schedule.resolved_lambda1(), schedule.resolved_lambda2()
     n_lang = len(langs)
 
     def step(k, row, lang, batch):
         u = np.random.default_rng([schedule.seed, 8, k]).uniform(1e-9, 1.0 - 1e-9, size=weights.size)
-        mlm = _mlm(model, batch, split_gates(config, sample_gate(hc.alphas[row], u)))
+        mlm = _mlm(model, batch, sample_gate(alphas[row], u))
         # expected size of every language, one entry per row of alphas
-        sizes = T.multiply(l0_penalty(hc.alphas, weights), 1.0 / total_w)
+        sizes = T.multiply(l0_penalty(alphas, weights), 1.0 / total_w)
         if improved:
             l0_term = sparsity_constraint_loss(sizes, schedule.target_size)
             # mean overlap per language pair per component; keeping the
             # diversity gradient below the size-constraint gradient lets the
             # penalty steer which components differ without shrinking totals
-            div = T.multiply(diversity_loss(expected_gate(hc.alphas), prior_sub),
+            div = T.multiply(diversity_loss(expected_gate(alphas), prior),
                              1.0 / (n_lang * (n_lang - 1) * weights.size))
         else:
             # the vanilla penalty is the mean expected size, so lambda1 is
@@ -357,13 +361,12 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
 
     warm = int(round(schedule.alpha_only_warmup_fraction * schedule.total_steps))
     records = _train(corpus, schedule, langs, 7,
-                     [(_adam({"alpha": hc.alphas}, schedule.alpha_lr, schedule), 0),
+                     [(_adam({"alpha": alphas}, schedule.alpha_lr, schedule), 0),
                       (_adam(model.params, schedule.learning_rate, schedule), warm)], step)
-    hard = (inference_gate(hc.alphas.data) >= 0.5).astype(np.float64)
+    hard = (inference_gate(alphas.data) >= 0.5).astype(np.float64)
     gatesets = {l: GateSet(config, hard[i]) for i, l in enumerate(langs)}
     achieved = {l: retained_fraction(hard[i], weights) for i, l in enumerate(langs)}
-    return TrainResult(model, records, profile=PruningProfile(gatesets), hc=hc,
-                       achieved_sizes=achieved)
+    return TrainResult(model, records, gatesets, alphas=alphas.data, achieved_sizes=achieved)
 
 
 def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> TrainResult:
@@ -377,20 +380,18 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         raise ConfigError(f"not a ds algorithm: {schedule.algorithm!r}")
     grid = check_grid(schedule.grid)
     model = baseline.copy()
-    config = model.config
-    weights = component_weights(config)
+    weights = component_weights(model.config)
     total_w = float(weights.sum())
     tables = importance_tables(
         model, _language_batches(corpus, schedule, 9, schedule.importance_batches),
         schedule.setting)
     ds = init_ds(tables, weights, grid)
-    langs = sorted(tables)
     optimizers = [(_adam(model.params, schedule.learning_rate, schedule), 0)]
     trainable = schedule.algorithm == "ds_l0"
     if trainable:
-        # (languages x components) leaves, rows in langs order
-        alphas = Tensor(np.stack([ds.tables[l]["alpha"] for l in langs]), requires_grad=True)
-        thetas = Tensor(np.stack([ds.tables[l]["theta"] for l in langs]), requires_grad=True)
+        # Adam packs the leaves into its own buffer, so ds keeps the initialization
+        alphas = Tensor(ds.alpha, requires_grad=True)
+        thetas = Tensor(ds.theta, requires_grad=True)
         optimizers.append((_adam({"alpha": alphas, "theta": thetas}, schedule.alpha_lr,
                                  schedule), 0))
     lam1 = schedule.resolved_lambda1()
@@ -399,25 +400,22 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         t = float(grid[int(np.random.default_rng([schedule.seed, 11, k]).integers(1, len(grid)))])
         if not trainable:
             values = gate_values_at(ds, t, lang)
-            mlm = _mlm(model, batch, gate_tensors(GateSet(config, values)))
+            mlm = _mlm(model, batch, Tensor(values))
             return mlm, {"sparsity": 1.0 - retained_fraction(values, weights)}
         z = T.add(alphas, T.multiply(thetas, t))
         flat = expected_gate(z[row])
-        mlm = _mlm(model, batch, split_gates(config, flat))
+        mlm = _mlm(model, batch, flat)
         sizes = T.multiply(l0_penalty(z, weights), 1.0 / total_w)
         l0_term = sparsity_constraint_loss(sizes, t)
         return total_loss(mlm, l0_term, None, lam1, 0.0), {
             "mlm": mlm.item(), "l0": l0_term.item(),
             "sparsity": 1.0 - retained_fraction(flat.data, weights)}
 
-    records = _train(corpus, schedule, langs, 10, optimizers, step)
+    records = _train(corpus, schedule, ds.languages, 10, optimizers, step)
     if trainable:
         # t_hat and delta keep describing the initialization; alpha and theta
         # carry what training learned on top of it
-        tables_out = {l: {"alpha": alphas.data[i].copy(), "theta": thetas.data[i].copy(),
-                          "t_hat": ds.tables[l]["t_hat"].copy(),
-                          "delta": ds.tables[l]["delta"].copy()} for i, l in enumerate(langs)}
-        ds = DSParams(ds.components, ds.grid, tables_out)
+        ds = replace(ds, alpha=alphas.data, theta=thetas.data)
     return TrainResult(model, records, ds=ds)
 
 

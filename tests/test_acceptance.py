@@ -201,8 +201,8 @@ def test_criterion_04_sparsity_targeting():
     worst_full = worst_enc = 0.0
     for step in range(1, 10):
         t = step / 10.0
-        profile = build_profile(model, batches, SHARED, t, wvec)
-        vec = profile.gatesets[SHARED].to_vector()
+        gatesets, _ = build_profile(model, batches, SHARED, t, wvec)
+        vec = gatesets[SHARED].to_vector()
         dev_full = abs(float((vec * wvec).sum()) - t * wvec.sum())
         dev_enc = abs(float((vec[enc] * wvec[enc]).sum()) - t * wvec[enc].sum())
         worst_full = max(worst_full, dev_full)
@@ -241,8 +241,8 @@ def test_criterion_06_improved_l0(improved_run, control_run):
     sizes = dict(sorted(result.achieved_sizes.items()))
     worst = max(abs(v - 0.5) for v in sizes.values())
 
-    langs, main_mat = hamming_matrix(result.profile.gatesets)
-    _, ctrl_mat = hamming_matrix(control.profile.gatesets)
+    langs, main_mat = hamming_matrix(result.gatesets)
+    _, ctrl_mat = hamming_matrix(control.gatesets)
     mean_main = _mean_offdiag(main_mat)
     mean_ctrl = _mean_offdiag(ctrl_mat)
     same, cross = [], []

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,7 +165,9 @@ def test_size_curve_flags_embedding_knee():
 
 def test_size_curve_language_selection():
     ds, other = synthetic_ds(TOY), synthetic_ds(TOY, seed=1)
-    ds.tables["yy"] = other.tables["xx"]
+    ds = replace(ds, languages=["xx", "yy"],
+                 **{k: np.vstack([getattr(ds, k), getattr(other, k)])
+                    for k in ("alpha", "theta", "t_hat", "delta")})
     xx, yy = size_curve(ds, TOY, "xx"), size_curve(ds, TOY, "yy")
     assert xx != yy
     assert xx == size_curve(synthetic_ds(TOY), TOY, "xx")

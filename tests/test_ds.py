@@ -162,19 +162,18 @@ def test_endpoints_all_off_all_on():
 
 def test_active_set_matches_boundary_sizes():
     ds, _ = synthetic_ds(seed=73)
-    tab = ds.tables["shared"]
     for t in ds.grid:
         values = gate_values_at(ds, float(t), "shared")
-        want = (tab["t_hat"] <= t + 1e-12).astype(float)
+        want = (ds.t_hat[0] <= t + 1e-12).astype(float)
         assert np.array_equal(values, want)
 
 
 def test_off_grid_sizes_binarize():
     ds, _ = synthetic_ds(seed=74)
-    tab = ds.tables["shared"]
+    t_hat, delta = ds.t_hat[0], ds.delta[0]
     # probe the middle of the widest on-ramp so at least one gate is fractional
-    i = int(np.argmax(tab["delta"]))
-    t = float(tab["t_hat"][i] - 0.5 * tab["delta"][i])
+    i = int(np.argmax(delta))
+    t = float(t_hat[i] - 0.5 * delta[i])
     raw = gate_values_at(ds, t, "shared")
     assert np.any((raw > 0.0) & (raw < 1.0))
     gs = subnetwork_at(ds, t, "shared", TOY)
@@ -221,17 +220,16 @@ def test_init_ds_per_language_tables():
         for lang in ("aa", "bb")
     }
     ds = init_ds(tables, weights, (0.0, 0.25, 0.5, 0.75, 1.0))
-    assert ds.languages() == ["aa", "bb"]
-    assert not np.array_equal(ds.tables["aa"]["t_hat"], ds.tables["bb"]["t_hat"])
+    assert ds.languages == ["aa", "bb"]
+    assert not np.array_equal(ds.t_hat[0], ds.t_hat[1])
     with pytest.raises(InputError):
         init_ds({}, weights, DEFAULT_GRID)
 
 
 def test_delta_never_exceeds_t_hat():
     ds, weights = synthetic_ds(seed=78)
-    tab = ds.tables["shared"]
-    assert np.all(tab["delta"] <= tab["t_hat"] + 1e-15)
-    assert np.all(tab["delta"] > 0.0)
+    assert np.all(ds.delta <= ds.t_hat + 1e-15)
+    assert np.all(ds.delta > 0.0)
 
 
 def test_margin_is_negligible_against_grid_spacing():
@@ -243,13 +241,34 @@ def test_margin_is_negligible_against_grid_spacing():
 
 
 def test_ds_params_csv_round_trip(tmp_path):
-    ds, _ = synthetic_ds(seed=79)
+    ds, weights = synthetic_ds(seed=79)
     path = tmp_path / "ds.csv"
     ds.save_csv(path)
     loaded = DSParams.load_csv(path, ds.components, ds.grid)
     for key in ("alpha", "theta", "t_hat", "delta"):
-        assert np.array_equal(loaded.tables["shared"][key], ds.tables["shared"][key])
+        assert np.array_equal(getattr(loaded, key), getattr(ds, key))
     assert path.read_text().startswith("language,kind,layer,index,alpha,theta,t_hat,delta\n")
+    # three languages, read back from the saved rows in other orders
+    rng = np.random.default_rng(79)
+    multi = init_ds({lang: ImportanceTable({cid: float(rng.exponential()) for cid in ds.components},
+                                           lang, 1) for lang in ("cc", "aa", "bb")},
+                    weights, ds.grid)
+    assert multi.languages == ["aa", "bb", "cc"]
+    multi.save_csv(path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    n = len(multi.components)
+    blocks = [rows[k * n:(k + 1) * n] for k in range(3)]
+    orders = {"saved": rows,
+              "blocks reversed": [row for block in blocks[::-1] for row in block],
+              "interleaved": [row for group in zip(*blocks[::-1]) for row in group],
+              "shuffled": [rows[i] for i in rng.permutation(len(rows))]}
+    for name, order in orders.items():
+        path.write_text("".join([header, *order]))
+        loaded = DSParams.load_csv(path, multi.components, multi.grid)
+        assert loaded.languages == ["aa", "bb", "cc"], name
+        for key in ("alpha", "theta", "t_hat", "delta"):
+            assert getattr(loaded, key).shape == (3, n), name
+            assert np.array_equal(getattr(loaded, key), getattr(multi, key)), name
 
 
 def test_ds_params_load_csv_rejects_malformed_tables(tmp_path):
@@ -280,7 +299,7 @@ def test_ds_params_load_csv_checks_each_cell_for_finiteness(tmp_path):
     # finite cells whose sum overflows are accepted as they are
     path.write_text("".join(lines[:1] + [",".join(head + ["1e308"] * 4) + "\n"] + lines[2:]))
     loaded = DSParams.load_csv(path, ds.components, ds.grid)
-    assert loaded.tables["shared"]["alpha"][0] == 1e308
+    assert loaded.alpha[0, 0] == 1e308
     for cells in (["1e308", "-inf", "1", "1"], ["nan", "1", "1", "1"]):
         path.write_text("".join(lines[:1] + [",".join(head + cells) + "\n"] + lines[2:]))
         with pytest.raises(InputError, match=":2: non-finite value in '" + ",".join(cells)):

@@ -1,5 +1,6 @@
 """Gated encoder: forwards vs a hand-rolled numpy reference, accounting."""
 
+import re
 import warnings
 
 import numpy as np
@@ -570,6 +571,38 @@ def test_model_save_load_round_trip(tmp_path):
     assert a.tobytes() == b.tobytes()
 
 
+def _mismatched_checkpoint(arrays, fault):
+    if fault == "shape":
+        return {**arrays, "layers.0.ffn.w2": arrays["layers.0.ffn.w2"][:5]}
+    if fault == "missing":
+        return {k: v for k, v in arrays.items() if k != "layers.1.ln2.b"}
+    return {**arrays, "extra": np.zeros(2)}
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("shape", r"tensor layers.0.ffn.w2 has shape \(5, 8\), model.json implies \(12, 8\)"),
+    ("missing", "no tensor layers.1.ln2.b"),
+    ("extra", "tensor extra is not a parameter"),
+    # one name's bytes swapped for a same-length non-UTF-8 sequence
+    ("name", re.escape("tensor name b'embed.t\\xffk' is not UTF-8")),
+    ("truncated", "checkpoint truncated while reading payload of layers.1.ln2.b"),
+], ids=["shape", "missing", "extra", "name", "truncated"])
+def test_model_load_rejects_a_checkpoint_that_does_not_match_model_json(tmp_path, fault,
+                                                                        message):
+    model = Model.init(TOY, seed=28)
+    model.save(tmp_path)
+    path = tmp_path / "weights.gcpt"
+    arrays = {k: p.data for k, p in model.params.items()}
+    if fault == "name":
+        path.write_bytes(path.read_bytes().replace(b"embed.tok", b"embed.t\xffk", 1))
+    elif fault == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+    else:
+        T.save_checkpoint(path, _mismatched_checkpoint(arrays, fault))
+    with pytest.raises(InputError, match="weights.gcpt: " + message):
+        Model.load(tmp_path)
+
+
 def test_ungated_forward_equals_all_ones_gates_bitwise():
     model = Model.init(TOY, 12)
     ids = seeded_batch(TOY, 12)
@@ -584,14 +617,14 @@ def test_gate_length_must_match_the_layer_width():
     model = Model.init(TOY, 13)
     ids = seeded_batch(TOY, 13)
     for kind, n in (("heads", TOY.n_heads), ("hiddens", TOY.ffn_dim)):
-        gates = gate_tensors(GateSet.ones(TOY))
+        gates = split_gates(TOY, gate_tensors(GateSet.ones(TOY)))
         gates[kind][1] = T.Tensor(np.ones(n + 1))
         with pytest.raises(ContractError, match=kind[:-1]):
-            encoder_forward(model, ids, gates)
-    gates = gate_tensors(GateSet.ones(TOY))
+            encoder_hidden(model, ids, gates)
+    gates = split_gates(TOY, gate_tensors(GateSet.ones(TOY)))
     gates["ranks"] = T.Tensor(np.ones(TOY.model_dim - 1))
     with pytest.raises(ContractError, match="rank"):
-        encoder_forward(model, ids, gates)
+        encoder_hidden(model, ids, gates)
     # widths come from the weights: dense-width gates do not fit a narrowed layer
     narrow = Model(TOY, dict(model.params))
     p = "layers.0.ffn"
@@ -600,9 +633,26 @@ def test_gate_length_must_match_the_layer_width():
     narrow.params[f"{p}.w2"] = T.Tensor(model.params[f"{p}.w2"].data[:5])
     with pytest.raises(ContractError, match="hidden gate vector must have shape \\(5,\\)"):
         encoder_forward(narrow, ids, gate_tensors(GateSet.ones(TOY)))
-    gates = gate_tensors(GateSet.ones(TOY))
+    gates = split_gates(TOY, gate_tensors(GateSet.ones(TOY)))
     gates["hiddens"][0] = T.Tensor(np.ones(5))
-    assert encoder_forward(narrow, ids, gates).shape == ids.shape + (TOY.vocab_size,)
+    logits = mlm_head(encoder_hidden(narrow, ids, gates), narrow.params, gates["ranks"])
+    assert logits.shape == ids.shape + (TOY.vocab_size,)
+
+
+def test_forward_takes_one_canonical_gate_tensor():
+    model = Model.init(TOY, 14)
+    ids = seeded_batch(TOY, 14)
+    n = len(component_universe(TOY))
+    ones = GateSet.ones(TOY)
+    want = f"gates must be None or a Tensor of shape \\({n},\\)"
+    for bad in (split_gates(TOY, gate_tensors(ones)), ones.values, ones,
+                T.Tensor(np.ones(n - 1)), T.Tensor(np.ones((1, n)))):
+        with pytest.raises(ContractError, match=want):
+            encoder_forward(model, ids, bad)
+    # a learned gate vector reaches every part of the forward
+    leaf = T.Tensor(np.ones(n), requires_grad=True)
+    T.backward(encoder_forward(model, ids, leaf).sum())
+    assert leaf.grad.shape == (n,) and np.all(leaf.grad != 0.0)
 
 
 WIDE = ModelConfig(n_layers=4, n_heads=4, model_dim=32, ffn_dim=64, vocab_size=19,
@@ -620,7 +670,7 @@ def test_final_rows_equal_the_full_forward_bitwise(config, batch):
     # the layer that computes only the leading rows keeps no head and no unit
     gs.heads[-1][:] = 0.0
     gs.hiddens[-1][:] = 0.0
-    cases = {"dense": (model, None), "gated": (model, gate_tensors(gs)),
+    cases = {"dense": (model, None), "gated": (model, split_gates(config, gate_tensors(gs))),
              "compacted": (compact_model(model, gs), None)}
     for name, (m, gates) in cases.items():
         with T.no_grad():

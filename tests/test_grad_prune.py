@@ -15,7 +15,6 @@ from prunelab.encoder import (
     encoder_forward,
     gate_tensors,
     mlm_loss,
-    split_gates,
 )
 from prunelab.exceptions import ContractError, InputError
 from prunelab.grad_prune import (
@@ -68,8 +67,7 @@ def gate_perturbed_loss(model, batch, cid, value):
     flat = np.ones(len(universe))
     flat[universe.index(cid)] = value
     with T.no_grad():
-        logits = encoder_forward(model, batch.tokens, split_gates(TOY, T.Tensor(flat)),
-                                 pad_id=batch.pad_id)
+        logits = encoder_forward(model, batch.tokens, T.Tensor(flat), pad_id=batch.pad_id)
         return mlm_loss(logits, batch.mask_positions, batch.gold_ids).item()
 
 
@@ -225,19 +223,20 @@ def test_ranked_components_deterministic_ties():
 def test_build_profile_shared_vs_single_language():
     model = Model.init(TOY, seed=46)
     batches = [make_batch(47), make_batch(48)]
-    shared = build_profile(model, {"xx": batches}, "shared", 0.5, WEIGHTS)
-    non_shared = build_profile(model, {"xx": batches}, "non-shared", 0.5, WEIGHTS)
+    shared, _ = build_profile(model, {"xx": batches}, "shared", 0.5, WEIGHTS)
+    non_shared, _ = build_profile(model, {"xx": batches}, "non-shared", 0.5, WEIGHTS)
     assert np.array_equal(
-        shared.gatesets["shared"].to_vector(),
-        non_shared.gatesets["xx"].to_vector(),
+        shared["shared"].to_vector(),
+        non_shared["xx"].to_vector(),
     )
 
 
 def test_build_profile_non_shared_per_language():
     model = Model.init(TOY, seed=49)
     data = {"aa": [make_batch(50)], "bb": [make_batch(51)]}
-    profile = build_profile(model, data, "non-shared", 0.4, WEIGHTS)
-    assert set(profile.gatesets) == {"aa", "bb"}
+    gatesets, tables = build_profile(model, data, "non-shared", 0.4, WEIGHTS)
+    assert set(gatesets) == {"aa", "bb"}
+    assert set(tables) == {"aa", "bb"}
 
 
 def test_build_profile_missing_language_data():

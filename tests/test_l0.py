@@ -6,16 +6,17 @@ import pytest
 from prunelab import tensor as T
 from prunelab.exceptions import ContractError, InputError
 from prunelab.l0 import (
+    ALPHA_INIT_STD,
     ONE_THRESHOLD,
     PENALTY_SHIFT,
     ZERO_THRESHOLD,
-    HardConcreteParams,
     build_prior,
     diversity_loss,
     expected_gate,
     inference_gate,
     l0_penalty,
     sample_gate,
+    save_alphas,
     sparsity_constraint_loss,
     total_loss,
 )
@@ -200,9 +201,9 @@ def test_diversity_subgradient_is_zero_where_gates_do_not_overlap():
 
 
 def test_build_prior_families():
-    prior = build_prior({"en": "IE", "es": "IE", "th": "KD", "lo": "KD"})
-    i = {l: k for k, l in enumerate(prior.languages)}
-    m = prior.matrix
+    langs = ["en", "es", "lo", "th"]
+    m = build_prior({"en": "IE", "es": "IE", "th": "KD", "lo": "KD"}, langs)
+    i = {l: k for k, l in enumerate(langs)}
     assert m[i["en"], i["es"]] == 0.0
     assert m[i["en"], i["th"]] == 1.0
     assert m[i["th"], i["lo"]] == 0.0
@@ -211,25 +212,26 @@ def test_build_prior_families():
 
 
 def test_build_prior_missing_is_singleton():
-    prior = build_prior({"fa": "Missing", "ps": "Missing", "en": "IE"})
-    i = {l: k for k, l in enumerate(prior.languages)}
-    assert prior.matrix[i["fa"], i["ps"]] == 1.0
-    assert prior.matrix[i["fa"], i["fa"]] == 0.0
+    langs = ["en", "fa", "ps"]
+    prior = build_prior({"fa": "Missing", "ps": "Missing", "en": "IE"}, langs)
+    i = {l: k for k, l in enumerate(langs)}
+    assert prior[i["fa"], i["ps"]] == 1.0
+    assert prior[i["fa"], i["fa"]] == 0.0
 
 
 def test_build_prior_single_language():
-    prior = build_prior({"en": "IE"})
-    assert prior.matrix.shape == (1, 1)
-    assert prior.matrix[0, 0] == 0.0
+    prior = build_prior({"en": "IE"}, ["en"])
+    assert prior.shape == (1, 1)
+    assert prior[0, 0] == 0.0
 
 
 def test_prior_submatrix_and_unknown_language():
-    prior = build_prior({"aa": "F1", "bb": "F1", "cc": "F2"})
-    sub = prior.submatrix(["cc", "aa"])
+    families = {"aa": "F1", "bb": "F1", "cc": "F2"}
+    sub = build_prior(families, ["cc", "aa"])
     assert sub.shape == (2, 2)
     assert sub[0, 1] == 1.0
     with pytest.raises(InputError):
-        prior.submatrix(["aa", "zz"])
+        build_prior(families, ["aa", "zz"])
 
 
 def test_total_loss_composition():
@@ -276,14 +278,14 @@ def test_hard_concrete_params_init_and_csv(tmp_path):
     cfg = ModelConfig(1, 2, 4, 3, 7, 5)
     universe = component_universe(cfg)
     # rows follow the given language order; the file sorts them
-    params = HardConcreteParams.init(["bb", "aa"], len(universe), seed=5)
-    assert params.languages == ["bb", "aa"]
-    assert params.alphas.shape == (2, len(universe)) and params.alphas.requires_grad
-    rows_by_lang = {lang: params.alphas.data[i] for i, lang in enumerate(params.languages)}
+    langs = ["bb", "aa"]
+    alphas = np.random.default_rng(5).normal(0.0, ALPHA_INIT_STD, size=(2, len(universe)))
+    assert alphas.shape == (len(langs), len(universe))
+    rows_by_lang = {lang: alphas[i] for i, lang in enumerate(langs)}
     assert rows_by_lang["aa"].std() < 0.5
     assert not np.array_equal(rows_by_lang["aa"], rows_by_lang["bb"])
     path = tmp_path / "alpha.csv"
-    params.save_csv(path, universe)
+    save_alphas(path, langs, alphas, universe)
     lines = path.read_text().splitlines()
     assert lines[0] == "language,kind,layer,index,alpha"
     n = len(universe)
@@ -293,6 +295,6 @@ def test_hard_concrete_params_init_and_csv(tmp_path):
         assert all(r[0] == lang for r in rows)
         assert np.array_equal([float(r[4]) for r in rows], rows_by_lang[lang])
     with pytest.raises(ContractError):
-        HardConcreteParams(["aa", "bb"], T.Tensor(np.zeros((3, n))))
+        save_alphas(tmp_path / "rows.csv", ["aa", "bb"], np.zeros((3, n)), universe)
     with pytest.raises(ContractError):
-        params.save_csv(tmp_path / "short.csv", universe[:-1])
+        save_alphas(tmp_path / "short.csv", langs, alphas, universe[:-1])

@@ -22,7 +22,7 @@ from prunelab.encoder import (
 )
 from prunelab.exceptions import ConfigError, ContractError, NumericError, RunError
 from prunelab.grad_prune import NON_SHARED, SHARED, importance_scores
-from prunelab.l0 import HardConcreteParams, inference_gate
+from prunelab.l0 import ALPHA_INIT_STD, inference_gate
 from prunelab.tensor import Tensor
 from prunelab.trainer import (
     ALGORITHMS,
@@ -69,8 +69,14 @@ def params_equal(a, b):
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
 
-def alpha_row(hc, lang):
-    return hc.alphas.data[hc.languages.index(lang)]
+def alpha_row(alphas, langs, lang):
+    return alphas[langs.index(lang)]
+
+
+def initial_alphas(n_components, seed):
+    """The alphas an L0 run over the toy corpus's languages starts from."""
+    return np.random.default_rng([seed, 6]).normal(
+        0.0, ALPHA_INIT_STD, size=(len(toy_corpus().languages()), n_components))
 
 
 # --- schedule ---------------------------------------------------------------
@@ -250,7 +256,7 @@ def test_grad_pruning_freezes_pruned_weight_slices():
     before = snapshot(base)
     res = run_grad_pruning(base, toy_corpus(), grad_schedule())
     after = snapshot(res.model)
-    gs = res.profile.gatesets[SHARED]
+    gs = res.gatesets[SHARED]
     config = res.model.config
     hd = config.head_dim
     dead_heads = [(l, i) for l in range(config.n_layers)
@@ -298,17 +304,17 @@ def test_grad_pruning_non_shared_round_robin_and_per_language_gates():
     base = toy_baseline().model
     res = run_grad_pruning(base, toy_corpus(), grad_schedule(setting=NON_SHARED))
     langs = toy_corpus().languages()
-    assert sorted(res.profile.gatesets) == langs
+    assert sorted(res.gatesets) == langs
     seen = [r["language"] for r in res.records]
     assert seen == [langs[k % len(langs)] for k in range(len(seen))]
-    vecs = {l: res.profile.gatesets[l].to_vector() for l in langs}
+    vecs = {l: res.gatesets[l].to_vector() for l in langs}
     assert any(not np.array_equal(vecs[langs[0]], vecs[l]) for l in langs[1:])
 
 
 def test_grad_pruning_target_one_keeps_everything():
     base = toy_baseline().model
     res = run_grad_pruning(base, toy_corpus(), grad_schedule(total_steps=0, target_size=1.0))
-    gs = res.profile.gatesets[SHARED]
+    gs = res.gatesets[SHARED]
     assert np.array_equal(gs.to_vector(), np.ones(len(component_universe(base.config))))
     assert res.achieved_sizes[SHARED] == 1.0
     assert params_equal(snapshot(res.model), snapshot(base))
@@ -356,10 +362,10 @@ def test_l0_alpha_only_phase_leaves_weights_untouched():
     sched = l0_schedule(total_steps=2, alpha_only_warmup_fraction=0.9)
     res = run_l0_pruning(base, toy_corpus(), sched)
     assert params_equal(snapshot(res.model), before)
-    init = HardConcreteParams.init(toy_corpus().languages(),
-                                   len(component_universe(base.config)), seed=[3, 6])
-    assert any(not np.array_equal(alpha_row(res.hc, l), alpha_row(init, l))
-               for l in init.languages)
+    langs = toy_corpus().languages()
+    init = initial_alphas(len(component_universe(base.config)), seed=3)
+    assert any(not np.array_equal(alpha_row(res.alphas, langs, l), alpha_row(init, langs, l))
+               for l in langs)
 
 
 def test_l0_zero_steps_hardens_initialization():
@@ -367,10 +373,10 @@ def test_l0_zero_steps_hardens_initialization():
     res = run_l0_pruning(base, toy_corpus(), l0_schedule(total_steps=0))
     assert res.records == []
     assert params_equal(snapshot(res.model), snapshot(base))
-    init = HardConcreteParams.init(toy_corpus().languages(),
-                                   len(component_universe(base.config)), seed=[3, 6])
-    for lang, gs in res.profile.gatesets.items():
-        expect = (inference_gate(alpha_row(init, lang)) >= 0.5).astype(float)
+    langs = toy_corpus().languages()
+    init = initial_alphas(len(component_universe(base.config)), seed=3)
+    for lang, gs in res.gatesets.items():
+        expect = (inference_gate(alpha_row(init, langs, lang)) >= 0.5).astype(float)
         assert np.array_equal(gs.to_vector(), expect)
         assert gs.hard
 
@@ -379,9 +385,10 @@ def test_l0_gatesets_follow_hardened_alphas():
     base = toy_baseline().model
     res = run_l0_pruning(base, toy_corpus(), l0_schedule(total_steps=6))
     wvec = component_weights(base.config)
-    for lang, gs in res.profile.gatesets.items():
+    langs = sorted(res.gatesets)
+    for lang, gs in res.gatesets.items():
         vec = gs.to_vector()
-        assert np.array_equal(vec, (alpha_row(res.hc, lang) >= 0.0).astype(float))
+        assert np.array_equal(vec, (alpha_row(res.alphas, langs, lang) >= 0.0).astype(float))
         assert res.achieved_sizes[lang] == pytest.approx(float((vec * wvec).sum() / wvec.sum()))
 
 
@@ -411,8 +418,9 @@ def test_ds_grad_keeps_ramps_frozen_and_matches_init():
     pooled = [b for lang in sorted(batch_dict) for b in batch_dict[lang]]
     table = importance_scores(base, pooled, SHARED)
     expect = init_ds({SHARED: table}, component_weights(base.config), DEFAULT_GRID)
+    assert res.ds.languages == expect.languages == [SHARED]
     for col in ("alpha", "theta", "t_hat", "delta"):
-        assert np.array_equal(res.ds.tables[SHARED][col], expect.tables[SHARED][col])
+        assert np.array_equal(getattr(res.ds, col), getattr(expect, col))
 
 
 def test_ds_sampled_sizes_follow_grid_and_records_match():
@@ -438,7 +446,7 @@ def test_ds_l0_trains_ramps_but_keeps_bucket_columns():
     sched_l1 = ds_schedule(algorithm="ds_l0").resolved_lambda1()
     assert sched_l1 == 128.0
     langs = toy_corpus().languages()
-    assert sorted(res.ds.tables) == langs
+    assert res.ds.languages == langs
     from prunelab.corpus import mlm_batches
 
     sched = ds_schedule(algorithm="ds_l0", setting=NON_SHARED)
@@ -452,10 +460,10 @@ def test_ds_l0_trains_ramps_but_keeps_bucket_columns():
     tables = {lang: importance_scores(base, batch_dict[lang], lang) for lang in langs}
     init = init_ds(tables, component_weights(base.config), DEFAULT_GRID)
     moved = False
-    for lang in langs:
-        assert np.array_equal(res.ds.tables[lang]["t_hat"], init.tables[lang]["t_hat"])
-        assert np.array_equal(res.ds.tables[lang]["delta"], init.tables[lang]["delta"])
-        if not np.array_equal(res.ds.tables[lang]["alpha"], init.tables[lang]["alpha"]):
+    for i in range(len(langs)):
+        assert np.array_equal(res.ds.t_hat[i], init.t_hat[i])
+        assert np.array_equal(res.ds.delta[i], init.delta[i])
+        if not np.array_equal(res.ds.alpha[i], init.alpha[i]):
             moved = True
     assert moved
     for rec in res.records:
