@@ -27,9 +27,9 @@ from .encoder import (GateSet, Model, ModelConfig, _parse_floats, component_univ
 from .exceptions import ConfigError, InputError, PrunelabError
 from .grad_prune import NON_SHARED, SHARED
 from .l0 import save_alphas
-from .trainer import (TrainSchedule, _git_hash, finetune_probe,
-                      pretrain_baseline, run_ds_training, run_grad_pruning,
-                      run_l0_pruning, write_manifest, write_metrics)
+from .trainer import (TrainSchedule, finetune_probe, pretrain_baseline, run_ds_training,
+                      run_grad_pruning, run_l0_pruning, write_json, write_manifest,
+                      write_metrics)
 
 ENV_OUT_ROOT = "PRUNELAB_RUNS"
 
@@ -169,9 +169,12 @@ def _out_root(args) -> str:
 
 
 def _new_run_dir(args, command: str, cfg: dict) -> tuple[str, str]:
+    """Path and id of a new run's directory, which must not hold another run's files yet."""
     runid = args.run_id or f"{command}-s{cfg['seed']}"
     path = os.path.join(_out_root(args), runid)
-    os.makedirs(path, exist_ok=True)
+    if os.path.isdir(path) and os.listdir(path):
+        raise ConfigError(f"run directory {path} already holds files; "
+                          "remove it or pass --run-id")
     return path, runid
 
 
@@ -180,16 +183,6 @@ def _find_run_dir(args, ref: str) -> str:
     if not os.path.isdir(path):
         raise ConfigError(f"run directory not found: {ref}")
     return path
-
-
-def _write_json(path, payload: dict):
-    payload = dict(payload)
-    from . import __version__
-
-    payload.setdefault("package_version", __version__)
-    payload.setdefault("git_hash", _git_hash())
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
 
 
 def _run_config(run_dir: str) -> ModelConfig:
@@ -252,7 +245,7 @@ def cmd_gen_corpus(args) -> int:
     corpus = gen_corpus(specs, seed=cfg["seed"])
     os.makedirs(args.out, exist_ok=True)
     corpus.save(args.out)
-    _write_json(os.path.join(args.out, "manifest.json"), {
+    write_json(os.path.join(args.out, "manifest.json"), {
         "command": "gen-corpus",
         "seed": cfg["seed"],
         "languages": [s.id for s in specs],
@@ -264,11 +257,11 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = resolve_config(args)
+    run_dir, runid = _new_run_dir(args, "pretrain", cfg)
     corpus = Corpus.load(args.corpus)
     mc = model_config(cfg, len(corpus.vocab))
     sched = schedule_from(cfg)
     result = pretrain_baseline(mc, corpus, sched)
-    run_dir, runid = _new_run_dir(args, "pretrain", cfg)
     result.model.save(run_dir)
     write_metrics(result.records, os.path.join(run_dir, "metrics.csv"))
     write_manifest(run_dir, sched, mc, extra={
@@ -281,6 +274,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg = resolve_config(args)
+    run_dir, runid = _new_run_dir(args, f"prune-{args.algo}", cfg)
     corpus = Corpus.load(args.corpus)
     base_dir = _find_run_dir(args, args.baseline)
     model = _load_run_model(base_dir)
@@ -290,7 +284,6 @@ def cmd_prune(args) -> int:
         result = run_grad_pruning(model, corpus, sched)
     else:
         result = run_l0_pruning(model, corpus, sched)
-    run_dir, runid = _new_run_dir(args, f"prune-{args.algo}", cfg)
     result.model.save(run_dir)
     for lang, gs in result.gatesets.items():
         gs.save_text(os.path.join(run_dir, f"gates_{lang}.txt"), model.config)
@@ -311,12 +304,12 @@ def cmd_prune(args) -> int:
 
 def cmd_ds_train(args) -> int:
     cfg = resolve_config(args)
+    run_dir, runid = _new_run_dir(args, args.algo, cfg)
     corpus = Corpus.load(args.corpus)
     base_dir = _find_run_dir(args, args.baseline)
     model = _load_run_model(base_dir)
     sched = schedule_from(cfg, algorithm=DS_ALGOS[args.algo])
     result = run_ds_training(model, corpus, sched)
-    run_dir, runid = _new_run_dir(args, args.algo, cfg)
     result.model.save(run_dir)
     result.ds.save_csv(os.path.join(run_dir, "ds.csv"))
     write_metrics(result.records, os.path.join(run_dir, "metrics.csv"))
@@ -361,7 +354,7 @@ def cmd_eval_probe(args) -> int:
         print(f"probe[{name}]: macro accuracy {res.mean:.3f} (best lr {res.best_lr})")
     out = os.path.join(run_dir, "probe.csv")
     write_report(rows, ("gates", "language", "accuracy"), out)
-    _write_json(os.path.join(run_dir, "manifest_eval-probe.json"), {
+    write_json(os.path.join(run_dir, "manifest_eval-probe.json"), {
         "command": "eval-probe", "run": run_dir, "corpus": args.corpus,
         "seed": cfg["seed"], "t": args.t, "epochs": args.epochs,
     })
@@ -401,7 +394,7 @@ def cmd_sweep(args) -> int:
     out = os.path.join(run_dir, "sweep.csv")
     write_report(rows, ("t", "language", "overall_sparsity", "encoder_sparsity",
                         "total_params", "probe_accuracy", "sentences_per_sec"), out)
-    _write_json(os.path.join(run_dir, "manifest_sweep.json"), {
+    write_json(os.path.join(run_dir, "manifest_sweep.json"), {
         "command": "sweep", "run": run_dir, "corpus": args.corpus,
         "seed": cfg["seed"], "grid": list(grid), "epochs": args.epochs,
         "reps": args.reps, "seq_len": bench_seq,
@@ -437,7 +430,7 @@ def cmd_bench(args) -> int:
                                batch_size=args.batch_size)
     out = os.path.join(run_dir, "bench.csv")
     write_report([asdict(r) for r in records], [f.name for f in fields(ThroughputRecord)], out)
-    _write_json(os.path.join(run_dir, "manifest_bench.json"), {
+    write_json(os.path.join(run_dir, "manifest_bench.json"), {
         "command": "bench", "run": run_dir, "seed": cfg["seed"],
         "batch_size": args.batch_size, "seq_len": args.seq_len, "reps": args.reps,
     })

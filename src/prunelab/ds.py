@@ -28,13 +28,11 @@ holds by construction and masks are nested across the grid.
 
 from __future__ import annotations
 
-import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import GateSet, component_index, _component_key, _format_distinct, _parse_floats
+from .encoder import GateSet, _component_key, _read_rows, _write_rows
 from .exceptions import ContractError, InputError
 from .grad_prune import ImportanceTable, rank_order
 from .l0 import ONE_THRESHOLD, ZERO_THRESHOLD, _hard_concrete
@@ -139,69 +137,17 @@ class DSParams:
         return self.languages.index(language)
 
     def save_csv(self, path):
-        with open(path, "w") as f:
-            f.write(f"{DS_HEADER}\n")
-            for i, lang in enumerate(self.languages):
-                columns = (_format_distinct(getattr(self, k)[i], repr) for k in DS_COLUMNS)
-                f.write("".join(f"{lang},{name},{a},{th},{t},{d}\n"
-                                for name, a, th, t, d in zip(self.components, *columns)))
+        _write_rows(path, self.components, np.stack([getattr(self, k) for k in DS_COLUMNS]),
+                    repr, DS_HEADER, self.languages)
 
     @classmethod
     def load_csv(cls, path, components, grid):
         """Read save_csv output: one or more languages, each listing every component once.
 
-        The file is read line by line; a row keeps its position (language
-        number, in order of first appearance, times the component count plus
-        the component's position) and its four values.  Languages may come in
-        any order; the result has them sorted.
+        Languages may come in any order, or interleaved; the result has them sorted.
         """
-        index = component_index(components)
-        n, width = len(components), len(DS_COLUMNS)
-        langs: dict[str, int] = {}
-        seen = bytearray()
-        pos, values = array("q"), array("d")
-        with open(path) as f:
-            header = f.readline().strip()
-            if header != DS_HEADER:
-                raise InputError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(f, 2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 8:
-                    raise InputError(f"{path}:{lineno}: expected {DS_HEADER}")
-                key = ",".join(parts[1:4])
-                i = index.get(key)
-                if i is None:
-                    raise InputError(f"{path}:{lineno}: unknown component {key}")
-                k = langs.get(parts[0])
-                if k is None:
-                    k = langs[parts[0]] = len(langs)
-                    seen.extend(bytes(n))
-                p = k * n + i
-                if seen[p]:
-                    raise InputError(f"{path}:{lineno}: second row for {parts[0]} {key}")
-                seen[p] = 1
-                pos.append(p)
-                try:
-                    a, th, t, d = map(float, parts[4:])
-                except ValueError:
-                    a = th = t = d = math.nan
-                if not math.isfinite(a + th + t + d):
-                    # names a non-numeric or non-finite cell; a finite row whose sum overflows passes
-                    _parse_floats(path, lineno, parts[4:])
-                values.extend((a, th, t, d))
-        if not langs:
-            raise InputError(f"{path}: no rows after the header")
-        for lang, k in langs.items():
-            if 0 in seen[k * n:(k + 1) * n]:
-                raise InputError(f"{path}: language {lang!r} does not list every component")
-        rows = np.frombuffer(values).reshape(-1, width)
-        table = np.empty((width, len(langs) * n))
-        table[:, pos] = rows.T
-        languages = sorted(langs)
-        table = table.reshape(width, len(langs), n)[:, [langs[l] for l in languages]]
+        languages, table = _read_rows(path, components, DS_HEADER, languages=True,
+                                      cells=len(DS_COLUMNS))
         return cls(list(components), check_grid(grid), languages, *table)
 
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 from scipy.special import erf
@@ -171,11 +173,7 @@ def component_index(components) -> dict[str, int]:
 
 
 def _parse_floats(path, lineno: int, cells) -> list[float]:
-    """Finite floats from the text cells of one file row, or InputError naming the row.
-
-    The loaders parse with plain float() and call this only for a row that
-    fails their own cheaper check, to name its fault.
-    """
+    """Finite floats from the text cells of one file row, or InputError naming the row."""
     try:
         values = list(map(float, cells))
     except ValueError:
@@ -192,11 +190,104 @@ def _format_distinct(values: np.ndarray, fmt) -> list[str]:
     values.  Values are told apart by bit pattern, so 0.0 and -0.0 keep their
     own text.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    texts = np.array([fmt(v) for v in values[first].tolist()], dtype=object)
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(fmt, distinct.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
+
+
+def _parse_distinct(texts) -> list[float]:
+    """float() of each text, called once per distinct text; ValueError if one is not a number."""
+    distinct = list(dict.fromkeys(texts))
+    values = list(map(float, distinct))
+    if len(distinct) == len(texts):
+        return values
+    return list(map(dict(zip(distinct, values)).__getitem__, texts))
+
+
+def _write_rows(path, components, values: np.ndarray, fmt, header=None, languages=None):
+    """Write a component-row file (gates_*.txt, ds.csv, alphas.csv, importance_*.csv).
+
+    After an optional header line, each language in the order given has one
+    row ``language,kind,layer,index,v1,...`` per component, in the order of
+    ``components``; without languages, one row ``kind,layer,index,v1,...``
+    each.  values is (cells x languages, or 1, x components); a cell's text
+    is fmt of its value.
+    """
+    with open(path, "w") as f:
+        if header is not None:
+            f.write(f"{header}\n")
+        for r, lang in enumerate(languages or [None]):
+            cells = [_format_distinct(v[r], fmt) for v in values]
+            lead = () if lang is None else (repeat(lang),)
+            f.write("\n".join(map(",".join, zip(*lead, components, *cells))) + "\n")
+
+
+def _read_rows(path, components, header=None, languages=False, cells=1, value_range=None):
+    """Read a component-row file: (sorted languages, cells x languages x components values).
+
+    Each language must list every one of ``components`` once, in any order;
+    blank lines are skipped.  Values must be finite, and inside value_range
+    (gates) when given.  Without a language cell the languages are [None].
+    All rows are checked at once; only a faulty file is walked row by row,
+    so that the error names its first faulty line.
+    """
+    with open(path) as f:
+        lines = list(map(str.strip, f.read().split("\n")))
+    if header is not None:
+        if lines[0] != header:
+            raise InputError(f"{path}: unexpected header {lines[0]!r}")
+        lines[0] = ""  # skipped like a blank line, so line numbers stay
+    rows = list(filter(None, lines))
+    if not rows:
+        raise InputError(f"{path}: no rows")
+    lead, n = int(languages), len(components)
+    width = lead + 3 + cells
+    lo, hi = value_range or (-math.inf, math.inf)
+    try:
+        if set(map(str.count, rows, repeat(","))) != {width - 1}:
+            raise ValueError
+        flat = ",".join(rows).split(",")
+        keys = list(map(",".join, zip(*(flat[k::width] for k in range(lead, lead + 3)))))
+        if keys == list(components) * (len(keys) // n):  # blocks in component order, as written
+            pos = np.tile(np.arange(n), len(keys) // n)
+        else:
+            pos = np.array(list(map(component_index(components).__getitem__, keys)))
+        langs = sorted(set(flat[0::width])) if languages else [None]
+        if languages:  # rows of language k sit at k * n + position
+            pos += n * np.array(list(map(component_index(langs).get, flat[0::width])))
+        values = np.array([_parse_distinct(flat[k::width]) for k in range(lead + 3, width)])
+        count = np.bincount(pos, minlength=len(langs) * n)
+        ok = count.max() == 1 and np.all(np.isfinite(values) & (lo <= values) & (values <= hi))
+    except (KeyError, ValueError):
+        ok = False
+    if not ok:  # walk the rows to name the first faulty line
+        index, seen = component_index(components), set()
+        for lineno, line in enumerate(lines, 1):
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                raise InputError(f"{path}:{lineno}: expected {width} cells, got {len(parts)}")
+            key = ",".join(parts[lead:lead + 3])
+            if key not in index:
+                raise InputError(f"{path}:{lineno}: unknown component {key}")
+            where = f" in language {parts[0]!r}" if languages else ""
+            if (parts[0], key) in seen:
+                raise InputError(f"{path}:{lineno}: second row for component {key}{where}")
+            seen.add((parts[0], key))
+            for value in _parse_floats(path, lineno, parts[lead + 3:]):
+                if not lo <= value <= hi:
+                    raise InputError(f"{path}:{lineno}: gate value {value} outside "
+                                     f"[{lo:g}, {hi:g}]")
+    missing = np.flatnonzero(count == 0)
+    if missing.size:
+        k, i = divmod(int(missing[0]), n)
+        where = f" in language {langs[k]!r}" if languages else ""
+        raise InputError(f"{path}: no row for component {components[i]}{where}")
+    table = np.empty((cells, len(langs) * n))
+    table[:, pos] = values
+    return langs, table.reshape(cells, len(langs), n)
 
 
 class GateSet:
@@ -236,43 +327,14 @@ class GateSet:
 
     def save_text(self, path, config: ModelConfig):
         """One line per component: kind,layer,index,value."""
-        texts = _format_distinct(self.values, lambda v: np.format_float_positional(v, trim="-"))
-        with open(path, "w") as f:
-            f.write("".join(f"{name},{text}\n"
-                            for name, text in zip(component_universe(config), texts)))
+        _write_rows(path, component_universe(config), self.values[None, None],
+                    lambda v: np.format_float_positional(v, trim="-"))
 
     @classmethod
     def load_text(cls, path, config: ModelConfig) -> "GateSet":
         """Read save_text output; every component of the model exactly once, values in [0, 1]."""
-        universe = component_universe(config)
-        index = component_index(universe)
-        values = [None] * len(universe)
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                key, _, cell = line.rpartition(",")
-                # every name has two commas, so a known key means four cells
-                i = index.get(key)
-                if i is None:
-                    if line.count(",") != 3:
-                        raise InputError(f"{path}:{lineno}: expected kind,layer,index,value")
-                    raise InputError(f"{path}:{lineno}: component {key} is not in the model")
-                if values[i] is not None:
-                    raise InputError(f"{path}:{lineno}: second row for component {key}")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not 0.0 <= value <= 1.0:
-                    _parse_floats(path, lineno, (cell,))  # names a non-numeric or non-finite cell
-                    raise InputError(f"{path}:{lineno}: gate value {value} outside [0, 1]")
-                values[i] = value
-        if None in values:
-            raise InputError(f"{path}: missing gate value for component "
-                             f"{universe[values.index(None)]}")
-        return cls(config, np.array(values))
+        _, values = _read_rows(path, component_universe(config), value_range=(0.0, 1.0))
+        return cls(config, values[0, 0])
 
 
 def gate_tensors(gateset: GateSet) -> Tensor:
@@ -331,6 +393,8 @@ class Model:
         return cls(config, init_params(config, seed))
 
     def save(self, run_dir):
+        """Write model.json and weights.gcpt under run_dir, making it if needed."""
+        os.makedirs(run_dir, exist_ok=True)
         T.save_checkpoint(f"{run_dir}/weights.gcpt", self.params)
         with open(f"{run_dir}/model.json", "w") as f:
             json.dump(self.config.to_dict(), f, indent=2)

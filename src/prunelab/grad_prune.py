@@ -27,6 +27,7 @@ from .encoder import (
     _component_key,
     _component_name,
     _parse_floats,
+    _write_rows,
 )
 from .exceptions import ContractError, InputError
 
@@ -53,11 +54,8 @@ class ImportanceTable:
 
     def save_csv(self, path):
         """One row per component, kind,layer,index,score, in canonical order."""
-        with open(path, "w") as f:
-            f.write("kind,layer,index,score\n")
-            # float() writes numpy scalar scores as plain numbers, not np.float64(...)
-            f.write("".join(f"{name},{float(self.scores[name])!r}\n"
-                            for name in sorted(self.scores, key=_component_key)))
+        names = sorted(self.scores, key=_component_key)
+        _write_rows(path, names, self.vector(names)[None, None], repr, "kind,layer,index,score")
 
     @classmethod
     def load_csv(cls, path, language: str = SHARED) -> "ImportanceTable":

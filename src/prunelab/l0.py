@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import tensor as T
-from .encoder import _finite
+from .encoder import _finite, _write_rows
 from .exceptions import ContractError, InputError
 from .tensor import Tensor
 
@@ -51,12 +51,9 @@ def save_alphas(path, languages, alphas: np.ndarray, components):
     if alphas.shape != (len(languages), len(components)):
         raise ContractError(f"alphas {alphas.shape} need one row per language of {languages} "
                             f"and one column per component ({len(components)})")
-    with open(path, "w") as f:
-        f.write("language,kind,layer,index,alpha\n")
-        for lang in sorted(languages):
-            values = alphas[languages.index(lang)].tolist()
-            for name, a in zip(components, values):
-                f.write(f"{lang},{name},{a!r}\n")
+    order = sorted(range(len(languages)), key=languages.__getitem__)
+    _write_rows(path, components, alphas[None, order], repr, "language,kind,layer,index,alpha",
+                [languages[i] for i in order])
 
 
 def _check_u(u: np.ndarray):

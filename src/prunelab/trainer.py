@@ -204,21 +204,21 @@ def _git_hash():
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def write_manifest(run_dir, schedule: TrainSchedule, config: ModelConfig, extra=None):
+def write_json(path, payload: dict, extra=None):
+    """Write payload, then the package version and git hash, then extra, as a JSON manifest."""
     from . import __version__
 
-    payload = {
-        "schedule": asdict(schedule),
-        "model": config.to_dict(),
-        "package_version": __version__,
-        "git_hash": _git_hash(),
-    }
-    payload.update(extra or {})
-    os.makedirs(run_dir, exist_ok=True)
-    path = os.path.join(run_dir, "manifest.json")
+    payload = {**payload, "package_version": __version__, "git_hash": _git_hash(),
+               **(extra or {})}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2)
     return path
+
+
+def write_manifest(run_dir, schedule: TrainSchedule, config: ModelConfig, extra=None):
+    os.makedirs(run_dir, exist_ok=True)
+    return write_json(os.path.join(run_dir, "manifest.json"),
+                      {"schedule": asdict(schedule), "model": config.to_dict()}, extra)
 
 
 def _check_finite(value: float, step: int):

@@ -417,6 +417,51 @@ def test_ds_train_on_a_grid_without_both_ends_exits_2(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command, runid", [
+    (["pretrain"], "pretrain-s0"),
+    (["prune", "--algo", "grad", "--baseline", "base"], "prune-grad-s0"),
+    (["ds-train", "--algo", "ds-grad", "--baseline", "base"], "ds-grad-s0"),
+], ids=["pretrain", "prune", "ds-train"])
+def test_training_commands_refuse_a_run_directory_that_holds_files(tmp_path, capsys, command,
+                                                                   runid):
+    # refused before anything is read: neither the corpus nor the baseline exists
+    run_dir = tmp_path / "runs" / runid
+    run_dir.mkdir(parents=True)
+    (run_dir / "gates_aa.txt").write_text("stale\n")
+    assert main([*command, "--corpus", str(tmp_path / "corpus"), "--seed", "0",
+                 "--out-root", str(tmp_path / "runs")]) == 2
+    assert (f"run directory {run_dir} already holds files; remove it or pass --run-id"
+            in capsys.readouterr().err)
+    assert [p.name for p in run_dir.iterdir()] == ["gates_aa.txt"]
+
+
+def test_shared_and_non_shared_prunes_with_one_seed_keep_their_own_directories(tmp_path, capsys):
+    specs = build_inventories([LanguageSpec("aa", "Uralic", 20, 1),
+                               LanguageSpec("bb", "Turkic", 20, 2)], inventory_size=6)
+    corpus = gen_corpus(specs, seed=0)
+    corpus.save(tmp_path / "corpus")
+    config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=3,
+                         vocab_size=len(corpus.vocab), max_seq_len=32)
+    Model.init(config, 0).save(tmp_path / "base")
+    runs = tmp_path / "runs"
+    (runs / "prune-grad-s0").mkdir(parents=True)  # an empty directory is taken as it is
+    args = ["prune", "--algo", "grad", "--corpus", str(tmp_path / "corpus"), "--baseline",
+            str(tmp_path / "base"), "--importance-batches", "1", "--batch-size", "4",
+            "--seq-len", "8", "--seed", "0", "--out-root", str(runs)]
+    assert main(args + ["--setting", "non-shared"]) == 0
+    written = sorted(p.name for p in (runs / "prune-grad-s0").iterdir())
+    assert "gates_aa.txt" in written and "gates_bb.txt" in written
+    capsys.readouterr()
+    assert main(args + ["--setting", "shared"]) == 2
+    assert "remove it or pass --run-id" in capsys.readouterr().err
+    assert sorted(p.name for p in (runs / "prune-grad-s0").iterdir()) == written
+    assert main(args + ["--setting", "shared", "--run-id", "prune-grad-shared"]) == 0
+    assert (runs / "prune-grad-shared" / "gates_shared.txt").exists()
+    assert main(["report", "--run", str(runs / "prune-grad-s0"), "--figure", "hamming"]) == 0
+    header = (runs / "prune-grad-s0" / "report_hamming_prune-grad-s0.csv").read_text()
+    assert header.splitlines()[0] == "language,aa,bb"
+
+
 def test_report_on_malformed_manifest_exits_1(tmp_path, capsys):
     _report_run(tmp_path)
     cases = ['{"schedule": {"grid": [0.0, 0.5', "[]", json.dumps({"schedule": {}}),

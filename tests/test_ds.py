@@ -1,5 +1,7 @@
 """Dynamic sparsification: closed-form boundaries, bucketizing, nesting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,48 @@ def test_ds_params_load_csv_checks_each_cell_for_finiteness(tmp_path):
         path.write_text("".join(lines[:1] + [",".join(head + cells) + "\n"] + lines[2:]))
         with pytest.raises(InputError, match=":2: non-finite value in '" + ",".join(cells)):
             DSParams.load_csv(path, ds.components, ds.grid)
+
+def _write_component_file(reader, path):
+    """A gates_*.txt or a one-language ds.csv of TOY; returns its header lines and its loader."""
+    universe = component_universe(TOY)
+    if reader == "gates":
+        GateSet.ones(TOY).save_text(path, TOY)
+        return [], lambda: GateSet.load_text(path, TOY)
+    table = ImportanceTable(dict(zip(universe, np.linspace(1.0, 2.0, len(universe)))), "aa", 1)
+    init_ds({"aa": table}, component_weights(TOY), DEFAULT_GRID).save_csv(path)
+    return path.read_text().splitlines()[:1], lambda: DSParams.load_csv(path, universe,
+                                                                          DEFAULT_GRID)
+
+
+LAST = component_universe(TOY)[-1]
+# each fault: an edit of the data rows, the data row the error names (-1 the
+# last, None the file) and the rest of its text
+FAULTS = {
+    "unknown component": (lambda rows: [rows[0].replace("head,0,0,", "head,0,99,")] + rows[1:],
+                          1, "unknown component head,0,99"),
+    "second row": (lambda rows: rows + rows[:1], -1, "second row for component head,0,0"),
+    "short row": (lambda rows: [rows[0].rsplit(",", 1)[0]] + rows[1:], 1, "expected"),
+    "non-numeric cell": (lambda rows: [rows[0].rsplit(",", 1)[0] + ",x"] + rows[1:],
+                         1, "non-numeric value in"),
+    "non-finite cell": (lambda rows: [rows[0].rsplit(",", 1)[0] + ",inf"] + rows[1:],
+                        1, "non-finite value in"),
+    "missing component": (lambda rows: rows[:-1], None, f"no row for component {LAST}"),
+    "no rows": (lambda rows: [], None, "no rows"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("reader", ["gates", "ds.csv"])
+def test_component_file_readers_name_the_same_faults(tmp_path, reader, fault):
+    path = tmp_path / "component_rows"
+    header, load = _write_component_file(reader, path)
+    edit, row, text = FAULTS[fault]
+    rows = edit(path.read_text().splitlines()[len(header):])
+    path.write_text("".join(f"{line}\n" for line in header + rows))
+    where = "" if row is None else f":{len(header) + (len(rows) if row == -1 else row)}"
+    with pytest.raises(InputError, match=re.escape(f"{path}{where}: {text}")):
+        load()
+
 
 def _row_names(path, header_lines, first_cell):
     """The component name of every row of a component file."""
