@@ -142,10 +142,7 @@ class DSParams:
 
     @classmethod
     def load_csv(cls, path, components, grid):
-        """Read save_csv output: one or more languages, each listing every component once.
-
-        Languages may come in any order, or interleaved; the result has them sorted.
-        """
+        """Read save_csv output: languages in any order, or interleaved, come out sorted."""
         languages, table = _read_rows(path, components, DS_HEADER, languages=True,
                                       cells=len(DS_COLUMNS))
         return cls(list(components), check_grid(grid), languages, *table)

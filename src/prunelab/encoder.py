@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 from scipy.special import erf
@@ -199,90 +200,93 @@ def _format_distinct(values: np.ndarray, fmt) -> list[str]:
 def _parse_distinct(texts) -> list[float]:
     """float() of each text, called once per distinct text; ValueError if one is not a number."""
     distinct = list(dict.fromkeys(texts))
-    values = list(map(float, distinct))
-    if len(distinct) == len(texts):
-        return values
-    return list(map(dict(zip(distinct, values)).__getitem__, texts))
+    return list(map(dict(zip(distinct, map(float, distinct))).__getitem__, texts))
+
+
+# rows a writer formats, or a reader splits into cells, at a time; this bounds their memory
+_BLOCK = 2048
 
 
 def _write_rows(path, components, values: np.ndarray, fmt, header=None, languages=None):
-    """Write a component-row file (gates_*.txt, ds.csv, alphas.csv, importance_*.csv).
+    """Write a component-row file: gates_*.txt, ds.csv, alphas.csv or importance_*.csv.
 
-    After an optional header line, each language in the order given has one
-    row ``language,kind,layer,index,v1,...`` per component, in the order of
-    ``components``; without languages, one row ``kind,layer,index,v1,...``
-    each.  values is (cells x languages, or 1, x components); a cell's text
-    is fmt of its value.
+    An optional header line, then for each language in the order given (or
+    none) one row ``[language,]kind,layer,index,cells...`` per component.
+    values is (cells x languages, or 1, x components); a cell is fmt of its value.
     """
     with open(path, "w") as f:
         if header is not None:
             f.write(f"{header}\n")
         for r, lang in enumerate(languages or [None]):
-            cells = [_format_distinct(v[r], fmt) for v in values]
             lead = () if lang is None else (repeat(lang),)
-            f.write("\n".join(map(",".join, zip(*lead, components, *cells))) + "\n")
+            for s in range(0, len(components), _BLOCK):
+                cells = [_format_distinct(v[r, s:s + _BLOCK], fmt) for v in values]
+                rows = map(",".join, zip(*lead, components[s:s + _BLOCK], *cells))
+                f.write("\n".join(rows) + "\n")
 
 
 def _read_rows(path, components, header=None, languages=False, cells=1, value_range=None):
     """Read a component-row file: (sorted languages, cells x languages x components values).
 
-    Each language must list every one of ``components`` once, in any order;
-    blank lines are skipped.  Values must be finite, and inside value_range
-    (gates) when given.  Without a language cell the languages are [None].
-    All rows are checked at once; only a faulty file is walked row by row,
-    so that the error names its first faulty line.
+    Each language lists every one of ``components`` once, in any order, with
+    finite values (inside value_range for gates); languages are [None] without
+    a language cell.  A faulty file is read again row by row to name its first faulty line.
     """
-    with open(path) as f:
-        lines = list(map(str.strip, f.read().split("\n")))
-    if header is not None:
-        if lines[0] != header:
-            raise InputError(f"{path}: unexpected header {lines[0]!r}")
-        lines[0] = ""  # skipped like a blank line, so line numbers stay
-    rows = list(filter(None, lines))
-    if not rows:
-        raise InputError(f"{path}: no rows")
     lead, n = int(languages), len(components)
     width = lead + 3 + cells
     lo, hi = value_range or (-math.inf, math.inf)
-    try:
-        if set(map(str.count, rows, repeat(","))) != {width - 1}:
-            raise ValueError
-        flat = ",".join(rows).split(",")
-        keys = list(map(",".join, zip(*(flat[k::width] for k in range(lead, lead + 3)))))
-        if keys == list(components) * (len(keys) // n):  # blocks in component order, as written
-            pos = np.tile(np.arange(n), len(keys) // n)
-        else:
-            pos = np.array(list(map(component_index(components).__getitem__, keys)))
-        langs = sorted(set(flat[0::width])) if languages else [None]
-        if languages:  # rows of language k sit at k * n + position
-            pos += n * np.array(list(map(component_index(langs).get, flat[0::width])))
-        values = np.array([_parse_distinct(flat[k::width]) for k in range(lead + 3, width)])
-        count = np.bincount(pos, minlength=len(langs) * n)
-        ok = count.max() == 1 and np.all(np.isfinite(values) & (lo <= values) & (values <= hi))
-    except (KeyError, ValueError):
-        ok = False
-    if not ok:  # walk the rows to name the first faulty line
+    index, row_langs, pos, values, ok = None, [], [], [], True
+    with open(path) as f:
+        if header is not None and (line := f.readline().strip()) != header:
+            raise InputError(f"{path}: unexpected header {line!r}")
+        try:
+            while block := list(islice(f, _BLOCK)):
+                rows = list(filter(None, map(str.strip, block)))
+                if rows and set(map(str.count, rows, repeat(","))) != {width - 1}:
+                    raise ValueError
+                flat = ",".join(rows).split(",") if rows else []
+                keys = list(map(",".join, zip(*(flat[k::width] for k in range(lead, lead + 3)))))
+                s = sum(map(len, pos)) % n
+                if keys == components[s:s + len(keys)]:  # in component order, as written
+                    pos.append(np.arange(s, s + len(keys)))
+                else:
+                    index = index or component_index(components)
+                    pos.append(np.array(list(map(index.__getitem__, keys))))
+                row_langs += map(sys.intern, flat[0::width]) if languages else ()
+                texts = (flat[k::width] for k in range(lead + 3, width))
+                values.append(np.array([_parse_distinct(t) for t in texts]))
+            if not sum(map(len, pos)):
+                raise InputError(f"{path}: no rows")
+            langs = sorted(set(row_langs)) if languages else [None]
+            pos = np.concatenate(pos)
+            if languages:  # rows of language k sit at k * n + position
+                pos += n * np.array(list(map(component_index(langs).get, row_langs)))
+            values = np.concatenate(values, axis=1)
+            count = np.bincount(pos, minlength=len(langs) * n)
+            ok = count.max() == 1 and np.all(np.isfinite(values) & (lo <= values) & (values <= hi))
+        except (KeyError, ValueError):
+            ok = False
+    if not ok:  # read the file again, row by row, to name its first faulty line
         index, seen = component_index(components), set()
-        for lineno, line in enumerate(lines, 1):
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                raise InputError(f"{path}:{lineno}: expected {width} cells, got {len(parts)}")
-            key = ",".join(parts[lead:lead + 3])
-            if key not in index:
-                raise InputError(f"{path}:{lineno}: unknown component {key}")
-            where = f" in language {parts[0]!r}" if languages else ""
-            if (parts[0], key) in seen:
-                raise InputError(f"{path}:{lineno}: second row for component {key}{where}")
-            seen.add((parts[0], key))
-            for value in _parse_floats(path, lineno, parts[lead + 3:]):
-                if not lo <= value <= hi:
-                    raise InputError(f"{path}:{lineno}: gate value {value} outside "
-                                     f"[{lo:g}, {hi:g}]")
-    missing = np.flatnonzero(count == 0)
-    if missing.size:
-        k, i = divmod(int(missing[0]), n)
+        with open(path) as f:
+            for lineno, line in enumerate(map(str.strip, f), 1):
+                if not line or lineno == 1 and header is not None:
+                    continue
+                parts = line.split(",")
+                if len(parts) != width:
+                    raise InputError(f"{path}:{lineno}: expected {width} cells, got {len(parts)}")
+                key = ",".join(parts[lead:lead + 3])
+                if key not in index:
+                    raise InputError(f"{path}:{lineno}: unknown component {key}")
+                if (parts[0], key) in seen:
+                    raise InputError(f"{path}:{lineno}: second row for component {key}")
+                seen.add((parts[0], key))
+                for value in _parse_floats(path, lineno, parts[lead + 3:]):
+                    if not lo <= value <= hi:
+                        raise InputError(f"{path}:{lineno}: gate value {value} outside "
+                                         f"[{lo:g}, {hi:g}]")
+    if count.min() == 0:  # argmin finds the first missing row
+        k, i = divmod(int(count.argmin()), n)
         where = f" in language {langs[k]!r}" if languages else ""
         raise InputError(f"{path}: no row for component {components[i]}{where}")
     table = np.empty((cells, len(langs) * n))
