@@ -55,20 +55,12 @@ def hamming_matrix(gatesets: dict[str, GateSet]) -> tuple[list[str], np.ndarray]
     if not gatesets:
         raise InputError("hamming_matrix: no gate sets given")
     langs = sorted(gatesets)
-    vecs = {}
     for lang in langs:
-        gs = gatesets[lang]
-        _require_hard(gs, "hamming_matrix")
-        if gs.slices != gatesets[langs[0]].slices:
+        _require_hard(gatesets[lang], "hamming_matrix")
+        if gatesets[lang].slices != gatesets[langs[0]].slices:
             raise ContractError("hamming_matrix: gate sets cover different component universes")
-        vecs[lang] = gs.values
-    n = len(langs)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.mean(vecs[langs[i]] != vecs[langs[j]]))
-            out[i, j] = out[j, i] = d
-    return langs, out
+    bits = np.stack([gatesets[lang].values for lang in langs])
+    return langs, (bits[:, None] != bits[None]).mean(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,6 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in values if v <= 1.0)
 
 
-def model_config(cfg: dict, vocab_size: int) -> ModelConfig:
-    return ModelConfig(vocab_size=vocab_size, **cfg["model"])
-
-
 def schedule_from(cfg: dict, **over) -> TrainSchedule:
     kwargs = dict(cfg["schedule"])
     kwargs.update(over)
@@ -169,11 +165,11 @@ def _out_root(args) -> str:
 
 
 def _new_run_dir(args, command: str, cfg: dict) -> tuple[str, str]:
-    """Path and id of a new run's directory, which must not hold another run's files yet."""
+    """Path and id of a new run's directory, which must be absent or empty."""
     runid = args.run_id or f"{command}-s{cfg['seed']}"
     path = os.path.join(_out_root(args), runid)
-    if os.path.isdir(path) and os.listdir(path):
-        raise ConfigError(f"run directory {path} already holds files; "
+    if os.path.exists(path) and not (os.path.isdir(path) and not os.listdir(path)):
+        raise ConfigError(f"run directory {path} exists and is not an empty directory; "
                           "remove it or pass --run-id")
     return path, runid
 
@@ -227,10 +223,6 @@ def _run_ds(run_dir: str, config: ModelConfig) -> DSParams | None:
     return DSParams.load_csv(path, component_universe(config), grid)
 
 
-def _subnetworks_at(ds: DSParams, t: float, config: ModelConfig) -> dict[str, GateSet]:
-    return {lang: subnetwork_at(ds, t, lang, config) for lang in ds.languages}
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -259,7 +251,7 @@ def cmd_pretrain(args) -> int:
     cfg = resolve_config(args)
     run_dir, runid = _new_run_dir(args, "pretrain", cfg)
     corpus = Corpus.load(args.corpus)
-    mc = model_config(cfg, len(corpus.vocab))
+    mc = ModelConfig(vocab_size=len(corpus.vocab), **cfg["model"])
     sched = schedule_from(cfg)
     result = pretrain_baseline(mc, corpus, sched)
     result.model.save(run_dir)
@@ -328,7 +320,7 @@ def _probe_targets(args, run_dir: str, model: Model) -> dict[str, GateSet]:
     if ds is not None:
         if args.t is None:
             raise ConfigError("this run holds dynamic sparsification tables; pass --t")
-        return _subnetworks_at(ds, args.t, model.config)
+        return {lang: subnetwork_at(ds, args.t, lang, model.config) for lang in ds.languages}
     gatesets = _run_gatesets(run_dir, model.config)
     if gatesets:
         return gatesets
@@ -376,7 +368,8 @@ def cmd_sweep(args) -> int:
     bench_seq = cfg["schedule"]["seq_len"]
     rows = []
     for t in grid:
-        for lang, gs in sorted(_subnetworks_at(ds, t, model.config).items()):
+        for lang in ds.languages:
+            gs = subnetwork_at(ds, t, lang, model.config)
             compact = compact_model(model, gs)
             res = finetune_probe(compact, splits, seed=cfg["seed"], epochs=args.epochs)
             acc = res.per_language.get(lang, res.mean)

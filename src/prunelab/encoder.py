@@ -199,8 +199,8 @@ def _format_distinct(values: np.ndarray, fmt) -> list[str]:
 
 def _parse_distinct(texts) -> list[float]:
     """float() of each text, called once per distinct text; ValueError if one is not a number."""
-    distinct = list(dict.fromkeys(texts))
-    return list(map(dict(zip(distinct, map(float, distinct))).__getitem__, texts))
+    value_of = {text: float(text) for text in set(texts)}
+    return list(map(value_of.__getitem__, texts))
 
 
 # rows a writer formats, or a reader splits into cells, at a time; this bounds their memory
@@ -218,7 +218,7 @@ def _write_rows(path, components, values: np.ndarray, fmt, header=None, language
         if header is not None:
             f.write(f"{header}\n")
         for r, lang in enumerate(languages or [None]):
-            lead = () if lang is None else (repeat(lang),)
+            lead = [] if lang is None else [repeat(lang)]
             for s in range(0, len(components), _BLOCK):
                 cells = [_format_distinct(v[r, s:s + _BLOCK], fmt) for v in values]
                 rows = map(",".join, zip(*lead, components[s:s + _BLOCK], *cells))
@@ -230,43 +230,55 @@ def _read_rows(path, components, header=None, languages=False, cells=1, value_ra
 
     Each language lists every one of ``components`` once, in any order, with
     finite values (inside value_range for gates); languages are [None] without
-    a language cell.  A faulty file is read again row by row to name its first faulty line.
+    a language cell.  Rows are checked a block at a time; only a file that
+    fails is read a second time, row by row, to name its first faulty line.
     """
     lead, n = int(languages), len(components)
     width = lead + 3 + cells
     lo, hi = value_range or (-math.inf, math.inf)
-    index, row_langs, pos, values, ok = None, [], [], [], True
+    index = None  # built at the first block that is not in written order
+    row_langs, pos, values, ok, done = [], [], [], True, 0
     with open(path) as f:
-        if header is not None and (line := f.readline().strip()) != header:
-            raise InputError(f"{path}: unexpected header {line!r}")
+        if header is not None:
+            line = f.readline().strip()
+            if line != header:
+                raise InputError(f"{path}: unexpected header {line!r}")
         try:
-            while block := list(islice(f, _BLOCK)):
-                rows = list(filter(None, map(str.strip, block)))
-                if rows and set(map(str.count, rows, repeat(","))) != {width - 1}:
-                    raise ValueError
-                flat = ",".join(rows).split(",") if rows else []
-                keys = list(map(",".join, zip(*(flat[k::width] for k in range(lead, lead + 3)))))
-                s = sum(map(len, pos)) % n
-                if keys == components[s:s + len(keys)]:  # in component order, as written
-                    pos.append(np.arange(s, s + len(keys)))
+            for block in iter(lambda: list(islice(f, _BLOCK)), []):
+                rows = [line for line in map(str.strip, block) if line]
+                if not rows:
+                    continue
+                if {row.count(",") for row in rows} != {width - 1}:
+                    raise ValueError("wrong cell count")
+                flat = ",".join(rows).split(",")
+                keys = list(map(",".join, zip(flat[lead::width], flat[lead + 1::width],
+                                              flat[lead + 2::width])))
+                start = done % n
+                if keys == components[start:start + len(keys)]:  # in written order
+                    pos.append(np.arange(start, start + len(keys)))
                 else:
-                    index = index or component_index(components)
-                    pos.append(np.array(list(map(index.__getitem__, keys))))
-                row_langs += map(sys.intern, flat[0::width]) if languages else ()
-                texts = (flat[k::width] for k in range(lead + 3, width))
-                values.append(np.array([_parse_distinct(t) for t in texts]))
-            if not sum(map(len, pos)):
-                raise InputError(f"{path}: no rows")
-            langs = sorted(set(row_langs)) if languages else [None]
-            pos = np.concatenate(pos)
-            if languages:  # rows of language k sit at k * n + position
-                pos += n * np.array(list(map(component_index(langs).get, row_langs)))
-            values = np.concatenate(values, axis=1)
-            count = np.bincount(pos, minlength=len(langs) * n)
-            ok = count.max() == 1 and np.all(np.isfinite(values) & (lo <= values) & (values <= hi))
-        except (KeyError, ValueError):
+                    if index is None:
+                        index = component_index(components)
+                    pos.append(np.fromiter(map(index.__getitem__, keys), np.intp))
+                done += len(keys)
+                if lead:  # one copy of each language name, however many rows hold it
+                    row_langs += map(sys.intern, flat[0::width])
+                values.append(np.array([_parse_distinct(flat[k::width])
+                                        for k in range(lead + 3, width)]))
+        except (KeyError, ValueError):  # a wrong cell count, an unknown name or a non-number
             ok = False
-    if not ok:  # read the file again, row by row, to name its first faulty line
+    if ok:
+        if not pos:
+            raise InputError(f"{path}: no rows")
+        langs = sorted(set(row_langs)) if lead else [None]
+        pos = np.concatenate(pos)
+        if lead:  # the row of language k and component i goes to k * n + i
+            lang_index = {lang: k for k, lang in enumerate(langs)}
+            pos += n * np.array([lang_index[lang] for lang in row_langs])
+        values = np.concatenate(values, axis=1)
+        count = np.bincount(pos, minlength=len(langs) * n)
+        ok = count.max() == 1 and np.all(np.isfinite(values) & (lo <= values) & (values <= hi))
+    if not ok:  # the one place that names a faulty line: read the file again, row by row
         index, seen = component_index(components), set()
         with open(path) as f:
             for lineno, line in enumerate(map(str.strip, f), 1):
@@ -285,6 +297,7 @@ def _read_rows(path, components, header=None, languages=False, cells=1, value_ra
                     if not lo <= value <= hi:
                         raise InputError(f"{path}:{lineno}: gate value {value} outside "
                                          f"[{lo:g}, {hi:g}]")
+        raise ContractError(f"{path}: the block checks refused the file, but no row is faulty")
     if count.min() == 0:  # argmin finds the first missing row
         k, i = divmod(int(count.argmin()), n)
         where = f" in language {langs[k]!r}" if languages else ""

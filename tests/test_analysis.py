@@ -106,8 +106,10 @@ def test_hamming_is_a_metric_on_random_triples():
         gs = {name: random_hard_gateset(TOY, [seed, i]) for i, name in
               enumerate(("aa", "bb", "cc"))}
         _, m = hamming_matrix(gs)
+        bits = [gs[name].values for name in ("aa", "bb", "cc")]
         for i in range(3):
             assert m[i, i] == 0.0
+            assert [m[i, j] for j in range(3)] == [np.mean(bits[i] != b) for b in bits]
             for j in range(3):
                 assert m[i, j] == m[j, i]
                 assert 0.0 <= m[i, j] <= 1.0

@@ -425,14 +425,18 @@ def test_ds_train_on_a_grid_without_both_ends_exits_2(tmp_path, capsys):
 def test_training_commands_refuse_a_run_directory_that_holds_files(tmp_path, capsys, command,
                                                                    runid):
     # refused before anything is read: neither the corpus nor the baseline exists
+    args = [*command, "--corpus", str(tmp_path / "corpus"), "--seed", "0"]
     run_dir = tmp_path / "runs" / runid
     run_dir.mkdir(parents=True)
     (run_dir / "gates_aa.txt").write_text("stale\n")
-    assert main([*command, "--corpus", str(tmp_path / "corpus"), "--seed", "0",
-                 "--out-root", str(tmp_path / "runs")]) == 2
-    assert (f"run directory {run_dir} already holds files; remove it or pass --run-id"
-            in capsys.readouterr().err)
+    assert main(args + ["--out-root", str(tmp_path / "runs")]) == 2
+    assert (f"run directory {run_dir} exists and is not an empty directory; remove it or pass "
+            "--run-id" in capsys.readouterr().err)
     assert [p.name for p in run_dir.iterdir()] == ["gates_aa.txt"]
+    # a plain file where the run directory would go is refused too
+    assert main(args + ["--out-root", str(run_dir), "--run-id", "gates_aa.txt"]) == 2
+    assert (f"run directory {run_dir / 'gates_aa.txt'} exists and is not an empty directory"
+            in capsys.readouterr().err)
 
 
 def test_shared_and_non_shared_prunes_with_one_seed_keep_their_own_directories(tmp_path, capsys):
