@@ -14,7 +14,7 @@ import math
 import os
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -322,14 +322,54 @@ def _mask_row(tokens, row, length, rng, mask_rate, content_ids):
     return hit
 
 
+@dataclass(frozen=True, eq=False)
+class MLMStream:
+    """``n_batches`` masked batches, drawn one at a time as a pass reaches them.
+
+    Every pass opens its own generator on ``key``, so each pass yields the
+    same batches and holds only the current one.  ``pool`` is the
+    (language, sentence) list rows are picked from.
+    """
+
+    pool: list = field(repr=False)
+    content_ids: np.ndarray = field(repr=False)
+    n_batches: int
+    batch_size: int
+    seq_len: int
+    mask_rate: float
+    key: list
+
+    def __len__(self) -> int:
+        return self.n_batches
+
+    def __iter__(self):
+        rng = np.random.default_rng(self.key)
+        shape = (self.batch_size, self.seq_len)
+        for _ in range(self.n_batches):
+            picks = rng.integers(len(self.pool), size=self.batch_size)
+            tokens = np.full(shape, PAD_ID, dtype=np.int64)
+            gold = np.full(shape, PAD_ID, dtype=np.int64)
+            mask = np.zeros(shape, dtype=bool)
+            langs = []
+            for r, p in enumerate(picks):
+                lang, row = self.pool[p]
+                length = min(len(row), self.seq_len)
+                tokens[r, :length] = row[:length]
+                gold[r, :length] = row[:length]
+                mask[r, _mask_row(tokens, r, length, rng, self.mask_rate,
+                                  self.content_ids)] = True
+                langs.append(lang)
+            yield MLMBatch(tokens, mask, gold, tuple(langs))
+
+
 def mlm_batches(corpus: Corpus, n_batches: int, batch_size: int, seq_len: int,
                 mask_rate: float = 0.15, seed: int = 0,
-                languages=None) -> list[MLMBatch]:
-    """Sample masked batches; rows mix languages in proportion to corpus size.
+                languages=None) -> MLMStream:
+    """Masked batches, drawn on demand; rows mix languages in proportion to corpus size.
 
     Per masked position: 80% mask token, 10% random content token, 10% left
     unchanged.  Every row gets at least one mask.  Sentences shorter than
-    two tokens are skipped.
+    two tokens are skipped.  Bad arguments raise here, not at the first batch.
     """
     if not 0.0 < mask_rate < 1.0:
         raise ContractError(f"mask_rate must be in (0, 1), got {mask_rate}")
@@ -344,24 +384,8 @@ def mlm_batches(corpus: Corpus, n_batches: int, batch_size: int, seq_len: int,
         pool.extend((lang, row) for row in corpus.sentences[lang] if len(row) >= 2)
     if not pool:
         raise InputError("no usable sentences after skipping short ones")
-    content_ids = corpus.content_ids()
-    rng = np.random.default_rng(_seed_key(seed, 1))
-    batches = []
-    for _ in range(n_batches):
-        picks = rng.integers(len(pool), size=batch_size)
-        tokens = np.full((batch_size, seq_len), PAD_ID, dtype=np.int64)
-        gold = np.full((batch_size, seq_len), PAD_ID, dtype=np.int64)
-        mask = np.zeros((batch_size, seq_len), dtype=bool)
-        langs = []
-        for r, p in enumerate(picks):
-            lang, row = pool[p]
-            length = min(len(row), seq_len)
-            tokens[r, :length] = row[:length]
-            gold[r, :length] = row[:length]
-            mask[r, _mask_row(tokens, r, length, rng, mask_rate, content_ids)] = True
-            langs.append(lang)
-        batches.append(MLMBatch(tokens, mask, gold, tuple(langs)))
-    return batches
+    return MLMStream(pool, corpus.content_ids(), n_batches, batch_size, seq_len, mask_rate,
+                     _seed_key(seed, 1))
 
 
 def marker_fraction(rows):

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import islice, repeat
 
 import numpy as np
@@ -101,18 +102,20 @@ XLMR_BASE = ModelConfig(
 )
 
 
-def component_universe(config: ModelConfig) -> list[str]:
+@lru_cache(maxsize=8)
+def component_universe(config: ModelConfig) -> tuple[str, ...]:
     """The names of all prunable components of a model, in canonical order.
 
     A name is ``kind,layer,index``, with an empty layer for embedding ranks
     (``rank,,5``), the first three cells of every component file row.
     Canonical order is heads layer-major, then FFN units layer-major, then
     embedding ranks; every per-component vector and file row follows it.
+    Built once per config (the last few are kept) and shared, hence a tuple.
     """
     layers = range(config.n_layers)
-    return ([f"{KIND_HEAD},{layer},{h}" for layer in layers for h in range(config.n_heads)]
-            + [f"{KIND_HIDDEN},{layer},{j}" for layer in layers for j in range(config.ffn_dim)]
-            + [f"{KIND_RANK},,{k}" for k in range(config.model_dim)])
+    return tuple([f"{KIND_HEAD},{layer},{h}" for layer in layers for h in range(config.n_heads)]
+                 + [f"{KIND_HIDDEN},{layer},{j}" for layer in layers for j in range(config.ffn_dim)]
+                 + [f"{KIND_RANK},,{k}" for k in range(config.model_dim)])
 
 
 def _component_key(name: str) -> tuple[int, int, int]:
@@ -251,10 +254,11 @@ def _read_rows(path, components, header=None, languages=False, cells=1, value_ra
                 if {row.count(",") for row in rows} != {width - 1}:
                     raise ValueError("wrong cell count")
                 flat = ",".join(rows).split(",")
-                keys = list(map(",".join, zip(flat[lead::width], flat[lead + 1::width],
-                                              flat[lead + 2::width])))
+                keys = tuple(map(",".join, zip(flat[lead::width], flat[lead + 1::width],
+                                               flat[lead + 2::width])))
                 start = done % n
-                if keys == components[start:start + len(keys)]:  # in written order
+                # in written order; tuple() so a list of components compares too
+                if keys == tuple(components[start:start + len(keys)]):
                     pos.append(np.arange(start, start + len(keys)))
                 else:
                     if index is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -143,8 +144,9 @@ def importance_tables(model: Model, batches_by_language: dict,
                       setting: str) -> dict[str, ImportanceTable]:
     """Score one table over all languages when shared, else one per language.
 
-    batches_by_language maps language id to a non-empty list of batches; the
-    shared table pools them in language order.
+    batches_by_language maps language id to a non-empty sized iterable of
+    batches, such as an mlm_batches stream; the shared table chains them in
+    language order, so no batch list is built.
     """
     if setting not in (SHARED, NON_SHARED):
         raise ContractError(f"unknown setting {setting!r}")
@@ -155,7 +157,7 @@ def importance_tables(model: Model, batches_by_language: dict,
             raise InputError(f"importance_tables: language {lang!r} has no batches")
     langs = sorted(batches_by_language)
     if setting == SHARED:
-        pooled = [b for lang in langs for b in batches_by_language[lang]]
+        pooled = chain.from_iterable(batches_by_language[lang] for lang in langs)
         return {SHARED: importance_scores(model, pooled, SHARED)}
     return {lang: importance_scores(model, batches_by_language[lang], lang) for lang in langs}
 

@@ -1,7 +1,9 @@
 """Corpus generation, masking statistics, and probe task tests."""
 
+import hashlib
 import math
 import re
+from collections.abc import Iterable, Sized
 
 import numpy as np
 import pytest
@@ -301,7 +303,7 @@ def test_short_sentences_are_skipped():
     corpus = gen_corpus(small_specs(size=30), seed=15)
     corpus.sentences["bb"] = [np.array([MARKER_ID], dtype=np.int64), np.array([], dtype=np.int64)]
     out = mlm_batches(corpus, n_batches=20, batch_size=4, seq_len=8, seed=1)
-    assert isinstance(out, list) and len(out) == 20
+    assert isinstance(out, Sized) and isinstance(out, Iterable) and len(out) == 20
     assert all("bb" not in b.languages for b in out)
     with pytest.raises(InputError, match="no usable sentences"):
         mlm_batches(corpus, n_batches=1, batch_size=4, seq_len=8, languages=["bb"])
@@ -317,6 +319,39 @@ def test_mlm_batches_language_restriction_and_errors():
         mlm_batches(corpus, n_batches=1, batch_size=2, seq_len=8, mask_rate=0.0)
     with pytest.raises(ContractError):
         mlm_batches(corpus, n_batches=0, batch_size=2, seq_len=8)
+
+
+# sha256 over every batch's tokens, mask and gold ids, recorded when
+# mlm_batches still built its batches as a list
+STREAM_DIGESTS = {
+    "mixed": "fe4719bd8604f068f343bd6947729823e18bdb7b9de5b2710123fd8574f02c13",
+    "bb": "3f9ca94b7e2ec0f5d2817d753294b13ea1049dfbcf44b8a10940dec077a280b8",
+}
+
+
+def test_mlm_batches_stream_contract():
+    corpus = gen_corpus(small_specs(size=30), seed=22)
+    # bad arguments raise at the call, before any batch is drawn
+    for kwargs, error in ((dict(mask_rate=1.0), ContractError),
+                          (dict(n_batches=0), ContractError),
+                          (dict(batch_size=0), ContractError),
+                          (dict(seq_len=1), ContractError),
+                          (dict(languages=["zz"]), InputError)):
+        with pytest.raises(error):
+            mlm_batches(corpus, **{"n_batches": 5, "batch_size": 4, "seq_len": 10, **kwargs})
+    for name, kwargs in (("mixed", dict(seed=23)), ("bb", dict(seed=[5, 9, 1], languages=["bb"]))):
+        stream = mlm_batches(corpus, n_batches=5, batch_size=4, seq_len=10, **kwargs)
+        assert len(stream) == 5
+        passes = [list(stream), list(stream)]
+        digest = hashlib.sha256()
+        for a, b in zip(*passes, strict=True):
+            for x, y in ((a.tokens, b.tokens), (a.mask_positions, b.mask_positions),
+                         (a.gold_ids, b.gold_ids)):
+                assert np.array_equal(x, y)
+            assert a.languages == b.languages
+            digest.update(a.tokens.tobytes() + a.mask_positions.tobytes() + a.gold_ids.tobytes())
+        assert len(passes[0]) == 5
+        assert digest.hexdigest() == STREAM_DIGESTS[name]
 
 
 def test_marker_fraction_and_label_by_hand():
@@ -369,7 +404,7 @@ def test_probe_batches_validation():
 
 def test_unmasked_logits_never_reach_the_loss():
     corpus = gen_corpus(small_specs(size=20), seed=20)
-    batch = mlm_batches(corpus, n_batches=1, batch_size=4, seq_len=8, seed=6)[0]
+    batch = next(iter(mlm_batches(corpus, n_batches=1, batch_size=4, seq_len=8, seed=6)))
     rng = np.random.default_rng(21)
     raw = rng.normal(size=(4, 8, len(corpus.vocab)))
     base = mlm_loss(Tensor(raw), batch.mask_positions, batch.gold_ids).item()

@@ -360,7 +360,7 @@ def test_component_files_follow_canonical_numeric_order(tmp_path):
     # unit 9, which plain string order would not give
     wide = ModelConfig(n_layers=11, n_heads=2, model_dim=4, ffn_dim=11, vocab_size=7,
                        max_seq_len=4)
-    universe = component_universe(wide)
+    universe = list(component_universe(wide))
     assert sorted(universe) != universe
     rng = np.random.default_rng(81)
     shuffled = [universe[i] for i in rng.permutation(len(universe))]

@@ -2,11 +2,13 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from prunelab import encoder
 from prunelab import tensor as T
 from prunelab.analysis import compact_model
 from prunelab.encoder import (
@@ -110,9 +112,32 @@ def all_off(config):
 def test_component_universe_order_and_size():
     universe = component_universe(TOY)
     assert len(universe) == 2 * 2 + 2 * 12 + 8
-    assert universe == sorted(universe, key=numeric_key)
+    assert list(universe) == sorted(universe, key=numeric_key)
     assert universe[0] == "head,0,0"
     assert universe[-1] == "rank,,7"
+
+
+def test_component_universe_is_built_once_per_config_and_read_only():
+    universe = component_universe(TOY)
+    assert isinstance(universe, tuple)
+    assert component_universe(replace(TOY)) is universe
+    assert component_universe(replace(TOY, n_layers=3)) is not universe
+
+
+def test_component_rows_in_written_order_skip_the_name_index(tmp_path, monkeypatch):
+    # a file in universe order is matched a block at a time against the
+    # universe slice; only rows out of that order look names up one by one
+    gs = GateSet.from_values(TOY, np.ones(len(component_universe(TOY))))
+    gs.save_text(tmp_path / "gates.txt", TOY)
+    calls = []
+    monkeypatch.setattr(encoder, "component_index",
+                        lambda names: calls.append(1) or component_index(names))
+    assert np.array_equal(GateSet.load_text(tmp_path / "gates.txt", TOY).values, gs.values)
+    assert calls == []
+    lines = (tmp_path / "gates.txt").read_text().splitlines(keepends=True)
+    (tmp_path / "shuffled.txt").write_text("".join(reversed(lines)))
+    assert np.array_equal(GateSet.load_text(tmp_path / "shuffled.txt", TOY).values, gs.values)
+    assert calls == [1]
 
 
 def test_component_weights_scheme():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -524,6 +525,35 @@ def test_every_run_kind_records_the_same_fields(algorithm, setting, monkeypatch)
     assert runner(base, toy_corpus(), replace(sched, total_steps=0)).records == []
     scored = algorithm in ("grad", "ds_grad", "ds_l0")
     assert drawn == ([sched.importance_batches] * len(langs) if scored else [])
+
+
+# a bound on what one step's record holds: seven fields, their floats and a
+# list slot come to about 0.7 KB, while one batch of the runs below holds
+# about 9 KB of token, mask and gold arrays
+RECORD_BYTES = 2048
+
+
+@pytest.mark.parametrize("kind", ["pretrain", "l0_improved"])
+def test_training_memory_is_flat_in_total_steps(kind):
+    # batches are drawn as the steps reach them, so a run four times as long
+    # may hold its extra records but not its extra batches
+    base = toy_baseline().model
+    sched = l0_schedule(batch_size=16, seq_len=32)
+    if kind == "pretrain":
+        run = lambda steps: pretrain_baseline(base.config, toy_corpus(),
+                                              replace(sched, total_steps=steps))
+    else:
+        run = lambda steps: run_l0_pruning(base, toy_corpus(), replace(sched, total_steps=steps))
+    run(2)  # first-call allocations land outside the measured runs
+    peaks = {}
+    for steps in (12, 48):
+        tracemalloc.start()
+        try:
+            assert len(run(steps).records) == steps
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[48] - peaks[12] < (48 - 12) * RECORD_BYTES
 
 
 @pytest.mark.parametrize("kind", ["pretrain", *ALGORITHMS])
