@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import gc
+import os
 import platform
 import time
 from dataclasses import dataclass
@@ -220,8 +221,11 @@ def _await_idle_threads(limit: float = 1.0, window: float = 0.005):
     2**28 cycles (0.13 s on a 2 GHz core), and pinning the thread count does
     not stop them; timed passes that overlap the spin share the CPU with it.
     Returns after the first window of sleep in which the other threads used
-    under a tenth of the window, or after limit seconds.
+    under a tenth of the window, or after limit seconds.  A process with no
+    other thread (one entry under Linux's /proc/self/task) returns at once.
     """
+    if os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) == 1:
+        return
     deadline = time.monotonic() + limit
     while True:
         others = time.process_time() - time.thread_time()
@@ -231,6 +235,9 @@ def _await_idle_threads(limit: float = 1.0, window: float = 0.005):
             return
 
 
+MIN_REPS = 3  # fewest timed passes time_forward takes a median of
+
+
 def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1) -> float:
     """Median sentences/second over reps timed forward passes of random ids.
 
@@ -238,8 +245,8 @@ def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1)
     would wake the workers whose spin _await_idle_threads waited out; the
     garbage collector is off during the timed passes, as in timeit.
     """
-    if reps < 3:
-        raise ContractError(f"need at least 3 repetitions, got {reps}")
+    if reps < MIN_REPS:
+        raise ContractError(f"need at least {MIN_REPS} repetitions, got {reps}")
     rng = np.random.default_rng(0)
     ids = rng.integers(0, cm.config.vocab_size, size=(batch_size, seq_len))
     resolution = time.get_clock_info("perf_counter").resolution

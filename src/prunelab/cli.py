@@ -16,7 +16,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .analysis import (ThroughputRecord, compact_model, corr_accuracy_size,
+from .analysis import (MIN_REPS, ThroughputRecord, compact_model, corr_accuracy_size,
                        hamming_matrix, layer_profile, save_plot, size_curve,
                        throughput_bench, time_forward, write_report)
 from .corpus import Corpus, default_language_specs, gen_corpus, probe_batches
@@ -329,6 +329,8 @@ def _probe_targets(args, run_dir: str, model: Model) -> dict[str, GateSet]:
 
 def cmd_eval_probe(args) -> int:
     cfg = resolve_config(args)
+    if args.t is not None and not 0.0 <= args.t <= 1.0:
+        raise ConfigError(f"--t must lie in [0, 1], got {args.t}")
     corpus = Corpus.load(args.corpus)
     run_dir = _find_run_dir(args, args.run)
     model = _load_run_model(run_dir)
@@ -336,9 +338,13 @@ def cmd_eval_probe(args) -> int:
     splits = probe_batches(corpus, batch_size=cfg["schedule"]["batch_size"],
                            seq_len=cfg["schedule"]["seq_len"], seed=cfg["seed"])
     rows = []
+    probed = {}  # equal gates (a non-shared DS run at t = 1) share one deterministic probe
     for name in sorted(targets):
-        res = finetune_probe(compact_model(model, targets[name]), splits, seed=cfg["seed"],
-                             epochs=args.epochs)
+        key = targets[name].values.tobytes()
+        if key not in probed:
+            probed[key] = finetune_probe(compact_model(model, targets[name]), splits,
+                                         seed=cfg["seed"], epochs=args.epochs)
+        res = probed[key]
         for lang in sorted(res.per_language):
             rows.append({"gates": name, "language": lang,
                          "accuracy": res.per_language[lang]})
@@ -355,23 +361,29 @@ def cmd_eval_probe(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    corpus = Corpus.load(args.corpus)
+    if args.reps < MIN_REPS:
+        raise ConfigError(f"--reps must be at least {MIN_REPS}, got {args.reps}")
     run_dir = _find_run_dir(args, args.run)
-    model = _load_run_model(run_dir)
-    ds = _run_ds(run_dir, model.config)
+    ds = _run_ds(run_dir, _run_config(run_dir))
     if ds is None:
         raise ConfigError("sweep needs a ds-train run (no ds.csv found)")
+    corpus = Corpus.load(args.corpus)
+    model = _load_run_model(run_dir)
     grid = tuple(cfg["grid"])
     splits = probe_batches(corpus, batch_size=cfg["schedule"]["batch_size"],
                            seq_len=cfg["schedule"]["seq_len"], seed=cfg["seed"])
     weights = component_weights(model.config)
     bench_seq = cfg["schedule"]["seq_len"]
     rows = []
+    probed = {}  # one probe per distinct gate vector, as in cmd_eval_probe
     for t in grid:
         for lang in ds.languages:
             gs = subnetwork_at(ds, t, lang, model.config)
             compact = compact_model(model, gs)
-            res = finetune_probe(compact, splits, seed=cfg["seed"], epochs=args.epochs)
+            key = gs.values.tobytes()
+            if key not in probed:
+                probed[key] = finetune_probe(compact, splits, seed=cfg["seed"], epochs=args.epochs)
+            res = probed[key]
             acc = res.per_language.get(lang, res.mean)
             counts = count_params(model.config, gs)
             sps = time_forward(compact, bench_seq, reps=args.reps)
@@ -398,6 +410,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = resolve_config(args)
+    if args.reps < MIN_REPS:
+        raise ConfigError(f"--reps must be at least {MIN_REPS}, got {args.reps}")
     run_dir = _find_run_dir(args, args.run)
     model = _load_run_model(run_dir)
     ds = _run_ds(run_dir, model.config)

@@ -484,13 +484,12 @@ def embed_forward(ids: np.ndarray, params, config: ModelConfig, g_rank: Tensor |
     def backward(g):
         g_pos = np.zeros_like(pos.data)
         # each position once, so this adds each row to zero once
-        g_pos[:s] += T._unbroadcast(g, g.shape[1:])
-        grads = [(pos, g_pos),
-                 (proj, T._unbroadcast(np.swapaxes(gated, -1, -2) @ g, proj.shape))]
+        g_pos[:s] += g.sum(axis=0)
+        grads = [(pos, g_pos), (proj, (np.swapaxes(gated, -1, -2) @ g).sum(axis=0))]
         g_rows = g @ np.swapaxes(proj.data, -1, -2)
         if g_rank is not None:
             if g_rank.requires_grad:
-                grads.append((g_rank, T._unbroadcast(g_rows * rows, g_rank.shape)))
+                grads.append((g_rank, (g_rows * rows).sum(axis=(0, 1))))
             g_rows = g_rows * g_rank.data
         g_tok = np.zeros_like(tok.data)
         np.add.at(g_tok, ids.reshape(-1), g_rows.reshape(-1, tok.shape[1]))
@@ -564,7 +563,9 @@ def _check_input(op: str, x: Tensor, width: int):
 # place, which does the same arithmetic and spares allocating large
 # temporaries.  A node owns every consumer of its input x, so its backward
 # adds x's gradient parts in the order that chain's reverse pass would:
-# ((residual + v) + k) + q for attention, residual + FFN for the FFN.
+# ((residual + v) + k) + q for attention, residual + FFN for the FFN.  It
+# returns each gradient in its operand's shape, summing the batch axes itself
+# with the reductions the chain's broadcast ops would have run.
 
 
 def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
@@ -635,14 +636,14 @@ def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
 
     def backward(g):
         gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)
-        grads = [(wo, T._unbroadcast(np.swapaxes(merged, -1, -2) @ gr, wo.shape)),
-                 (bo, T._unbroadcast(gr, bo.shape)), (gain, g_gain), (shift, g_shift)]
+        grads = [(wo, (np.swapaxes(merged, -1, -2) @ gr).sum(axis=0)),
+                 (bo, gr.sum(axis=(0, 1))), (gain, g_gain), (shift, g_shift)]
         g_gated = (gr @ np.swapaxes(wo.data, -1, -2)).reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
         g_ctx = g_gated
         if gate is not None:
             g_ctx = g_gated * gate
             if g_head.requires_grad:
-                grads.append((g_head, T._unbroadcast(g_gated * ctx, gate.shape).reshape(nh)))
+                grads.append((g_head, (g_gated * ctx).sum(axis=(0, 2, 3))))
         g_probs = g_ctx @ np.swapaxes(v, -1, -2)
         g_v = np.swapaxes(probs, -1, -2) @ g_ctx
         g_qk = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
@@ -652,8 +653,8 @@ def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
         for g_t, w, bias in ((g_v, wv, bv), (g_k, wk, bk), (g_q, wq, bq)):
             g_lin = g_t.transpose(0, 2, 1, 3).reshape(b, s, nh * hd)
             gx = gx + g_lin @ np.swapaxes(w.data, -1, -2)
-            grads += [(w, T._unbroadcast(np.swapaxes(xd, -1, -2) @ g_lin, w.shape)),
-                      (bias, T._unbroadcast(g_lin, bias.shape))]
+            grads += [(w, (np.swapaxes(xd, -1, -2) @ g_lin).sum(axis=0)),
+                      (bias, g_lin.sum(axis=(0, 1)))]
         return [(x, gx), *grads]
 
     return T._make(op, out, inputs, backward)
@@ -690,17 +691,17 @@ def ffn_block(x: Tensor, params, config: ModelConfig, layer: int,
 
     def backward(g):
         gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)
-        grads = [(w2, T._unbroadcast(np.swapaxes(gated, -1, -2) @ gr, w2.shape)),
-                 (b2, T._unbroadcast(gr, b2.shape)), (gain, g_gain), (shift, g_shift)]
+        grads = [(w2, (np.swapaxes(gated, -1, -2) @ gr).sum(axis=0)),
+                 (b2, gr.sum(axis=(0, 1))), (gain, g_gain), (shift, g_shift)]
         g_h = gr @ np.swapaxes(w2.data, -1, -2)
         if g_hidden is not None:
             if g_hidden.requires_grad:
-                grads.append((g_hidden, T._unbroadcast(g_h * h, g_hidden.shape)))
+                grads.append((g_hidden, (g_h * h).sum(axis=(0, 1))))
             g_h = g_h * g_hidden.data
         pdf = np.exp(-0.5 * hp * hp) * _INV_SQRT_2PI
         g_hp = g_h * (cdf + hp * pdf)
-        grads += [(w1, T._unbroadcast(np.swapaxes(xd, -1, -2) @ g_hp, w1.shape)),
-                  (b1, T._unbroadcast(g_hp, b1.shape))]
+        grads += [(w1, (np.swapaxes(xd, -1, -2) @ g_hp).sum(axis=0)),
+                  (b1, g_hp.sum(axis=(0, 1)))]
         return [(x, gr + g_hp @ np.swapaxes(w1.data, -1, -2)), *grads]
 
     inputs = (x, w1, b1, w2, b2, gain, shift)
@@ -728,14 +729,14 @@ def mlm_head(x: Tensor, params, g_rank: Tensor | None = None) -> Tensor:
         logits = gated @ tok_t
 
     def backward(g):
-        grads = [(tok, T._unbroadcast(np.swapaxes(gated, -1, -2) @ g, tok_t.shape).T)]
+        grads = [(tok, (np.swapaxes(gated, -1, -2) @ g).sum(axis=0).T)]
         g_z = g @ np.swapaxes(tok_t, -1, -2)
         if g_rank is not None:
             if g_rank.requires_grad:
-                grads.append((g_rank, T._unbroadcast(g_z * z, g_rank.shape)))
+                grads.append((g_rank, (g_z * z).sum(axis=(0, 1))))
             g_z = g_z * g_rank.data
         grads += [(x, g_z @ np.swapaxes(proj_t, -1, -2)),
-                  (proj, T._unbroadcast(np.swapaxes(x.data, -1, -2) @ g_z, proj_t.shape).T)]
+                  (proj, (np.swapaxes(x.data, -1, -2) @ g_z).sum(axis=0).T)]
         return grads
 
     inputs = (x, proj, tok) if g_rank is None else (x, proj, tok, g_rank)

@@ -104,7 +104,7 @@ def importance_scores(model: Model, batches, language: str = SHARED) -> Importan
         T.backward(mlm_loss(logits, batch.mask_positions, batch.gold_ids))
         acc += np.abs(leaf.grad)
         for p in model.params.values():
-            p.zero_grad()
+            p.grad = None
         n += 1
     if n == 0:
         raise InputError("importance_scores: no evaluation batches supplied")

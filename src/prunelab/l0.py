@@ -56,13 +56,6 @@ def save_alphas(path, languages, alphas: np.ndarray, components):
                 [languages[i] for i in order])
 
 
-def _check_u(u: np.ndarray):
-    u = np.asarray(u, dtype=np.float64)
-    if u.size == 0 or np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ContractError("noise draws must lie strictly inside (0, 1)")
-    return u
-
-
 def _hard_concrete(z):
     """(g, s, shat) for s = sigmoid(z), shat = s * (r - l) + l, g = clip(shat, 0, 1)."""
     s = expit(z)
@@ -93,7 +86,9 @@ def _gate_node(op: str, alpha: Tensor, noise) -> Tensor:
 
 def sample_gate(alpha: Tensor, u) -> Tensor:
     """Differentiable stochastic gate; u holds uniform draws, one per gate."""
-    u = _check_u(u)
+    u = np.asarray(u, dtype=np.float64)
+    if u.size == 0 or np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise ContractError("noise draws must lie strictly inside (0, 1)")
     if u.shape != alpha.shape:
         raise ContractError(f"noise shape {u.shape} does not match alpha {alpha.shape}")
     return _gate_node("sample_gate", alpha, np.log(u / (1.0 - u)))

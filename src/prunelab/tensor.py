@@ -4,8 +4,9 @@ Every operation validates shapes, computes the forward value with numpy,
 rejects non-finite results, and, when any input tracks gradients, records
 a backward closure on the active (thread-local) tape.  ``backward`` replays
 the tape once in reverse, leaves gradients on the leaf tensors and clears
-the tape.  Elementwise binary ops follow numpy broadcasting; gradients of
-broadcast operands are summed back to the operand shape.
+the tape.  Elementwise binary ops follow numpy broadcasting; every backward
+closure returns each gradient in its operand's shape, so gradients of
+broadcast operands are summed back to it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class Tensor:
 
     Attributes:
         data: the underlying contiguous float64 ndarray.
-        grad: gradient ndarray of identical shape, populated by ``backward``.
+        grad: gradient of identical shape, or None; ``backward`` adds to it.
         requires_grad: whether this tensor participates in differentiation.
     """
 
@@ -57,9 +58,6 @@ class Tensor:
             raise ContractError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -72,24 +70,16 @@ class Tensor:
         return basic_slice(self, key)
 
 
-class _Node:
-    __slots__ = ("out", "backward")
-
-    def __init__(self, out, backward):
-        self.out = out
-        self.backward = backward
-
-
 class Tape:
     """Execution-ordered record of differentiable operations.
 
-    Nodes are appended in forward execution order, which is a topological
-    order of the computation graph, so a single reverse scan visits every
-    node exactly once.
+    Nodes are ``(out, backward)`` pairs, appended in forward execution
+    order, which is a topological order of the computation graph, so a single
+    reverse scan visits every node exactly once.
     """
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[tuple[Tensor, object]] = []
         self.enabled = True
 
     def clear(self):
@@ -137,7 +127,7 @@ def _make(op: str, value: np.ndarray, inputs, backward_fn) -> Tensor:
     track = tape.enabled and any(t.requires_grad for t in inputs)
     out = Tensor(value, requires_grad=track)
     if track:
-        tape.nodes.append(_Node(out, backward_fn))
+        tape.nodes.append((out, backward_fn))
     return out
 
 
@@ -157,9 +147,13 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def backward(loss: Tensor):
     """Run reverse-mode accumulation from a scalar loss.
 
-    Gradients are accumulated into ``.grad`` of every requires_grad leaf
-    that contributed to the loss.  The active tape is cleared afterwards,
-    including on error.
+    Gradients live on the tensors.  The loss is seeded with 1; each node, in
+    reverse, takes and clears its output's ``.grad`` and adds each gradient it
+    returns to its operand's ``.grad`` when that operand requires grad.  Tensors
+    the tape produced end with no gradient; each contributing leaf ends with
+    the sum of its contributions.  A leaf that already held a gradient gets them
+    added one at a time, so callers set ``.grad`` to None between steps.  The
+    active tape is cleared afterwards, including on error.
     """
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
         raise ContractError("backward requires a scalar tensor")
@@ -167,28 +161,14 @@ def backward(loss: Tensor):
     if not tape.nodes:
         raise ContractError("backward called with an empty tape")
     try:
-        produced = {id(n.out) for n in tape.nodes}
-        grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        holders: dict[int, Tensor] = {id(loss): loss}
-        for node in reversed(tape.nodes):
-            g = grads.pop(id(node.out), None)
+        loss.grad = np.ones((), dtype=np.float64)
+        for out, grad_fn in reversed(tape.nodes):
+            g, out.grad = out.grad, None
             if g is None:
                 continue
-            holders.pop(id(node.out), None)
-            for t, gt in node.backward(g):
-                if not t.requires_grad:
-                    continue
-                key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + gt
-                else:
-                    grads[key] = np.asarray(gt, dtype=np.float64)
-                    holders[key] = t
-        for key, g in grads.items():
-            t = holders[key]
-            if id(t) in produced:
-                continue
-            t.grad = g if t.grad is None else t.grad + g
+            for t, gt in grad_fn(g):
+                if t.requires_grad:
+                    t.grad = np.asarray(gt, dtype=np.float64) if t.grad is None else t.grad + gt
     finally:
         tape.clear()
 
@@ -237,7 +217,6 @@ def _sum(x: Tensor, axis, keepdims: bool) -> Tensor:
     value = x.data.sum(axis=axis, keepdims=keepdims)
 
     def grad(g):
-        g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return [(x, np.broadcast_to(g, x.shape).copy())]

@@ -165,7 +165,7 @@ class Adam:
 
     def zero(self):
         for p in self.params.values():
-            p.zero_grad()
+            p.grad = None
 
 
 @dataclass

@@ -8,9 +8,11 @@ make a run green.
 
 import csv
 import functools
+import multiprocessing
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -94,20 +96,63 @@ def _gate_learning_schedule(lambda2):
                          lambda1=8.0, lambda2=lambda2, seed=1)
 
 
-@pytest.fixture(scope="module")
-def improved_run(eight_corpus, eight_baseline):
-    model, pre_elapsed = eight_baseline
+def _gate_learning(corpus, baseline, lambda2):
+    """One gate-learning run from the baseline, with its seconds, pretraining included."""
+    model, pre_elapsed = baseline
     start = time.perf_counter()
-    result = run_l0_pruning(model, eight_corpus, _gate_learning_schedule(1.0))
+    result = run_l0_pruning(model, corpus, _gate_learning_schedule(lambda2))
     return result, pre_elapsed + time.perf_counter() - start
 
 
+def _send_control(conn, corpus, baseline):
+    """The worker: send the lambda2 = 0 run, or a traceback.
+
+    Gate sets travel as their value vectors: a pickled GateSet would bring
+    its per-layer views back as copies apart from its values.
+    """
+    try:
+        result, elapsed = _gate_learning(corpus, baseline, 0.0)
+        result.gatesets = {lang: gs.values for lang, gs in result.gatesets.items()}
+        conn.send((result, elapsed))
+    except BaseException:
+        conn.send(traceback.format_exc())
+    finally:
+        conn.close()
+
+
 @pytest.fixture(scope="module")
-def control_run(eight_corpus, eight_baseline):
-    model, pre_elapsed = eight_baseline
-    start = time.perf_counter()
-    result = run_l0_pruning(model, eight_corpus, _gate_learning_schedule(0.0))
-    return result, pre_elapsed + time.perf_counter() - start
+def gate_learning_runs(eight_corpus, eight_baseline):
+    """The lambda2 = 1 run here and its lambda2 = 0 control in a forked worker, side by side.
+
+    Each run times itself, so the two elapsed times still add up as if the
+    runs were sequential.  The worker is joined before the fixture returns.
+    """
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    worker = fork.Process(target=_send_control, args=(send, eight_corpus, eight_baseline))
+    worker.start()
+    send.close()
+    try:
+        improved = _gate_learning(eight_corpus, eight_baseline, 1.0)
+        reply = receive.recv()
+    finally:
+        worker.terminate()  # stops it when the run here failed; harmless after its reply
+        worker.join()
+    if isinstance(reply, str):
+        raise RuntimeError(f"the control run failed in its worker:\n{reply}")
+    control, elapsed = reply
+    control.gatesets = {lang: GateSet(TOY, values) for lang, values in control.gatesets.items()}
+    return improved, (control, elapsed)
+
+
+@pytest.fixture(scope="module")
+def improved_run(gate_learning_runs):
+    return gate_learning_runs[0]
+
+
+@pytest.fixture(scope="module")
+def control_run(gate_learning_runs):
+    return gate_learning_runs[1]
 
 
 def _mean_offdiag(matrix):

@@ -2,10 +2,12 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from prunelab import cli
 from prunelab.cli import (
     DEFAULT_CONFIG,
     build_parser,
@@ -14,8 +16,8 @@ from prunelab.cli import (
     parse_grid,
     resolve_config,
 )
-from prunelab.corpus import LanguageSpec, build_inventories, gen_corpus
-from prunelab.ds import DEFAULT_GRID, init_ds
+from prunelab.corpus import Corpus, LanguageSpec, build_inventories, gen_corpus
+from prunelab.ds import DEFAULT_GRID, init_ds, subnetwork_at
 from prunelab.encoder import GateSet, Model, ModelConfig, component_universe, component_weights
 from prunelab.exceptions import ConfigError
 from prunelab.grad_prune import ImportanceTable
@@ -277,9 +279,9 @@ def test_pipeline_end_to_end(tmp_path, monkeypatch, capsys):
 
     # hamming on a single-gateset run is a config error
     assert run_cli("report", "--run", "prune-grad-s5", "--figure", "hamming") == 2
-    # runtime failure (too few reps) exits 1
+    # too few reps is a configuration problem, refused before the run is read
     assert run_cli("bench", "--run", "ds-grad-s5", "--reps", "2",
-                   "--seed", "5") == 1
+                   "--seed", "5") == 2
     capsys.readouterr()
 
 
@@ -476,3 +478,71 @@ def test_report_on_malformed_manifest_exits_1(tmp_path, capsys):
         capsys.readouterr()
         assert main(["report", "--run", str(tmp_path), "--figure", "size-curve"]) == 1, text
         assert "schedule.grid" in capsys.readouterr().err
+
+
+# --- a two-language non-shared ds-grad run ----------------------------------
+
+DS_SMALL = ["--batch-size", "8", "--seq-len", "8", "--importance-batches", "1", "--seed", "3"]
+
+
+@pytest.fixture(scope="module")
+def two_language_ds_run(tmp_path_factory):
+    """(corpus, pretrain run, ds-grad run) paths of a tiny non-shared DS run."""
+    root = tmp_path_factory.mktemp("ds-two")
+    corpus, runs = str(root / "corpus"), str(root / "runs")
+    assert main(["gen-corpus", "--out", corpus, "--languages", "2", "--seed", "3"]) == 0
+    assert main(["pretrain", "--corpus", corpus, "--steps", "2", "--dim", "8", "--ffn-dim", "8",
+                 "--max-seq-len", "8", "--out-root", runs, *DS_SMALL]) == 0
+    assert main(["ds-train", "--corpus", corpus, "--baseline", f"{runs}/pretrain-s3",
+                 "--setting", "non-shared", "--steps", "2", "--out-root", runs,
+                 *DS_SMALL]) == 0
+    return corpus, f"{runs}/pretrain-s3", f"{runs}/ds-grad-s3"
+
+
+def test_sweep_and_eval_probe_probe_each_distinct_subnetwork_once(two_language_ds_run,
+                                                                   monkeypatch, capsys):
+    corpus, _, run = two_language_ds_run
+    calls = []
+    probe = cli.finetune_probe
+    monkeypatch.setattr(cli, "finetune_probe", lambda *a, **kw: calls.append(1) or probe(*a, **kw))
+    config = ModelConfig.load(run)
+    ds = cli._run_ds(run, config)
+    grid = (0.5, 1.0)
+    distinct = {subnetwork_at(ds, t, lang, config).values.tobytes()
+                for t in grid for lang in ds.languages}
+    # every language keeps every component at t = 1, and only there
+    assert len(ds.languages) == 2 and len(distinct) == 3
+    assert main(["sweep", "--corpus", corpus, "--run", run, "--grid", "0.5:1.0:0.5",
+                 "--epochs", "1", "--reps", "3", *DS_SMALL]) == 0
+    rows = (Path(run) / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[:2] for row in rows] == [[str(t), lang] for t in grid
+                                                   for lang in ds.languages]
+    assert len(calls) == 3
+    calls.clear()
+    assert main(["eval-probe", "--corpus", corpus, "--run", run, "--t", "1.0",
+                 "--epochs", "1", *DS_SMALL]) == 0
+    probed = (Path(run) / "probe.csv").read_text()
+    assert len(calls) == 1
+    assert all(f"\n{lang},{lang}," in probed for lang in ds.languages)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("sweep --corpus {corpus} --run {run} --reps 2", "--reps must be at least 3, got 2"),
+    ("bench --run {run} --reps 2", "--reps must be at least 3, got 2"),
+    ("eval-probe --corpus {corpus} --run {run} --t 1.5", "--t must lie in [0, 1], got 1.5"),
+    ("eval-probe --corpus {corpus} --run {run} --t -0.5", "--t must lie in [0, 1], got -0.5"),
+    ("sweep --corpus {corpus} --run {baseline}", "sweep needs a ds-train run (no ds.csv found)"),
+], ids=["sweep-reps", "bench-reps", "t-above-1", "t-below-0", "sweep-without-ds"])
+def test_configuration_errors_exit_2_before_any_work(two_language_ds_run, monkeypatch, capsys,
+                                                    argv, message):
+    corpus, baseline, run = two_language_ds_run
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("input read before the configuration was checked")
+
+    monkeypatch.setattr(Corpus, "load", refuse)
+    monkeypatch.setattr(Model, "load", refuse)
+    capsys.readouterr()
+    assert main(argv.format(corpus=corpus, baseline=baseline, run=run).split()) == 2
+    assert f"config error: {message}" in capsys.readouterr().err

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from prunelab import tensor as T
-from prunelab.encoder import (ModelConfig, attention_block, embed_forward, ffn_block,
-                              init_params, mlm_head)
+from prunelab.encoder import (Model, ModelConfig, attention_block, embed_forward,
+                              encoder_forward, ffn_block, init_params, mlm_head, mlm_loss)
 from prunelab.exceptions import ContractError, DimensionError, InputError, NumericError
 from prunelab.l0 import l0_penalty, sample_gate
 
-from fdcheck import ALL_OPS, run_case
+from fdcheck import ALL_OPS, op_cases, run_case
 
 
 def test_scalar_forward_values():
@@ -51,6 +51,52 @@ def test_tape_cleared_after_backward():
     x = T.Tensor([1.0], requires_grad=True)
     T.backward(T.multiply(x, x).sum())
     assert T.active_tape().nodes == []
+
+
+def test_backward_leaves_gradients_on_leaves_only():
+    config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=6, vocab_size=7,
+                         max_seq_len=8)
+    params = init_params(config, 0)
+    gates = T.Tensor(np.ones(2 + 6 + 4), requires_grad=True)
+    ids = np.arange(10).reshape(2, 5) % 7
+    logits = encoder_forward(Model(config, params), ids, gates)
+    loss = T.add(mlm_loss(logits, ids % 2 == 0, ids), l0_penalty(gates, np.ones(12)))
+    produced = [out for out, _ in T.active_tape().nodes]
+    # three gate slices, five model nodes, the penalty and the add
+    assert len(produced) == 10 and produced[-1] is loss
+    T.backward(loss)
+    assert all(out.grad is None for out in produced)
+    for leaf in [gates, *params.values()]:
+        assert leaf.grad.shape == leaf.shape
+
+
+def test_leaf_gradient_after_two_backward_calls():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    T.backward(T.multiply(x, 3.0).sum())
+    T.backward(T.multiply(x, x).sum())
+    assert np.array_equal(x.grad, [3.0 + 2.0, 3.0 + 4.0])
+    # the second backward's contributions are added to the held gradient one at
+    # a time, last tape node first: (1 - 1e17) + 1e17, not 1 + (-1e17 + 1e17)
+    x = T.Tensor([1.0], requires_grad=True)
+    T.backward(T.multiply(x, 1.0).sum())
+    T.backward(T.add(T.multiply(x, 1e17), T.multiply(x, -1e17)).sum())
+    assert np.array_equal(x.grad, [0.0])
+
+
+def test_every_node_returns_gradients_in_its_operands_shapes():
+    for op in ALL_OPS:
+        for case in range(4):
+            builder, shapes = op_cases(np.random.default_rng([7, case]))[op]
+            inputs = [T.Tensor(np.full(shape, 0.3), requires_grad=True) for shape in shapes]
+            out = builder(inputs)
+            nodes = T.active_tape().nodes
+            T.active_tape().clear()
+            (node_out, grad_fn), = nodes
+            assert node_out is out
+            grads = grad_fn(np.ones(out.shape))
+            assert {id(t) for t, _ in grads} == {id(t) for t in inputs}, op
+            for t, g in grads:
+                assert np.shape(g) == t.shape, f"{op} case {case}: {np.shape(g)} != {t.shape}"
 
 
 def test_no_grad_suppresses_recording():
