@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import gc
-import os
 import platform
 import time
 from dataclasses import dataclass
@@ -221,11 +220,8 @@ def _await_idle_threads(limit: float = 1.0, window: float = 0.005):
     2**28 cycles (0.13 s on a 2 GHz core), and pinning the thread count does
     not stop them; timed passes that overlap the spin share the CPU with it.
     Returns after the first window of sleep in which the other threads used
-    under a tenth of the window, or after limit seconds.  A process with no
-    other thread (one entry under Linux's /proc/self/task) returns at once.
+    under a tenth of the window, or after limit seconds.
     """
-    if os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) == 1:
-        return
     deadline = time.monotonic() + limit
     while True:
         others = time.process_time() - time.thread_time()

@@ -327,6 +327,18 @@ def _probe_targets(args, run_dir: str, model: Model) -> dict[str, GateSet]:
     return {"dense": GateSet.ones(model.config)}
 
 
+def _probe_once(probed: dict, gs: GateSet, compact, splits, seed: int, epochs: int):
+    """finetune_probe of compact, memoised in probed by gs's gate vector.
+
+    The probe is deterministic, so equal gates share one result: at t = 1
+    every language of a non-shared DS run keeps every component.
+    """
+    key = gs.values.tobytes()
+    if key not in probed:
+        probed[key] = finetune_probe(compact, splits, seed=seed, epochs=epochs)
+    return probed[key]
+
+
 def cmd_eval_probe(args) -> int:
     cfg = resolve_config(args)
     if args.t is not None and not 0.0 <= args.t <= 1.0:
@@ -337,14 +349,10 @@ def cmd_eval_probe(args) -> int:
     targets = _probe_targets(args, run_dir, model)
     splits = probe_batches(corpus, batch_size=cfg["schedule"]["batch_size"],
                            seq_len=cfg["schedule"]["seq_len"], seed=cfg["seed"])
-    rows = []
-    probed = {}  # equal gates (a non-shared DS run at t = 1) share one deterministic probe
+    rows, probed = [], {}
     for name in sorted(targets):
-        key = targets[name].values.tobytes()
-        if key not in probed:
-            probed[key] = finetune_probe(compact_model(model, targets[name]), splits,
-                                         seed=cfg["seed"], epochs=args.epochs)
-        res = probed[key]
+        res = _probe_once(probed, targets[name], compact_model(model, targets[name]), splits,
+                          cfg["seed"], args.epochs)
         for lang in sorted(res.per_language):
             rows.append({"gates": name, "language": lang,
                          "accuracy": res.per_language[lang]})
@@ -374,16 +382,12 @@ def cmd_sweep(args) -> int:
                            seq_len=cfg["schedule"]["seq_len"], seed=cfg["seed"])
     weights = component_weights(model.config)
     bench_seq = cfg["schedule"]["seq_len"]
-    rows = []
-    probed = {}  # one probe per distinct gate vector, as in cmd_eval_probe
+    rows, probed = [], {}
     for t in grid:
         for lang in ds.languages:
             gs = subnetwork_at(ds, t, lang, model.config)
             compact = compact_model(model, gs)
-            key = gs.values.tobytes()
-            if key not in probed:
-                probed[key] = finetune_probe(compact, splits, seed=cfg["seed"], epochs=args.epochs)
-            res = probed[key]
+            res = _probe_once(probed, gs, compact, splits, cfg["seed"], args.epochs)
             acc = res.per_language.get(lang, res.mean)
             counts = count_params(model.config, gs)
             sps = time_forward(compact, bench_seq, reps=args.reps)

@@ -134,6 +134,10 @@ def gate_learning_runs(eight_corpus, eight_baseline):
     send.close()
     try:
         improved = _gate_learning(eight_corpus, eight_baseline, 1.0)
+        # a worker that hangs (a fork of a multithreaded process can) fails the
+        # fixture within ACCEPTANCE 06's time bound instead of blocking it
+        if not receive.poll(1800):
+            raise TimeoutError("the control run sent nothing within 1800 s")
         reply = receive.recv()
     finally:
         worker.terminate()  # stops it when the run here failed; harmless after its reply

@@ -372,23 +372,15 @@ def test_time_forward_pins_the_warm_up_and_times_without_the_collector(monkeypat
     assert gc.isenabled()
 
 
-def _fake_clock(monkeypatch, busy_until):
-    """A clock that only sleep advances, with other threads busy until busy_until."""
-    clock = {"now": 0.0, "busy_until": busy_until}
+def test_await_idle_threads_waits_out_busy_threads_up_to_the_limit(monkeypatch):
+    from prunelab import analysis
+
+    clock = {"now": 0.0, "busy_until": 0.13}
+    # the other threads use one CPU-second per second until busy_until
     monkeypatch.setattr("time.monotonic", lambda: clock["now"])
     monkeypatch.setattr("time.thread_time", lambda: 0.0)
     monkeypatch.setattr("time.process_time", lambda: min(clock["now"], clock["busy_until"]))
     monkeypatch.setattr("time.sleep", lambda s: clock.update(now=clock["now"] + s))
-    return clock
-
-
-def test_await_idle_threads_waits_out_busy_threads_up_to_the_limit(monkeypatch):
-    from prunelab import analysis
-
-    # two threads listed: the waiting branch
-    monkeypatch.setattr("os.path.isdir", lambda path: True)
-    monkeypatch.setattr("os.listdir", lambda path: ["1", "2"])
-    clock = _fake_clock(monkeypatch, 0.13)
     analysis._await_idle_threads(limit=1.0, window=0.005)
     assert 0.13 <= clock["now"] <= 0.14
     clock.update(now=0.0, busy_until=float("inf"))
@@ -397,22 +389,6 @@ def test_await_idle_threads_waits_out_busy_threads_up_to_the_limit(monkeypatch):
     clock.update(now=0.0, busy_until=0.0)
     analysis._await_idle_threads(limit=1.0, window=0.005)
     assert clock["now"] == 0.005
-
-
-def test_await_idle_threads_returns_at_once_without_other_threads(monkeypatch):
-    from prunelab import analysis
-
-    listed = []
-    monkeypatch.setattr("os.path.isdir", lambda path: True)
-    monkeypatch.setattr("os.listdir", lambda path: listed.append(path) or ["1"])
-    clock = _fake_clock(monkeypatch, float("inf"))
-    analysis._await_idle_threads(limit=1.0, window=0.005)
-    assert listed == ["/proc/self/task"] and clock["now"] == 0.0
-
-    # without /proc, it watches the window
-    monkeypatch.setattr("os.path.isdir", lambda path: False)
-    analysis._await_idle_threads(limit=1.0, window=0.005)
-    assert 1.0 < clock["now"] <= 1.01
 
 
 def test_single_thread_pins_openblas_and_restores_the_count(monkeypatch):
