@@ -5,7 +5,8 @@ setup and records the hardened retained fraction each value reaches.  The
 same setup trained with the improved objective (size constraint plus
 diversity penalty) is run once at its default lambda1 for contrast.
 
-Usage: python3 scripts/vanilla_l0_report.py [--steps N] [--seed S] [--fast]
+Usage: python3 scripts/vanilla_l0_report.py [--steps N] [--improved-steps N] [--seed S]
+       [--out DIR]
 """
 
 import argparse
@@ -15,6 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from prunelab.analysis import write_report
 from prunelab.corpus import LanguageSpec, build_inventories, gen_corpus
 from prunelab.encoder import ModelConfig
 from prunelab.grad_prune import NON_SHARED, SHARED
@@ -61,7 +63,7 @@ def main(argv=None):
                               algorithm="l0_vanilla", lambda1=lam, seed=args.seed)
         res = run_l0_pruning(base.model, corpus, sched)
         size = res.achieved_sizes[SHARED]
-        rows.append((lam, size, 1.0 - size))
+        rows.append({"lambda1": lam, "retained_fraction": size, "sparsity": 1.0 - size})
         print(f"lambda1={lam:<8g} retained={size:.4f} sparsity={1 - size:.4f} "
               f"({time.perf_counter() - t0:.0f}s)", flush=True)
 
@@ -75,10 +77,7 @@ def main(argv=None):
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "vanilla_l0_sweep.csv")
-    with open(csv_path, "w") as f:
-        f.write("lambda1,retained_fraction,sparsity\n")
-        for lam, size, spars in rows:
-            f.write(f"{lam!r},{size!r},{spars!r}\n")
+    write_report(rows, ("lambda1", "retained_fraction", "sparsity"), csv_path)
 
     worst_imp = max(abs(v - TARGET) for v in imp_sizes.values())
     md_path = os.path.join(args.out, "vanilla_l0_sweep.md")
@@ -88,15 +87,15 @@ def main(argv=None):
                 f"(d=16, 2 heads, ffn 32), {args.steps} gate-learning steps, "
                 f"seed {args.seed}, shared setting, target size t={TARGET}.\n\n")
         f.write("| lambda1 | retained fraction | sparsity |\n|---|---|---|\n")
-        for lam, size, spars in rows:
-            f.write(f"| {lam:g} | {size:.4f} | {spars:.4f} |\n")
+        for r in rows:
+            f.write(f"| {r['lambda1']:g} | {r['retained_fraction']:.4f} | {r['sparsity']:.4f} |\n")
         f.write("\nVanilla L0 exposes no target-size control: the objective "
                 "never sees the desired size, so the achieved sparsity is "
                 "whatever the penalty-versus-loss balance happens to give.  "
                 "The mapping is steep - quadrupling lambda1 from 2 to 8 "
-                f"moves sparsity from {rows[2][2]:.1%} to {rows[4][2]:.1%}, "
-                f"and the adjacent decade covers {rows[0][2]:.1%} to "
-                f"{rows[5][2]:.1%} - so any single preset value lands far "
+                f"moves sparsity from {rows[2]['sparsity']:.1%} to {rows[4]['sparsity']:.1%}, "
+                f"and the adjacent decade covers {rows[0]['sparsity']:.1%} to "
+                f"{rows[5]['sparsity']:.1%} - so any single preset value lands far "
                 "from a given budget, and the one sweep point that comes "
                 "close (lambda1=4) is only known after running the sweep.  "
                 "Hitting a new budget, model size or corpus means searching "

@@ -1,8 +1,8 @@
 """Command line interface: corpus generation, training runs, sweeps, reports.
 
-Every command resolves a JSON config (defaults <- file <- flags), does its
-work under a single root seed, and leaves a manifest next to its outputs so
-any result can be reproduced from manifest plus seed alone.  Exit codes:
+Every command but report resolves a JSON config (defaults <- file <- flags),
+does its work under a single root seed, and leaves a manifest next to its
+outputs so any result can be reproduced from manifest plus seed alone.  Exit codes:
 0 success, 2 configuration problem, 1 runtime failure.
 """
 
@@ -41,12 +41,34 @@ DEFAULT_CONFIG = {
         "ffn_dim": 64,
         "max_seq_len": 64,
     },
-    # TrainSchedule's own defaults; total_steps is the one field without one
+    # TrainSchedule's own defaults; total_steps is the one field without one,
+    # and each training command sets algorithm itself
     "schedule": {f.name: f.default for f in fields(TrainSchedule)
-                 if f.name not in ("seed", "grid")} | {"total_steps": 200},
+                 if f.name not in ("seed", "grid", "algorithm")} | {"total_steps": 200},
     "grid": list(DEFAULT_GRID),
     "seed": 0,
 }
+
+# flags several commands share, each registered only by the commands whose code
+# reads it; a schedule flag's dest is its config key
+SHARED_FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--out-root": dict(help=f"run directory root (or ${ENV_OUT_ROOT})"),
+    "--run-id": dict(help="name for the run directory"),
+    "--seed": dict(type=int),
+    "--steps": dict(type=int, dest="total_steps"),
+    "--batch-size": dict(type=int),
+    "--seq-len": dict(type=int),
+    "--lr": dict(type=float, dest="learning_rate"),
+    "--alpha-lr": dict(type=float),
+    "--lambda1": dict(type=float),
+    "--lambda2": dict(type=float),
+    "--mask-rate": dict(type=float),
+    "--importance-batches": dict(type=int),
+}
+TRAINING_FLAGS = ("--config", "--out-root", "--run-id", "--seed", "--steps", "--batch-size",
+                  "--seq-len", "--lr", "--mask-rate")
+PROBE_FLAGS = ("--config", "--out-root", "--seed", "--batch-size", "--seq-len")
 
 PRUNE_ALGOS = {"grad": "grad", "l0": "l0_vanilla", "l0-improved": "l0_improved"}
 DS_ALGOS = {"ds-grad": "ds_grad", "ds-l0": "ds_l0"}
@@ -541,30 +563,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, schedule_flags=True):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out-root", help=f"run directory root (or ${ENV_OUT_ROOT})")
-        p.add_argument("--run-id", help="name for the run directory")
-        p.add_argument("--seed", type=int)
-        if schedule_flags:
-            p.add_argument("--steps", type=int, dest="total_steps")
-            p.add_argument("--batch-size", type=int)
-            p.add_argument("--seq-len", type=int)
-            p.add_argument("--lr", type=float, dest="learning_rate")
-            p.add_argument("--alpha-lr", type=float)
-            p.add_argument("--lambda1", type=float)
-            p.add_argument("--lambda2", type=float)
-            p.add_argument("--mask-rate", type=float)
-            p.add_argument("--importance-batches", type=int)
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
 
     p = sub.add_parser("gen-corpus", help="generate the synthetic multilingual corpus")
-    common(p, schedule_flags=False)
+    common(p, "--config", "--seed")
     p.add_argument("--out", required=True, help="corpus directory to write")
     p.add_argument("--languages", type=int, help="keep only the first N default languages")
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("pretrain", help="train a dense baseline with masked language modeling")
-    common(p)
+    common(p, *TRAINING_FLAGS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--layers", type=int, dest="n_layers")
     p.add_argument("--heads", type=int, dest="n_heads")
@@ -574,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("prune", help="prune a baseline with gradient or l0 gates")
-    common(p)
+    common(p, *TRAINING_FLAGS, "--alpha-lr", "--lambda1", "--lambda2", "--importance-batches")
     p.add_argument("--corpus", required=True)
     p.add_argument("--baseline", required=True, help="pretrain run id or directory")
     p.add_argument("--algo", required=True, choices=sorted(PRUNE_ALGOS))
@@ -583,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("ds-train", help="train one model across a grid of sizes")
-    common(p)
+    common(p, *TRAINING_FLAGS, "--alpha-lr", "--lambda1", "--importance-batches")
     p.add_argument("--corpus", required=True)
     p.add_argument("--baseline", required=True)
     p.add_argument("--algo", default="ds-grad", choices=sorted(DS_ALGOS))
@@ -592,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ds_train)
 
     p = sub.add_parser("eval-probe", help="linear probe accuracy on frozen features")
-    common(p)
+    common(p, *PROBE_FLAGS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--run", required=True, help="run to evaluate")
     p.add_argument("--t", type=float, help="size for dynamic sparsification runs")
@@ -600,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_probe)
 
     p = sub.add_parser("sweep", help="accuracy/size/throughput across a size grid")
-    common(p)
+    common(p, *PROBE_FLAGS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--run", required=True, help="ds-train run to sweep")
     p.add_argument("--grid", help="size grid start:stop:step")
@@ -609,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="CPU throughput of compacted subnetworks")
-    common(p, schedule_flags=False)
+    # --seed changes no figure; manifest_bench.json records it
+    common(p, "--config", "--out-root", "--seed")
     p.add_argument("--run", required=True)
     p.add_argument("--grid", help="size grid start:stop:step (ds runs)")
     p.add_argument("--language", help="language table to bench (ds runs)")
@@ -619,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="figure-analog CSV from stored artifacts")
-    common(p, schedule_flags=False)
+    common(p, "--out-root")
     p.add_argument("--run", required=True)
     p.add_argument("--figure", required=True,
                    choices=("layer-profile", "hamming", "size-curve", "corr"))

@@ -175,6 +175,7 @@ class Corpus:
 
     @classmethod
     def load(cls, root):
+        """Read a corpus that save wrote; only generation reads inventories, so specs get none."""
         vocab_path = os.path.join(root, "vocab.tsv")
         if not os.path.exists(vocab_path):
             raise InputError(f"no vocabulary file at {vocab_path}")
@@ -229,7 +230,6 @@ class Corpus:
                 if lang in rows_by_lang:
                     raise InputError(f"{langs_path}:{lineno}: second row for language {lang!r}")
                 rows = []
-                seen: set[str] = set()
                 text_path = os.path.join(root, f"{lang}.txt")
                 with open(text_path) as g:
                     for text_lineno, sent in enumerate(g, 1):
@@ -239,15 +239,10 @@ class Corpus:
                         except KeyError as e:
                             raise InputError(f"{text_path}:{text_lineno}: token {e.args[0]!r} "
                                              "not in vocabulary") from None
-                        seen.update(toks)
                 if len(rows) != size:
                     raise InputError(f"{langs_path}:{lineno}: size {size} for {lang!r}, but "
                                      f"{text_path} has {len(rows)} rows")
-                # observed inventory: content tokens that actually occur;
-                # the marker is injected, not part of the inventory
-                inventory = tuple(sorted(t for t in seen
-                                         if not _RESERVED.match(t) and t != MARKER_TOKEN))
-                specs.append(LanguageSpec(lang, family, size, seed, inventory))
+                specs.append(LanguageSpec(lang, family, size, seed))
                 rows_by_lang[lang] = rows
         return cls(specs, vocab, rows_by_lang)
 

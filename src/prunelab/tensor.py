@@ -2,7 +2,7 @@
 
 Every operation validates shapes, computes the forward value with numpy,
 rejects non-finite results, and, when any input tracks gradients, records
-a backward closure on the active (thread-local) tape.  ``backward`` replays
+a backward closure on the active tape.  ``backward`` replays
 the tape once in reverse, leaves gradients on the leaf tensors and clears
 the tape.  Elementwise binary ops follow numpy broadcasting; every backward
 closure returns each gradient in its operand's shape, so gradients of
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -86,15 +85,12 @@ class Tape:
         self.nodes = []
 
 
-_state = threading.local()
+# one tape per process: nothing runs the tape from a second thread
+_TAPE = Tape()
 
 
 def active_tape() -> Tape:
-    tape = getattr(_state, "tape", None)
-    if tape is None:
-        tape = Tape()
-        _state.tape = tape
-    return tape
+    return _TAPE
 
 
 @contextmanager

@@ -34,6 +34,15 @@ from .tensor import Tensor, no_grad
 
 ALGORITHMS = ("grad", "l0_vanilla", "l0_improved", "ds_grad", "ds_l0")
 
+# the fixed recipe every run trains with: Adam's moment decays and epsilon,
+# the fraction of a run the learning rate warms up over, and the fraction an
+# L0 run trains its gates alone
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WARMUP_FRACTION = 0.1
+ALPHA_ONLY_WARMUP_FRACTION = 0.1
+
 # full-scale reference recipe is 150k steps at batch 2048 and lr 2e-4; the
 # defaults below are desk-scale stand-ins
 @dataclass(frozen=True)
@@ -45,11 +54,6 @@ class TrainSchedule:
     seq_len: int = 16
     learning_rate: float = 1e-3
     alpha_lr: float = 5e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    warmup_fraction: float = 0.1
-    alpha_only_warmup_fraction: float = 0.1
     lambda1: float | None = None
     lambda2: float | None = None
     target_size: float = 0.5
@@ -67,10 +71,6 @@ class TrainSchedule:
             raise ConfigError("need batch_size >= 1 and seq_len >= 2")
         if self.learning_rate <= 0.0 or self.alpha_lr <= 0.0:
             raise ConfigError("learning rates must be positive")
-        for name in ("warmup_fraction", "alpha_only_warmup_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {v}")
         for name in ("lambda1", "lambda2"):
             v = getattr(self, name)
             if v is not None and v < 0.0:
@@ -120,19 +120,20 @@ def lr_at(step: int, total: int, warmup_fraction: float) -> float:
 class Adam:
     """Adaptive-moment optimizer over a named dict of leaf tensors.
 
-    Fresh state at construction: a parameter whose gradient is exactly zero
-    every step is never moved, which is what keeps pruned weights frozen.
+    The moment decays and epsilon are the recipe's ADAM_BETA1, ADAM_BETA2
+    and ADAM_EPS.  Fresh state at construction: a parameter whose gradient
+    is exactly zero every step is never moved, which is what keeps pruned
+    weights frozen.
     Construction packs every parameter into one flat buffer and points each
     ``p.data`` at its view of it, so a step is one set of vector operations;
     an array later assigned to ``p.data`` is not updated.
     """
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float):
         if lr <= 0.0:
             raise ContractError(f"lr must be positive, got {lr}")
         self.params = dict(params)
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.flat = np.concatenate([p.data for p in self.params.values()], axis=None)
         offset = 0
         for p in self.params.values():
@@ -155,13 +156,13 @@ class Adam:
         if missing:
             raise ContractError(f"Adam.step: no gradient for {', '.join(missing)}")
         g = np.concatenate(grads, axis=None)
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
-        self.m *= self.b1
-        self.m += (1.0 - self.b1) * g
-        self.v *= self.b2
-        self.v += (1.0 - self.b2) * g * g
-        self.flat -= (self.lr * scale) * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * g * g
+        self.flat -= (self.lr * scale) * (self.m / c1) / (np.sqrt(self.v / c2) + ADAM_EPS)
 
     def zero(self):
         for p in self.params.values():
@@ -269,7 +270,7 @@ def _train(corpus: Corpus, schedule: TrainSchedule, rows: list[str], salt: int,
         v = loss.item()
         _check_finite(v, k)
         T.backward(loss)
-        scale = lr_at(k, n, schedule.warmup_fraction)
+        scale = lr_at(k, n, WARMUP_FRACTION)
         for opt, first in optimizers:
             if k >= first:
                 opt.step(scale)
@@ -279,15 +280,11 @@ def _train(corpus: Corpus, schedule: TrainSchedule, rows: list[str], salt: int,
     return records
 
 
-def _adam(params: dict, lr: float, schedule: TrainSchedule) -> Adam:
-    return Adam(params, lr, schedule.beta1, schedule.beta2, schedule.eps)
-
-
 def pretrain_baseline(config: ModelConfig, corpus: Corpus, schedule: TrainSchedule) -> TrainResult:
     """Train a dense, ungated model with masked language modeling."""
     model = Model.init(config, schedule.seed)
     records = _train(corpus, schedule, [SHARED], 3,
-                     [(_adam(model.params, schedule.learning_rate, schedule), 0)],
+                     [(Adam(model.params, schedule.learning_rate), 0)],
                      lambda k, row, lang, batch: (_mlm(model, batch, None), {}))
     return TrainResult(model, records)
 
@@ -304,7 +301,7 @@ def run_grad_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -
                 for lang, gs in gatesets.items()}
     achieved = {lang: 1.0 - v for lang, v in sparsity.items()}
     records = _train(corpus, schedule, sorted(gatesets), 5,
-                     [(_adam(model.params, schedule.learning_rate, schedule), 0)],
+                     [(Adam(model.params, schedule.learning_rate), 0)],
                      lambda k, row, lang, batch: (_mlm(model, batch, fixed[lang]),
                                                   {"sparsity": sparsity[lang]}))
     return TrainResult(model, records, gatesets, tables, achieved_sizes=achieved)
@@ -359,10 +356,10 @@ def run_l0_pruning(baseline: Model, corpus: Corpus, schedule: TrainSchedule) -> 
                       "diag": div.item() if div is not None else 0.0,
                       "sparsity": 1.0 - float(np.mean(sizes.data))}
 
-    warm = int(round(schedule.alpha_only_warmup_fraction * schedule.total_steps))
+    warm = int(round(ALPHA_ONLY_WARMUP_FRACTION * schedule.total_steps))
     records = _train(corpus, schedule, langs, 7,
-                     [(_adam({"alpha": alphas}, schedule.alpha_lr, schedule), 0),
-                      (_adam(model.params, schedule.learning_rate, schedule), warm)], step)
+                     [(Adam({"alpha": alphas}, schedule.alpha_lr), 0),
+                      (Adam(model.params, schedule.learning_rate), warm)], step)
     hard = (inference_gate(alphas.data) >= 0.5).astype(np.float64)
     gatesets = {l: GateSet(config, hard[i]) for i, l in enumerate(langs)}
     achieved = {l: retained_fraction(hard[i], weights) for i, l in enumerate(langs)}
@@ -386,14 +383,13 @@ def run_ds_training(baseline: Model, corpus: Corpus, schedule: TrainSchedule) ->
         model, _language_batches(corpus, schedule, 9, schedule.importance_batches),
         schedule.setting)
     ds = init_ds(tables, weights, grid)
-    optimizers = [(_adam(model.params, schedule.learning_rate, schedule), 0)]
+    optimizers = [(Adam(model.params, schedule.learning_rate), 0)]
     trainable = schedule.algorithm == "ds_l0"
     if trainable:
         # Adam packs the leaves into its own buffer, so ds keeps the initialization
         alphas = Tensor(ds.alpha, requires_grad=True)
         thetas = Tensor(ds.theta, requires_grad=True)
-        optimizers.append((_adam({"alpha": alphas, "theta": thetas}, schedule.alpha_lr,
-                                 schedule), 0))
+        optimizers.append((Adam({"alpha": alphas, "theta": thetas}, schedule.alpha_lr), 0))
     lam1 = schedule.resolved_lambda1()
 
     def step(k, row, lang, batch):

@@ -1,5 +1,6 @@
 """Command line interface: config handling, exit codes, full pipeline."""
 
+import argparse
 import json
 import os
 from pathlib import Path
@@ -109,7 +110,7 @@ def test_config_round_trip_is_identity(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "model": {"n_layers": 3, "model_dim": 48},
-        "schedule": {"total_steps": 42, "algorithm": "l0_improved"},
+        "schedule": {"total_steps": 42, "setting": "shared"},
         "grid": [0.0, 0.5, 1.0],
         "seed": 9,
     }))
@@ -144,11 +145,11 @@ PRETRAIN = ["pretrain", "--corpus", "x"]
     (PRETRAIN + ["--batch-size", "5"], "schedule", "batch_size", 5),
     (PRETRAIN + ["--seq-len", "9"], "schedule", "seq_len", 9),
     (PRETRAIN + ["--lr", "0.25"], "schedule", "learning_rate", 0.25),
-    (PRETRAIN + ["--alpha-lr", "0.75"], "schedule", "alpha_lr", 0.75),
-    (PRETRAIN + ["--lambda1", "1.5"], "schedule", "lambda1", 1.5),
-    (PRETRAIN + ["--lambda2", "2.5"], "schedule", "lambda2", 2.5),
+    (PRUNE + ["--alpha-lr", "0.75"], "schedule", "alpha_lr", 0.75),
+    (PRUNE + ["--lambda1", "1.5"], "schedule", "lambda1", 1.5),
+    (PRUNE + ["--lambda2", "2.5"], "schedule", "lambda2", 2.5),
     (PRETRAIN + ["--mask-rate", "0.3"], "schedule", "mask_rate", 0.3),
-    (PRETRAIN + ["--importance-batches", "3"], "schedule", "importance_batches", 3),
+    (PRUNE + ["--importance-batches", "3"], "schedule", "importance_batches", 3),
     (PRUNE + ["--target-size", "0.3"], "schedule", "target_size", 0.3),
     (PRUNE + ["--setting", "shared"], "schedule", "setting", "shared"),
     (PRETRAIN + ["--layers", "3"], "model", "n_layers", 3),
@@ -162,6 +163,53 @@ def test_each_flag_lands_on_its_config_key(argv, section, key, value):
     want = load_config(None)
     want[section][key] = value
     assert cfg == want
+
+
+TRAINING = {"--config", "--out-root", "--run-id", "--seed", "--steps", "--batch-size",
+            "--seq-len", "--lr", "--mask-rate"}
+PROBE = {"--config", "--out-root", "--seed", "--batch-size", "--seq-len"}
+ALL_SHARED = TRAINING | {"--alpha-lr", "--lambda1", "--lambda2", "--importance-batches"}
+
+
+# (command, its required flags, the shared flags it takes, a refused flag)
+CENSUS = [
+    ("gen-corpus", ["--out", "c"], {"--config", "--seed"}, ["--run-id", "r"]),
+    ("pretrain", ["--corpus", "c"], TRAINING, ["--alpha-lr", "0.5"]),
+    ("prune", ["--corpus", "c", "--baseline", "b", "--algo", "grad"], ALL_SHARED, None),
+    ("ds-train", ["--corpus", "c", "--baseline", "b"], ALL_SHARED - {"--lambda2"},
+     ["--lambda2", "1"]),
+    ("eval-probe", ["--corpus", "c", "--run", "r"], PROBE, ["--steps", "5"]),
+    ("sweep", ["--corpus", "c", "--run", "r"], PROBE, ["--lr", "0.1"]),
+    # bench's own --batch-size and --seq-len (defaults 1 and 32) share the names
+    ("bench", ["--run", "r"], {"--config", "--out-root", "--seed", "--batch-size", "--seq-len"},
+     ["--run-id", "r"]),
+    ("report", ["--run", "r", "--figure", "hamming"], {"--out-root"}, ["--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("command, required, shared, refused", CENSUS,
+                         ids=[case[0] for case in CENSUS])
+def test_each_command_takes_only_the_shared_flags_it_reads(capsys, command, required, shared,
+                                                           refused):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for a in sub.choices[command]._actions for flag in a.option_strings}
+    assert flags & ALL_SHARED == shared
+    if refused is not None:
+        # refused while parsing, before any of the named paths is read
+        assert main([command, *required, *refused]) == 2
+        assert f"unrecognized arguments: {' '.join(refused)}" in capsys.readouterr().err
+
+
+def test_a_config_naming_a_fixed_recipe_or_command_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    for key, old_default in (("beta1", 0.9), ("beta2", 0.999), ("eps", 1e-8),
+                             ("warmup_fraction", 0.1), ("alpha_only_warmup_fraction", 0.1),
+                             ("algorithm", "grad")):
+        path.write_text(json.dumps({"schedule": {key: old_default}}))
+        assert main(["gen-corpus", "--out", str(tmp_path / "corpus"), "--config", str(path)]) == 2
+        assert f"unknown schedule config keys: ['{key}']" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "corpus")
 
 
 # --- exit codes -------------------------------------------------------------
@@ -482,7 +530,7 @@ def test_report_on_malformed_manifest_exits_1(tmp_path, capsys):
 
 # --- a two-language non-shared ds-grad run ----------------------------------
 
-DS_SMALL = ["--batch-size", "8", "--seq-len", "8", "--importance-batches", "1", "--seed", "3"]
+DS_SMALL = ["--batch-size", "8", "--seq-len", "8", "--seed", "3"]
 
 
 @pytest.fixture(scope="module")
@@ -495,7 +543,7 @@ def two_language_ds_run(tmp_path_factory):
                  "--max-seq-len", "8", "--out-root", runs, *DS_SMALL]) == 0
     assert main(["ds-train", "--corpus", corpus, "--baseline", f"{runs}/pretrain-s3",
                  "--setting", "non-shared", "--steps", "2", "--out-root", runs,
-                 *DS_SMALL]) == 0
+                 "--importance-batches", "1", *DS_SMALL]) == 0
     return corpus, f"{runs}/pretrain-s3", f"{runs}/ds-grad-s3"
 
 

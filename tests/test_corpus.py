@@ -150,8 +150,6 @@ def test_save_load_round_trip(tmp_path):
         got = by_id[spec.id]
         assert (got.family, got.corpus_size, got.grammar_seed) == (
             spec.family, spec.corpus_size, spec.grammar_seed)
-        # loaded inventories are observed tokens: a subset of the true ones
-        assert set(got.token_inventory) <= set(spec.token_inventory)
     a = mlm_batches(corpus, n_batches=3, batch_size=4, seq_len=12, seed=2)
     b = mlm_batches(loaded, n_batches=3, batch_size=4, seq_len=12, seed=2)
     for x, y in zip(a, b):

@@ -18,34 +18,35 @@ from prunelab.corpus import LanguageSpec, build_inventories, gen_corpus
 SEED = "7"
 TOY = ["--layers", "2", "--heads", "2", "--dim", "16", "--ffn-dim", "32",
        "--max-seq-len", "32"]
-SMALL = ["--batch-size", "16", "--seq-len", "12", "--importance-batches", "2",
-         "--seed", SEED]
+SMALL = ["--batch-size", "16", "--seq-len", "12", "--seed", SEED]
+# prune and ds-train also score components on a few batches
+SMALL_PRUNE = [*SMALL, "--importance-batches", "2"]
 
 SEQUENCE = [
     ["gen-corpus", "--out", "corpus", "--languages", "3", "--seed", SEED],
     ["pretrain", "--corpus", "corpus", "--steps", "30", "--lr", "3e-3", *TOY, *SMALL],
     ["prune", "--algo", "grad", "--corpus", "corpus", "--baseline", f"pretrain-s{SEED}",
-     "--setting", "non-shared", "--target-size", "0.5", "--steps", "6", *SMALL],
+     "--setting", "non-shared", "--target-size", "0.5", "--steps", "6", *SMALL_PRUNE],
     ["prune", "--algo", "l0-improved", "--corpus", "corpus", "--baseline",
      f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "12", "--alpha-lr", "0.8",
-     *SMALL],
+     *SMALL_PRUNE],
     ["prune", "--algo", "l0", "--corpus", "corpus", "--baseline", f"pretrain-s{SEED}",
-     "--setting", "shared", "--steps", "8", *SMALL],
+     "--setting", "shared", "--steps", "8", *SMALL_PRUNE],
     ["ds-train", "--algo", "ds-grad", "--corpus", "corpus", "--baseline",
-     f"pretrain-s{SEED}", "--setting", "shared", "--steps", "8", *SMALL],
+     f"pretrain-s{SEED}", "--setting", "shared", "--steps", "8", *SMALL_PRUNE],
     ["ds-train", "--algo", "ds-l0", "--corpus", "corpus", "--baseline",
-     f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "9", *SMALL],
+     f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "9", *SMALL_PRUNE],
     # the three cells below share the training loop with the runs above; the
     # default run id ignores --setting, so each names its own directory
     ["prune", "--algo", "grad", "--corpus", "corpus", "--baseline", f"pretrain-s{SEED}",
      "--setting", "shared", "--target-size", "0.5", "--steps", "6",
-     "--run-id", f"prune-grad-shared-s{SEED}", *SMALL],
+     "--run-id", f"prune-grad-shared-s{SEED}", *SMALL_PRUNE],
     ["ds-train", "--algo", "ds-grad", "--corpus", "corpus", "--baseline",
      f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "8",
-     "--run-id", f"ds-grad-non-shared-s{SEED}", *SMALL],
+     "--run-id", f"ds-grad-non-shared-s{SEED}", *SMALL_PRUNE],
     ["ds-train", "--algo", "ds-l0", "--corpus", "corpus", "--baseline",
      f"pretrain-s{SEED}", "--setting", "shared", "--steps", "9",
-     "--run-id", f"ds-l0-shared-s{SEED}", *SMALL],
+     "--run-id", f"ds-l0-shared-s{SEED}", *SMALL_PRUNE],
     ["report", "--run", f"ds-grad-s{SEED}", "--figure", "size-curve"],
     ["report", "--run", f"ds-l0-s{SEED}", "--figure", "size-curve"],
     ["report", "--run", f"prune-grad-s{SEED}", "--figure", "hamming"],
@@ -213,11 +214,11 @@ SEQUENCE_8 = [
     ["pretrain", "--corpus", "corpus", "--steps", "16", "--lr", "3e-3", *TOY, *SMALL],
     ["prune", "--algo", "l0-improved", "--corpus", "corpus", "--baseline",
      f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "24", "--alpha-lr", "0.8",
-     *SMALL],
+     *SMALL_PRUNE],
     ["prune", "--algo", "l0", "--corpus", "corpus", "--baseline", f"pretrain-s{SEED}",
-     "--setting", "non-shared", "--steps", "16", *SMALL],
+     "--setting", "non-shared", "--steps", "16", *SMALL_PRUNE],
     ["ds-train", "--algo", "ds-l0", "--corpus", "corpus", "--baseline",
-     f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "24", *SMALL],
+     f"pretrain-s{SEED}", "--setting", "non-shared", "--steps", "24", *SMALL_PRUNE],
 ]
 
 CORPUS_8 = {

@@ -90,8 +90,6 @@ def test_schedule_rejects_bad_values():
         dict(total_steps=1, seq_len=1),
         dict(total_steps=1, learning_rate=0.0),
         dict(total_steps=1, alpha_lr=-1.0),
-        dict(total_steps=1, warmup_fraction=1.0),
-        dict(total_steps=1, alpha_only_warmup_fraction=-0.1),
         dict(total_steps=1, lambda1=-2.0),
         dict(total_steps=1, target_size=0.0),
         dict(total_steps=1, target_size=1.2),
@@ -357,10 +355,11 @@ def test_l0_loss_composition_is_exact():
     assert all(rec["diag"] == 0.0 for rec in res_v.records)
 
 
-def test_l0_alpha_only_phase_leaves_weights_untouched():
+def test_l0_alpha_only_phase_leaves_weights_untouched(monkeypatch):
     base = toy_baseline().model
     before = snapshot(base)
-    sched = l0_schedule(total_steps=2, alpha_only_warmup_fraction=0.9)
+    monkeypatch.setattr(trainer, "ALPHA_ONLY_WARMUP_FRACTION", 0.9)
+    sched = l0_schedule(total_steps=2)
     res = run_l0_pruning(base, toy_corpus(), sched)
     assert params_equal(snapshot(res.model), before)
     langs = toy_corpus().languages()
