@@ -11,9 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import gc
-import platform
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,15 +153,6 @@ def compact_model(model: Model, gateset: GateSet) -> CompactModel:
 # Throughput
 
 
-@dataclass
-class ThroughputRecord:
-    sparsity: float
-    sentences_per_sec: float
-    batch_size: int
-    seq_len: int
-    hardware: str
-
-
 # thread-count entry points of numpy's bundled OpenBLAS, then of a system one
 _OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
                      "openblas_{}_num_threads64_", "openblas_{}_num_threads")
@@ -264,18 +253,6 @@ def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1)
     if med < 100.0 * resolution:
         raise RunError("forward pass too fast for the timer; increase reps or model size")
     return batch_size / med
-
-
-def throughput_bench(model: Model, gatesets: dict[float, GateSet], seq_len: int,
-                     reps: int = 5, batch_size: int = 1) -> list[ThroughputRecord]:
-    """Compact the model at each sparsity level and time it, batch-wise."""
-    hardware = platform.processor() or platform.machine()
-    records = []
-    for sparsity in sorted(gatesets):
-        cm = compact_model(model, gatesets[sparsity])
-        sps = time_forward(cm, seq_len, reps, batch_size)
-        records.append(ThroughputRecord(float(sparsity), sps, batch_size, seq_len, hardware))
-    return records
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
-from .analysis import (MIN_REPS, ThroughputRecord, compact_model, corr_accuracy_size,
-                       hamming_matrix, layer_profile, save_plot, size_curve,
-                       throughput_bench, time_forward, write_report)
+from .analysis import (MIN_REPS, compact_model, corr_accuracy_size, hamming_matrix,
+                       layer_profile, save_plot, size_curve, time_forward, write_report)
 from .corpus import Corpus, default_language_specs, gen_corpus, probe_batches
 from .ds import DEFAULT_GRID, DSParams, subnetwork_at
 from .encoder import (GateSet, Model, ModelConfig, _parse_floats, component_universe,
                       component_weights, count_params, encoder_sparsity,
                       retained_fraction)
-from .exceptions import ConfigError, InputError, PrunelabError
+from .exceptions import ConfigError, InputError, PrunelabError, open_text
 from .grad_prune import NON_SHARED, SHARED
 from .l0 import save_alphas
 from .trainer import (TrainSchedule, finetune_probe, pretrain_baseline, run_ds_training,
@@ -107,7 +107,7 @@ def load_config(path=None) -> dict:
     try:
         with open(path) as f:
             user = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or a UnicodeDecodeError of the bytes
         raise ConfigError(f"config {path} is not valid JSON: {e}")
     if not isinstance(user, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -340,8 +340,6 @@ def _probe_targets(args, run_dir: str, model: Model) -> dict[str, GateSet]:
     """What to evaluate: DS subnetworks at t, stored gate sets, or dense."""
     ds = _run_ds(run_dir, model.config)
     if ds is not None:
-        if args.t is None:
-            raise ConfigError("this run holds dynamic sparsification tables; pass --t")
         return {lang: subnetwork_at(ds, args.t, lang, model.config) for lang in ds.languages}
     gatesets = _run_gatesets(run_dir, model.config)
     if gatesets:
@@ -365,8 +363,13 @@ def cmd_eval_probe(args) -> int:
     cfg = resolve_config(args)
     if args.t is not None and not 0.0 <= args.t <= 1.0:
         raise ConfigError(f"--t must lie in [0, 1], got {args.t}")
-    corpus = Corpus.load(args.corpus)
     run_dir = _find_run_dir(args, args.run)
+    has_ds = os.path.exists(os.path.join(run_dir, "ds.csv"))
+    if has_ds and args.t is None:
+        raise ConfigError("this run holds dynamic sparsification tables; pass --t")
+    if args.t is not None and not has_ds:
+        raise ConfigError("--t applies only to a ds-train run (no ds.csv found)")
+    corpus = Corpus.load(args.corpus)
     model = _load_run_model(run_dir)
     targets = _probe_targets(args, run_dir, model)
     splits = probe_batches(corpus, batch_size=cfg["schedule"]["batch_size"],
@@ -459,16 +462,23 @@ def cmd_bench(args) -> int:
             stored = {"dense": GateSet.ones(model.config)}
         for gs in stored.values():
             gatesets.setdefault(overall(gs), gs)
-    records = throughput_bench(model, gatesets, seq_len=args.seq_len, reps=args.reps,
-                               batch_size=args.batch_size)
+    hardware = platform.processor() or platform.machine()
+    rows = []
+    for sparsity in sorted(gatesets):
+        sps = time_forward(compact_model(model, gatesets[sparsity]), args.seq_len, args.reps,
+                           args.batch_size)
+        rows.append({"sparsity": float(sparsity), "sentences_per_sec": sps,
+                     "batch_size": args.batch_size, "seq_len": args.seq_len,
+                     "hardware": hardware})
     out = os.path.join(run_dir, "bench.csv")
-    write_report([asdict(r) for r in records], [f.name for f in fields(ThroughputRecord)], out)
+    write_report(rows, ("sparsity", "sentences_per_sec", "batch_size", "seq_len", "hardware"),
+                 out)
     write_json(os.path.join(run_dir, "manifest_bench.json"), {
         "command": "bench", "run": run_dir, "seed": cfg["seed"],
         "batch_size": args.batch_size, "seq_len": args.seq_len, "reps": args.reps,
     })
-    for r in records:
-        print(f"bench: sparsity {r.sparsity:.3f} -> {r.sentences_per_sec:.1f} sent/sec")
+    for r in rows:
+        print(f"bench: sparsity {r['sparsity']:.3f} -> {r['sentences_per_sec']:.1f} sent/sec")
     return 0
 
 
@@ -535,7 +545,7 @@ def _read_probe_macroless(path) -> dict[str, float]:
     if not os.path.exists(path):
         raise ConfigError(f"probe results not found: {path} (run eval-probe first)")
     out = {}
-    with open(path) as f:
+    with open_text(path) as f:
         header = f.readline().strip().split(",")
         if not {"gates", "language", "accuracy"} <= set(header):
             raise InputError(f"{path}:1: expected gates, language and accuracy columns, "

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import ContractError, InputError
+from .exceptions import ContractError, InputError, open_text
 
 PAD_ID = 0
 MASK_ID = 1
@@ -181,7 +181,7 @@ class Corpus:
             raise InputError(f"no vocabulary file at {vocab_path}")
         vocab: dict[str, int] = {}
         id_lines: dict[int, int] = {}  # id -> the line that lists it
-        with open(vocab_path) as f:
+        with open_text(vocab_path) as f:
             for lineno, line in enumerate(f, 1):
                 line = line.rstrip("\n")
                 if not line:
@@ -212,7 +212,7 @@ class Corpus:
         rows_by_lang: dict[str, list[np.ndarray]] = {}
         specs = []
         langs_path = os.path.join(root, "languages.csv")
-        with open(langs_path) as f:
+        with open_text(langs_path) as f:
             header = f.readline().strip()
             if header != "id,family,size,seed":
                 raise InputError(f"{langs_path}:1: expected header id,family,size,seed, "
@@ -231,7 +231,7 @@ class Corpus:
                     raise InputError(f"{langs_path}:{lineno}: second row for language {lang!r}")
                 rows = []
                 text_path = os.path.join(root, f"{lang}.txt")
-                with open(text_path) as g:
+                with open_text(text_path) as g:
                     for text_lineno, sent in enumerate(g, 1):
                         toks = sent.split()
                         try:

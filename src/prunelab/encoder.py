@@ -242,11 +242,11 @@ def _read_rows(path, components, header=None, languages=False, cells=1, value_ra
     index = None  # built at the first block that is not in written order
     row_langs, pos, values, ok, done = [], [], [], True, 0
     with open(path) as f:
-        if header is not None:
-            line = f.readline().strip()
-            if line != header:
-                raise InputError(f"{path}: unexpected header {line!r}")
         try:
+            if header is not None:
+                line = f.readline().strip()
+                if line != header:
+                    raise InputError(f"{path}: unexpected header {line!r}")
             for block in iter(lambda: list(islice(f, _BLOCK)), []):
                 rows = [line for line in map(str.strip, block) if line]
                 if not rows:
@@ -269,7 +269,8 @@ def _read_rows(path, components, header=None, languages=False, cells=1, value_ra
                     row_langs += map(sys.intern, flat[0::width])
                 values.append(np.array([_parse_distinct(flat[k::width])
                                         for k in range(lead + 3, width)]))
-        except (KeyError, ValueError):  # a wrong cell count, an unknown name or a non-number
+        # a wrong cell count, an unknown name, a non-number or a byte that does not decode
+        except (KeyError, ValueError):
             ok = False
     if ok:
         if not pos:
@@ -284,8 +285,13 @@ def _read_rows(path, components, header=None, languages=False, cells=1, value_ra
         ok = count.max() == 1 and np.all(np.isfinite(values) & (lo <= values) & (values <= hi))
     if not ok:  # the one place that names a faulty line: read the file again, row by row
         index, seen = component_index(components), set()
-        with open(path) as f:
+        # undecodable bytes read as lone surrogates, which encode() refuses
+        with open(path, errors="surrogateescape") as f:
             for lineno, line in enumerate(map(str.strip, f), 1):
+                try:
+                    line.encode()
+                except UnicodeEncodeError:
+                    raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
                 if not line or lineno == 1 and header is not None:
                     continue
                 parts = line.split(",")

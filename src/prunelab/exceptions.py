@@ -1,4 +1,6 @@
-"""Error taxonomy shared across the toolkit."""
+"""Error taxonomy shared across the toolkit, and the text-file opener that words decode faults."""
+
+from contextlib import contextmanager
 
 
 class PrunelabError(Exception):
@@ -27,3 +29,13 @@ class ConfigError(PrunelabError):
 
 class RunError(PrunelabError):
     """A training, evaluation or benchmark run failed at runtime."""
+
+
+@contextmanager
+def open_text(path):
+    """open(path) for reading; a byte that does not decode is an InputError naming the file."""
+    with open(path) as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}: not UTF-8 text ({e.reason})") from None

@@ -30,7 +30,7 @@ from .encoder import (
     _parse_floats,
     _write_rows,
 )
-from .exceptions import ContractError, InputError
+from .exceptions import ContractError, InputError, open_text
 
 SHARED = "shared"
 NON_SHARED = "non-shared"
@@ -61,7 +61,7 @@ class ImportanceTable:
     @classmethod
     def load_csv(cls, path, language: str = SHARED) -> "ImportanceTable":
         scores = {}
-        with open(path) as f:
+        with open_text(path) as f:
             header = f.readline().strip()
             if header != "kind,layer,index,score":
                 raise InputError(f"{path}: unexpected header {header!r}")

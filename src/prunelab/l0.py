@@ -134,7 +134,6 @@ def sparsity_constraint_loss(sizes: Tensor, target: float) -> Tensor:
     """
     if not 0.0 <= target <= 1.0:
         raise ContractError(f"target size must be in [0, 1], got {target}")
-    sizes = T.as_tensor(sizes)
     if sizes.ndim != 1 or sizes.size == 0:
         raise ContractError(f"sparsity constraint needs a non-empty vector of sizes, "
                             f"got shape {sizes.shape}")

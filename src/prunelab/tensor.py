@@ -4,14 +4,14 @@ Every operation validates shapes, computes the forward value with numpy,
 rejects non-finite results, and, when any input tracks gradients, records
 a backward closure on the active tape.  ``backward`` replays
 the tape once in reverse, leaves gradients on the leaf tensors and clears
-the tape.  Elementwise binary ops follow numpy broadcasting; every backward
-closure returns each gradient in its operand's shape, so gradients of
-broadcast operands are summed back to it.
+the tape.  Every backward closure returns each gradient in its operand's
+shape.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import contextmanager
 
@@ -61,10 +61,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # Convenience operators; all defer to the module-level ops.
-    def sum(self, axis=None, keepdims: bool = False):
-        return _sum(self, axis, keepdims)
-
     def __getitem__(self, key):
         return basic_slice(self, key)
 
@@ -105,10 +101,6 @@ def no_grad():
         tape.enabled = prev
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _finite_or_raise(op: str, arr: np.ndarray):
     # np.isfinite(arr).all() skips the dispatch np.all adds, and a scalar
     # needs no array pass at all; both are exact elementwise checks
@@ -125,19 +117,6 @@ def _make(op: str, value: np.ndarray, inputs, backward_fn) -> Tensor:
     if track:
         tape.nodes.append((out, backward_fn))
     return out
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 def backward(loss: Tensor):
@@ -174,60 +153,37 @@ def backward(loss: Tensor):
 # (encoder, l0) that record themselves through _make.
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = a.data + b.data
-    except ValueError:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = a.data + b.data
 
     def grad(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
+        return [(a, g), (b, g)]
 
     return _make("add", value, (a, b), grad)
 
 
-def multiply(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"multiply: shapes {a.shape} and {b.shape} do not broadcast")
+def multiply(x: Tensor, c: float) -> Tensor:
+    """x * c for a constant c; only x is recorded."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = x.data * c
 
     def grad(g):
-        return [
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        ]
+        return [(x, g * c)]
 
-    return _make("multiply", value, (a, b), grad)
+    return _make("multiply", value, (x,), grad)
 
 
-def _sum(x: Tensor, axis, keepdims: bool) -> Tensor:
-    if axis is not None and not isinstance(axis, int):
-        raise ContractError("sum: axis must be None or an int")
-    if axis is not None and not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"sum: axis {axis} out of range for shape {x.shape}")
-    value = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return [(x, np.broadcast_to(g, x.shape).copy())]
-
-    return _make("sum", value, (x,), grad)
-
-
-def basic_slice(x, key) -> Tensor:
+def basic_slice(x: Tensor, key) -> Tensor:
     """x[key] for a key of ints and slices; gradient is written into zeros.
 
     Basic indexing selects each element at most once, so the backward needs
     no scatter-add.  The value is a copy, so an in-place update of x, such as
     an optimizer step, does not reach it.
     """
-    x = as_tensor(x)
     parts = key if isinstance(key, tuple) else (key,)
     for p in parts:
         if isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, np.integer, slice)):
@@ -245,13 +201,12 @@ def basic_slice(x, key) -> Tensor:
     return _make("slice", value, (x,), grad)
 
 
-def fold_sum(x) -> Tensor:
+def fold_sum(x: Tensor) -> Tensor:
     """Left-to-right sum ((x0 + x1) + x2) + ... of a 1-d tensor.
 
     ``sum`` groups terms pairwise in blocks of eight, so its rounding depends
     on the length; a fold keeps the grouping of a running Python sum.
     """
-    x = as_tensor(x)
     if x.ndim != 1 or x.size == 0:
         raise DimensionError(f"fold_sum: need a non-empty 1-d tensor, got {x.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -291,14 +246,18 @@ def save_checkpoint(path, params: dict):
 def load_checkpoint(path) -> dict:
     """Read a checkpoint written by save_checkpoint; returns name -> ndarray."""
 
-    def read(f, n, what):
-        buf = f.read(n)
-        if len(buf) != n:
+    def need(f, n, what):
+        # a header may declare more bytes than the file holds; check before allocating
+        if n > size - f.tell():
             raise InputError(f"{path}: checkpoint truncated while reading {what}")
-        return buf
+
+    def read(f, n, what):
+        need(f, n, what)
+        return f.read(n)
 
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         if read(f, 4, "magic") != CHECKPOINT_MAGIC:
             raise InputError(f"{path}: not a checkpoint file (bad magic)")
         version, count = struct.unpack("<II", read(f, 8, "header"))
@@ -313,9 +272,9 @@ def load_checkpoint(path) -> dict:
                 raise InputError(f"{path}: tensor name {raw!r} is not UTF-8") from None
             (rank,) = struct.unpack("<I", read(f, 4, "rank"))
             dims = struct.unpack(f"<{rank}I", read(f, 4 * rank, "dims")) if rank else ()
+            need(f, 8 * math.prod(dims), f"payload of {name}")
             # read straight into the array, without an intermediate bytes copy
             arr = np.empty(dims, dtype="<f8")
-            if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-                raise InputError(f"{path}: checkpoint truncated while reading payload of {name}")
+            f.readinto(arr.reshape(-1).view(np.uint8))
             out[name] = arr
     return out

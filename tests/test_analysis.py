@@ -17,7 +17,6 @@ from prunelab.analysis import (
     layer_profile,
     save_plot,
     size_curve,
-    throughput_bench,
     time_forward,
     write_report,
 )
@@ -307,26 +306,18 @@ def sparse_gateset(config, sparsity):
     return gs
 
 
-def median_rate(runs, sparsity) -> float:
-    """Median sentences/second at one sparsity over throughput_bench runs."""
-    return float(np.median([r.sentences_per_sec for records in runs for r in records
-                            if r.sparsity == sparsity]))
-
-
 def test_throughput_sparse_is_faster_and_stable():
     model = Model.init(BENCH, 11)
-    gs = {0.0: GateSet.ones(BENCH), 0.9: sparse_gateset(BENCH, 0.9)}
-    # the dense shape is timed again by a second bench call, each call in turn
-    runs, again = in_turn(lambda: throughput_bench(model, gs, seq_len=32, reps=9),
-                          lambda: throughput_bench(model, {0.0: GateSet.ones(BENCH)},
-                                                   seq_len=32, reps=9))
-    assert median_rate(runs, 0.9) > median_rate(runs, 0.0)
-    for r in (r for records in runs + again for r in records):
-        assert r.sentences_per_sec > 0
-        assert r.batch_size == 1 and r.seq_len == 32
-        assert isinstance(r.hardware, str)
+    dense = compact_model(model, GateSet.ones(BENCH))
+    sparse = compact_model(model, sparse_gateset(BENCH, 0.9))
+    # the dense shape is timed again by a third call, each call in turn
+    dense_runs, sparse_runs, again = in_turn(lambda: time_forward(dense, 32, reps=9),
+                                             lambda: time_forward(sparse, 32, reps=9),
+                                             lambda: time_forward(dense, 32, reps=9))
+    assert np.median(sparse_runs) > np.median(dense_runs)
+    assert min(dense_runs + sparse_runs + again) > 0
     # identical shape timed twice lands close
-    a, b = median_rate(runs, 0.0), median_rate(again, 0.0)
+    a, b = float(np.median(dense_runs)), float(np.median(again))
     assert abs(a - b) / max(a, b) < 0.25
 
 
@@ -340,11 +331,7 @@ def test_throughput_batch_doubling_increases_rate():
 
 
 def test_throughput_validation_and_timer_floor(monkeypatch):
-    model = Model.init(TOY, 13)
-    # throughput_bench times through time_forward, which owns the reps check
-    with pytest.raises(ContractError, match="3 repetitions"):
-        throughput_bench(model, {0.0: GateSet.ones(TOY)}, seq_len=8, reps=2)
-    cm = compact_model(model, GateSet.ones(TOY))
+    cm = compact_model(Model.init(TOY, 13), GateSet.ones(TOY))
     with pytest.raises(ContractError):
         time_forward(cm, 8, reps=1)
 

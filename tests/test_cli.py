@@ -20,7 +20,7 @@ from prunelab.cli import (
 from prunelab.corpus import Corpus, LanguageSpec, build_inventories, gen_corpus
 from prunelab.ds import DEFAULT_GRID, init_ds, subnetwork_at
 from prunelab.encoder import GateSet, Model, ModelConfig, component_universe, component_weights
-from prunelab.exceptions import ConfigError
+from prunelab.exceptions import ConfigError, InputError
 from prunelab.grad_prune import ImportanceTable
 
 # --- grid parsing -----------------------------------------------------------
@@ -312,6 +312,9 @@ def test_pipeline_end_to_end(tmp_path, monkeypatch, capsys):
     bench_lines = (ds_run / "bench.csv").read_text().strip().split("\n")
     assert bench_lines[0] == "sparsity,sentences_per_sec,batch_size,seq_len,hardware"
     assert len(bench_lines) >= 2
+    for line in bench_lines[1:]:
+        cells = line.split(",")
+        assert float(cells[1]) > 0.0 and cells[2:4] == ["1", "32"] and cells[4]
 
     assert run_cli("report", "--run", "prune-grad-s5", "--figure", "layer-profile") == 0
     assert (grad_run / "report_layer-profile_prune-grad-s5.csv").exists()
@@ -450,6 +453,51 @@ def test_report_on_a_ds_table_without_rows_exits_1(tmp_path, capsys):
     assert not (tmp_path / f"report_size-curve_{tmp_path.name}.csv").exists()
 
 
+CORR = ["report", "--run", "{run}", "--figure", "corr", "--corpus", "{run}/corpus",
+        "--probe-baseline", "{run}/base.csv"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("gates_xx.txt", ["report", "--run", "{run}", "--figure", "layer-profile"]),
+    ("ds.csv", ["report", "--run", "{run}", "--figure", "size-curve"]),
+    ("probe.csv", CORR),
+    ("corpus/vocab.tsv", CORR),
+    ("corpus/languages.csv", CORR),
+    ("corpus/bb.txt", CORR),
+    ("config.json", ["gen-corpus", "--config", "{run}/config.json", "--out", "{run}/out"]),
+    ("importance_xx.csv", None),
+])
+def test_a_file_that_does_not_decode_is_an_error_naming_it(tmp_path, capsys, name, argv):
+    config = _report_run(tmp_path)
+    GateSet.ones(config).save_text(tmp_path / "gates_xx.txt", config)
+    universe = component_universe(config)
+    ImportanceTable(dict(zip(universe, np.linspace(1.0, 2.0, len(universe)))), "xx", 1
+                    ).save_csv(tmp_path / "importance_xx.csv")
+    probe = "gates,language,accuracy\ndense,aa,0.5\ndense,bb,0.6\ndense,cc,0.7\n"
+    (tmp_path / "probe.csv").write_text(probe)
+    (tmp_path / "base.csv").write_text(probe)
+    specs = [LanguageSpec(lang, "Uralic", 20, k) for k, lang in enumerate(("aa", "bb", "cc"))]
+    gen_corpus(build_inventories(specs, inventory_size=6), seed=0).save(tmp_path / "corpus")
+    (tmp_path / "config.json").write_text(json.dumps({"seed": 1}, indent=1))
+    # one byte that is not UTF-8, at the start of the second line
+    path = tmp_path / name
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n\xff" + rest)
+    if argv is None:
+        with pytest.raises(InputError, match="importance_xx.csv: not UTF-8 text"):
+            ImportanceTable.load_csv(path)
+        return
+    capsys.readouterr()
+    code = main([a.format(run=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    if name == "config.json":
+        assert code == 2 and f"config {path} is not valid JSON" in err
+    else:
+        # the block-checked component rows name the line as well
+        where = f"{path}:2:" if name in ("gates_xx.txt", "ds.csv") else f"{path}:"
+        assert code == 1 and f"error: {where} not UTF-8 text" in err
+
+
 def test_ds_train_on_a_grid_without_both_ends_exits_2(tmp_path, capsys):
     specs = build_inventories([LanguageSpec("aa", "Uralic", 20, 1)], inventory_size=6)
     gen_corpus(specs, seed=0).save(tmp_path / "corpus")
@@ -581,7 +629,12 @@ def test_sweep_and_eval_probe_probe_each_distinct_subnetwork_once(two_language_d
     ("eval-probe --corpus {corpus} --run {run} --t 1.5", "--t must lie in [0, 1], got 1.5"),
     ("eval-probe --corpus {corpus} --run {run} --t -0.5", "--t must lie in [0, 1], got -0.5"),
     ("sweep --corpus {corpus} --run {baseline}", "sweep needs a ds-train run (no ds.csv found)"),
-], ids=["sweep-reps", "bench-reps", "t-above-1", "t-below-0", "sweep-without-ds"])
+    ("eval-probe --corpus {corpus} --run {run}",
+     "this run holds dynamic sparsification tables; pass --t"),
+    ("eval-probe --corpus {corpus} --run {baseline} --t 0.5",
+     "--t applies only to a ds-train run (no ds.csv found)"),
+], ids=["sweep-reps", "bench-reps", "t-above-1", "t-below-0", "sweep-without-ds",
+        "ds-without-t", "t-without-ds"])
 def test_configuration_errors_exit_2_before_any_work(two_language_ds_run, monkeypatch, capsys,
                                                     argv, message):
     corpus, baseline, run = two_language_ds_run

@@ -33,6 +33,8 @@ from prunelab.encoder import (
 )
 from prunelab.exceptions import ConfigError, ContractError, InputError, NumericError
 
+from fdcheck import weighted_scalar
+
 TOY = ModelConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=12, vocab_size=19, max_seq_len=10)
 
 
@@ -278,7 +280,8 @@ def test_embed_forward_scatter_adds_repeated_ids():
     for g_rank, g in ((None, 1.0), (T.Tensor([1.0, 0.5]), np.array([1.0, 0.5]))):
         params = {"embed.tok": T.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True),
                   "embed.proj": T.Tensor(np.eye(2)), "embed.pos": T.Tensor(np.zeros((3, 2)))}
-        T.backward(embed_forward(np.array([[1, 1, 3]]), params, config, g_rank).sum())
+        T.backward(weighted_scalar(embed_forward(np.array([[1, 1, 3]]), params, config, g_rank),
+                                   1.0))
         expect = np.zeros((4, 2))
         expect[1] = 2.0 * g
         expect[3] = g
@@ -505,7 +508,7 @@ def test_split_gates_layout_matches_universe():
                             + [np.asarray(gs.ranks)])
     assert np.array_equal(rebuilt, manual)
     # gradients flow back through the slicing
-    loss = gates["ranks"].sum()
+    loss = weighted_scalar(gates["ranks"], 1.0)
     T.backward(loss)
     expect = np.zeros(n)
     expect[-config.model_dim:] = 1.0
@@ -676,7 +679,7 @@ def test_forward_takes_one_canonical_gate_tensor():
             encoder_forward(model, ids, bad)
     # a learned gate vector reaches every part of the forward
     leaf = T.Tensor(np.ones(n), requires_grad=True)
-    T.backward(encoder_forward(model, ids, leaf).sum())
+    T.backward(weighted_scalar(encoder_forward(model, ids, leaf), 1.0))
     assert leaf.grad.shape == (n,) and np.all(leaf.grad != 0.0)
 
 

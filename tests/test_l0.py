@@ -21,6 +21,8 @@ from prunelab.l0 import (
     total_loss,
 )
 
+from fdcheck import weighted_scalar
+
 LN11 = float(np.log(11.0))
 
 
@@ -120,7 +122,7 @@ def test_l0_penalty_stacked_gradient_matches_per_vector_gradients():
     alphas = rng.normal(0.0, 2.0, size=(3, 11))
     w = rng.uniform(0.5, 4.0, size=11)
     mat = T.Tensor(alphas, requires_grad=True)
-    T.backward(T.multiply(l0_penalty(mat, w), T.Tensor([1.0, -2.0, 0.5])).sum())
+    T.backward(weighted_scalar(l0_penalty(mat, w), [1.0, -2.0, 0.5]))
     for i, c in enumerate((1.0, -2.0, 0.5)):
         row = T.Tensor(alphas[i], requires_grad=True)
         T.backward(T.multiply(l0_penalty(row, w), c))
@@ -258,7 +260,7 @@ def test_gate_gradient_is_zero_where_the_gate_saturates():
         alpha = T.Tensor([-10.0, 0.0, 10.0], requires_grad=True)
         out = gate(alpha)
         assert out.data[0] == 0.0 and out.data[2] == 1.0
-        T.backward(out.sum())
+        T.backward(weighted_scalar(out, 1.0))
         assert alpha.grad[0] == 0.0 and alpha.grad[2] == 0.0
         assert alpha.grad[1] > 0.0
 
@@ -267,7 +269,7 @@ def test_gradient_reaches_alpha_through_sampling():
     rng = np.random.default_rng(61)
     alpha = T.Tensor(np.zeros(16), requires_grad=True)
     g = sample_gate(alpha, rng.uniform(0.05, 0.95, size=16))
-    T.backward(T.multiply(g, T.Tensor(rng.normal(size=16))).sum())
+    T.backward(weighted_scalar(g, rng.normal(size=16)))
     assert alpha.grad is not None
     assert np.any(alpha.grad != 0.0)
 

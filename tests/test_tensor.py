@@ -1,5 +1,6 @@
 """Tensor core: forward values, gradients vs finite differences, tape rules."""
 
+import struct
 import zlib
 
 import numpy as np
@@ -11,15 +12,14 @@ from prunelab.encoder import (Model, ModelConfig, attention_block, embed_forward
 from prunelab.exceptions import ContractError, DimensionError, InputError, NumericError
 from prunelab.l0 import l0_penalty, sample_gate
 
-from fdcheck import ALL_OPS, op_cases, run_case
+from fdcheck import ALL_OPS, op_cases, run_case, weighted_scalar
 
 
 def test_scalar_forward_values():
-    assert T.multiply(T.Tensor(0.25), T.Tensor(2.0)).item() == 0.5
-    row = T.Tensor([[1.0, 1.0, 1.0, 1.0]]).sum(axis=-1, keepdims=True)
-    assert row.data.tolist() == [[4.0]]
+    assert T.multiply(T.Tensor(0.25), 2.0).item() == 0.5
+    assert T.add(T.Tensor(0.25), T.Tensor(2.0)).item() == 2.25
     x = np.array([[2.0, -1.0], [0.5, 3.0]])
-    assert np.array_equal(T.multiply(T.Tensor(x), T.Tensor(np.ones(2))).data, x)
+    assert np.array_equal(T.multiply(T.Tensor(x), 1.0).data, x)
 
 
 def test_gradients_match_finite_differences():
@@ -32,9 +32,10 @@ def test_gradients_match_finite_differences():
 
 def test_backward_accumulates_shared_input():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    y = T.add(T.multiply(x, 3.0), T.multiply(x, x))
-    T.backward(y.sum())
-    assert np.allclose(x.grad, 3.0 + 2.0 * x.data)
+    # x reaches the loss three times: through the multiply and twice through the add
+    y = T.add(T.multiply(x, 3.0), T.add(x, x))
+    T.backward(weighted_scalar(y, 1.0))
+    assert np.array_equal(x.grad, [5.0, 5.0])
 
 
 def test_backward_requires_scalar_and_nonempty_tape():
@@ -42,14 +43,14 @@ def test_backward_requires_scalar_and_nonempty_tape():
     y = T.multiply(x, 2.0)
     with pytest.raises(ContractError):
         T.backward(y)
-    T.backward(y.sum())
+    T.backward(weighted_scalar(y, 1.0))
     with pytest.raises(ContractError):
         T.backward(T.Tensor(0.0))
 
 
 def test_tape_cleared_after_backward():
     x = T.Tensor([1.0], requires_grad=True)
-    T.backward(T.multiply(x, x).sum())
+    T.backward(weighted_scalar(T.add(x, x), 1.0))
     assert T.active_tape().nodes == []
 
 
@@ -72,14 +73,14 @@ def test_backward_leaves_gradients_on_leaves_only():
 
 def test_leaf_gradient_after_two_backward_calls():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    T.backward(T.multiply(x, 3.0).sum())
-    T.backward(T.multiply(x, x).sum())
+    T.backward(weighted_scalar(T.multiply(x, 3.0), 1.0))
+    T.backward(weighted_scalar(T.add(x, x), [1.0, 2.0]))
     assert np.array_equal(x.grad, [3.0 + 2.0, 3.0 + 4.0])
     # the second backward's contributions are added to the held gradient one at
     # a time, last tape node first: (1 - 1e17) + 1e17, not 1 + (-1e17 + 1e17)
     x = T.Tensor([1.0], requires_grad=True)
-    T.backward(T.multiply(x, 1.0).sum())
-    T.backward(T.add(T.multiply(x, 1e17), T.multiply(x, -1e17)).sum())
+    T.backward(weighted_scalar(T.multiply(x, 1.0), 1.0))
+    T.backward(weighted_scalar(T.add(T.multiply(x, 1e17), T.multiply(x, -1e17)), 1.0))
     assert np.array_equal(x.grad, [0.0])
 
 
@@ -102,20 +103,22 @@ def test_every_node_returns_gradients_in_its_operands_shapes():
 def test_no_grad_suppresses_recording():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with T.no_grad():
-        y = T.multiply(x, x)
+        y = T.add(T.multiply(x, 2.0), x)
     assert not y.requires_grad
     assert T.active_tape().nodes == []
 
 
 def test_constant_inputs_record_nothing():
-    y = T.multiply(T.Tensor([1.0]), T.Tensor([2.0]))
+    y = T.add(T.multiply(T.Tensor([1.0]), 2.0), T.Tensor([2.0]))
     assert not y.requires_grad
     assert T.active_tape().nodes == []
 
 
 def test_shape_errors_name_op():
-    with pytest.raises(DimensionError, match="add"):
-        T.add(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4,))))
+    # add takes one shape: a (3,) or (1, 3) operand does not broadcast to (2, 3)
+    for shape in ((4,), (3,), (1, 3)):
+        with pytest.raises(DimensionError, match="add"):
+            T.add(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones(shape)))
     config = ModelConfig(n_layers=1, n_heads=2, model_dim=4, ffn_dim=6, vocab_size=5,
                          max_seq_len=8)
     params = init_params(config, 0)
@@ -132,7 +135,7 @@ def test_numeric_error_on_nonfinite():
     with pytest.raises(NumericError):
         T.add(T.Tensor([1e308]), T.Tensor([1e308]))
     with pytest.raises(NumericError):
-        T.multiply(T.Tensor([1e300]), T.Tensor([1e300]))
+        T.multiply(T.Tensor([1e300]), 1e300)
 
 
 def test_overflowing_intermediates_raise_numeric_error():
@@ -165,7 +168,7 @@ def test_finite_check_names_the_op():
         with pytest.raises(NumericError, match="probe"):
             T._finite_or_raise("probe", np.asarray(bad))
     with pytest.raises(NumericError, match="multiply"):
-        T.multiply(T.Tensor(1e300), T.Tensor(1e300))
+        T.multiply(T.Tensor(1e300), 1e300)
     with pytest.raises(NumericError, match="fold_sum"):
         T.fold_sum(T.Tensor([1e308, 1e308]))
 
@@ -184,7 +187,7 @@ def test_basic_slice_values_are_copies():
 
 def test_basic_slice_gradient_is_zero_outside_the_slice():
     x = T.Tensor(np.ones((3, 4)), requires_grad=True)
-    y = T.add(T.multiply(x[1], 2.0).sum(), x[:, 3].sum())
+    y = T.add(weighted_scalar(T.multiply(x[1], 2.0), 1.0), weighted_scalar(x[:, 3], 1.0))
     T.backward(y)
     expect = np.zeros((3, 4))
     expect[1] = 2.0
@@ -218,8 +221,7 @@ def test_forward_determinism_bitwise():
     def run():
         rng = np.random.default_rng(123)
         x = T.Tensor(rng.normal(size=(4, 6)))
-        w = T.Tensor(rng.normal(size=(6,)))
-        out = T.add(T.multiply(x, w), x).sum(axis=-1)
+        out = T.add(T.multiply(x, float(rng.normal())), x)
         return out.data.tobytes()
 
     assert run() == run()
@@ -254,3 +256,15 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(InputError):
         T.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_header_larger_than_the_file(tmp_path):
+    # 2**31 x 2**31 float64s, or 2**32 - 1 dims: the header alone must not make
+    # the loader allocate
+    path = tmp_path / "model.gcpt"
+    head = T.CHECKPOINT_MAGIC + struct.pack("<II", T.CHECKPOINT_VERSION, 1) + b"\x01\0\0\0w"
+    for rank_and_dims, what in ((struct.pack("<III", 2, 2**31, 2**31), "payload of w"),
+                                (struct.pack("<I", 2**32 - 1), "dims")):
+        path.write_bytes(head + rank_and_dims)
+        with pytest.raises(InputError, match=f"truncated while reading {what}"):
+            T.load_checkpoint(path)

@@ -39,6 +39,8 @@ from prunelab.trainer import (
     write_metrics,
 )
 
+from fdcheck import weighted_scalar
+
 TOY = ModelConfig(n_layers=2, n_heads=2, model_dim=16, ffn_dim=32, vocab_size=86, max_seq_len=32)
 
 
@@ -147,9 +149,9 @@ def test_adam_first_step_is_signed_lr():
     x = Tensor(np.array([3.0, -2.0, 0.5]), requires_grad=True)
     before = x.data.copy()
     opt = Adam({"x": x}, lr=0.1)
-    loss = T.multiply(x, x).sum()
-    T.backward(loss)
     g = 2.0 * before
+    # weights 2x give the gradient of sum(x**2)
+    T.backward(weighted_scalar(x, g))
     opt.step()
     expected = before - 0.1 * np.sign(g)
     assert np.allclose(x.data, expected, atol=0.1 * 1e-6)
@@ -161,8 +163,9 @@ def test_adam_descends_quadratic():
     opt = Adam({"x": x}, lr=0.05)
 
     def value():
+        # weights 2 * diff give the gradient of sum(diff**2); the value is twice it
         diff = T.add(x, Tensor(-target))
-        return T.multiply(diff, diff).sum()
+        return weighted_scalar(diff, 2.0 * diff.data)
 
     first = value().item()
     for _ in range(200):
@@ -179,7 +182,7 @@ def test_adam_zero_gradient_never_moves_parameter():
     frozen = dead.data.copy()
     opt = Adam({"live": live, "dead": dead}, lr=0.1)
     for _ in range(10):
-        loss = T.multiply(live, live).sum()
+        loss = weighted_scalar(live, 2.0 * live.data)
         T.backward(loss)
         dead.grad = np.zeros_like(dead.data)
         opt.step()
@@ -201,7 +204,7 @@ def test_adam_refuses_a_step_with_some_gradients_missing():
     with_grad = Tensor(np.ones(2), requires_grad=True)
     without = Tensor(np.ones(3), requires_grad=True)
     opt = Adam({"with_grad": with_grad, "without": without}, lr=0.1)
-    T.backward(T.multiply(with_grad, with_grad).sum())
+    T.backward(weighted_scalar(with_grad, 1.0))
     with pytest.raises(ContractError, match="without"):
         opt.step()
 
