@@ -107,6 +107,8 @@ def load_config(path=None) -> dict:
     try:
         with open(path) as f:
             user = json.load(f)
+    except OSError as e:
+        raise ConfigError(f"config {path} cannot be read: {e.strerror}")
     except ValueError as e:  # a JSONDecodeError, or a UnicodeDecodeError of the bytes
         raise ConfigError(f"config {path} is not valid JSON: {e}")
     if not isinstance(user, dict):
@@ -442,8 +444,14 @@ def cmd_bench(args) -> int:
     if args.reps < MIN_REPS:
         raise ConfigError(f"--reps must be at least {MIN_REPS}, got {args.reps}")
     run_dir = _find_run_dir(args, args.run)
+    ds = _run_ds(run_dir, _run_config(run_dir))
+    if args.language is not None:
+        if ds is None:
+            raise ConfigError("--language applies only to a ds-train run (no ds.csv found)")
+        if args.language not in ds.languages:
+            raise ConfigError(f"--language {args.language!r} has no table in this run; "
+                              f"it has {', '.join(ds.languages)}")
     model = _load_run_model(run_dir)
-    ds = _run_ds(run_dir, model.config)
     weights = component_weights(model.config)
 
     def overall(gs):
@@ -452,7 +460,7 @@ def cmd_bench(args) -> int:
     gatesets: dict[float, GateSet] = {}
     if ds is not None:
         grid = tuple(cfg["grid"])
-        lang = args.language or ds.languages[0]
+        lang = ds.languages[0] if args.language is None else args.language
         for t in grid:
             gs = subnetwork_at(ds, float(t), lang, model.config)
             gatesets.setdefault(overall(gs), gs)

@@ -481,11 +481,10 @@ def embed_forward(ids: np.ndarray, params, config: ModelConfig, g_rank: Tensor |
         raise InputError(f"{op}: ids must be integers")
     if ids.size and (ids.min() < 0 or ids.max() >= tok.shape[0]):
         raise InputError(f"{op}: id out of range for table with {tok.shape[0]} rows")
-    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows = ok(tok.data[ids])
-        gated = rows if g_rank is None else ok(rows * g_rank.data)
-        out = ok(ok(gated @ proj.data) + ok(pos.data[:s]))
+        rows = tok.data[ids]
+        gated = rows if g_rank is None else rows * g_rank.data
+        out = gated @ proj.data + pos.data[:s]
 
     def backward(g):
         g_pos = np.zeros_like(pos.data)
@@ -505,33 +504,27 @@ def embed_forward(ids: np.ndarray, params, config: ModelConfig, g_rank: Tensor |
     return T._make(op, out, inputs, backward)
 
 
-def _finite(op: str):
-    """A function that returns its array argument once it is checked finite."""
-    def check(a):
-        T._finite_or_raise(op, a)
-        return a
-
-    return check
-
-
-def _affine(x: np.ndarray, w: np.ndarray, bias: np.ndarray, ok) -> np.ndarray:
-    """x @ w + bias, each of the two results checked by ok."""
-    out = ok(x @ w)
+def _affine(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ w + bias."""
+    out = x @ w
     out += bias
-    return ok(out)
+    return out
 
 
-def _layer_norm(r: np.ndarray, gain: np.ndarray, shift: np.ndarray, ok):
+def _layer_norm(op: str, r: np.ndarray, gain: np.ndarray, shift: np.ndarray):
     """Last-axis layer norm of an array; returns (out, xhat, inv) and overwrites r.
 
     Mean and variance take numpy's own steps (sum, then divide by the width)
     over one centred difference, so they equal ``mean`` and ``var`` bit for bit.
-    The variance is checked by ok: a row spread beyond about 1e154 squares to
-    an infinite variance, which would make ``inv`` 0 and the output finite.
+    A non-finite r makes the variance NaN or infinite, and so does a row
+    spread beyond about 1e154; the variance is checked under op's name,
+    because an infinite one makes ``inv`` 0 and the output the finite shift.
     """
     n = r.shape[-1]
     r -= np.add.reduce(r, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(ok(np.add.reduce(r * r, axis=-1, keepdims=True) / n) + _LN_EPS)
+    var = np.add.reduce(r * r, axis=-1, keepdims=True) / n
+    T._finite_or_raise(op, var)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = r
     xhat *= inv
     out = xhat * gain
@@ -572,6 +565,11 @@ def _check_input(op: str, x: Tensor, width: int):
 # ((residual + v) + k) + q for attention, residual + FFN for the FFN.  It
 # returns each gradient in its operand's shape, summing the batch axes itself
 # with the reductions the chain's broadcast ops would have run.
+#
+# _make checks each node's output, which a non-finite intermediate reaches
+# through a sum, a product, inf - inf or inf * 0 (GeLU's hp * cdf too).  A node
+# checks only where such a value can turn finite: the attention scores (exp
+# sends -inf to 0) and the layer-norm variance (see _layer_norm).
 
 
 def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
@@ -621,24 +619,23 @@ def attention_block(x: Tensor, params, config: ModelConfig, layer: int,
         # (b, n, nh * hd) -> C-order (b, nh, n, hd)
         return np.ascontiguousarray(t.reshape(b, t.shape[1], nh, hd).transpose(0, 2, 1, 3))
 
-    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q, k, v = (heads(_affine(xin, w.data, bias.data, ok))
+        q, k, v = (heads(_affine(xin, w.data, bias.data))
                    for xin, w, bias in ((xq, wq, bq), (xd, wk, bk), (xd, wv, bv)))
         kt = np.ascontiguousarray(k.transpose(0, 1, 3, 2))
-        scores = ok(q @ kt)
+        scores = q @ kt
         scores *= scale
-        ok(scores)
         if attn_bias is not None:
             scores += attn_bias
-            ok(scores)
-        probs = ok(_softmax(scores))
-        ctx = ok(probs @ v)
-        gated = ctx if gate is None else ok(ctx * gate)
+        # a -inf score would become a weight of exactly 0 under exp
+        T._finite_or_raise(op, scores)
+        probs = _softmax(scores)
+        ctx = probs @ v
+        gated = ctx if gate is None else ctx * gate
         merged = np.ascontiguousarray(gated.transpose(0, 2, 1, 3)).reshape(b, n, nh * hd)
-        r = _affine(merged, wo.data, bo.data, ok)
+        r = _affine(merged, wo.data, bo.data)
         r += xq
-        out, xhat, inv = _layer_norm(ok(r), gain.data, shift.data, ok)
+        out, xhat, inv = _layer_norm(op, r, gain.data, shift.data)
 
     def backward(g):
         gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)
@@ -682,18 +679,17 @@ def ffn_block(x: Tensor, params, config: ModelConfig, layer: int,
     if g_hidden is not None:
         _check_gate(g_hidden, w1.shape[1], "hidden")
     xd = x.data
-    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hp = _affine(xd, w1.data, b1.data, ok)
+        hp = _affine(xd, w1.data, b1.data)
         cdf = hp / _SQRT2
         erf(cdf, out=cdf)
         cdf += 1.0
         cdf *= 0.5
-        h = ok(hp * cdf)
-        gated = h if g_hidden is None else ok(h * g_hidden.data)
-        r = _affine(gated, w2.data, b2.data, ok)
+        h = hp * cdf
+        gated = h if g_hidden is None else h * g_hidden.data
+        r = _affine(gated, w2.data, b2.data)
         r += xd
-        out, xhat, inv = _layer_norm(ok(r), gain.data, shift.data, ok)
+        out, xhat, inv = _layer_norm(op, r, gain.data, shift.data)
 
     def backward(g):
         gr, g_gain, g_shift = _layer_norm_grad(g, gain.data, xhat, inv)
@@ -726,11 +722,10 @@ def mlm_head(x: Tensor, params, g_rank: Tensor | None = None) -> Tensor:
     _check_input(op, x, proj.shape[1])
     if g_rank is not None:
         _check_gate(g_rank, tok.shape[1], "rank")
-    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         proj_t = np.ascontiguousarray(proj.data.T)
-        z = ok(x.data @ proj_t)
-        gated = z if g_rank is None else ok(z * g_rank.data)
+        z = x.data @ proj_t
+        gated = z if g_rank is None else z * g_rank.data
         tok_t = np.ascontiguousarray(tok.data.T)
         logits = gated @ tok_t
 
@@ -820,12 +815,11 @@ def mlm_loss(logits: Tensor, mask_positions: np.ndarray, gold_ids: np.ndarray) -
     onehot = np.zeros((flat_idx.size, v))
     onehot[np.arange(flat_idx.size), gold] = 1.0
     scale = -1.0 / flat_idx.size
-    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows = ok(logits.data.reshape(b * s, v)[flat_idx])
+        rows = logits.data.reshape(b * s, v)[flat_idx]
         shifted = rows - rows.max(axis=-1, keepdims=True)
-        logp = ok(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
-        value = ok(ok(logp * onehot).sum()) * scale
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        value = (logp * onehot).sum() * scale
 
     def backward(g):
         g_logp = (g * scale) * onehot

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import tensor as T
-from .encoder import _finite, _write_rows
+from .encoder import _write_rows
 from .exceptions import ContractError, InputError
 from .tensor import Tensor
 
@@ -65,16 +65,17 @@ def _hard_concrete(z):
 
 # Each objective below is one tape node.  Like encoder's fused nodes, it
 # computes what a chain of single tape ops (add, multiply, sigmoid, clip, abs,
-# matmul, sum) would, with the same numpy expressions in the same order and a
-# finite check on each intermediate, so the golden runs keep every bit.
+# matmul, sum) would, with the same numpy expressions in the same order, so the
+# golden runs keep every bit.  _make checks its output, which sums, products
+# and abs carry any non-finite value to, but for the logits a sigmoid saturates.
 
 
 def _gate_node(op: str, alpha: Tensor, noise) -> Tensor:
     """The gate of z = (alpha + noise) / beta, or of z = alpha when noise is None."""
-    ok = _finite(op)
     with np.errstate(over="ignore", invalid="ignore"):
-        z = alpha.data if noise is None else ok(ok(alpha.data + noise) * (1.0 / HC_BETA))
-        gate, s, shat = map(ok, _hard_concrete(z))
+        z = alpha.data if noise is None else (alpha.data + noise) * (1.0 / HC_BETA)
+        T._finite_or_raise(op, z)  # the sigmoid saturates +-inf to a finite gate
+        gate, s, shat = _hard_concrete(z)
 
     def backward(g):
         # zero outside [0, 1], where the clip saturates
@@ -115,10 +116,11 @@ def l0_penalty(alpha: Tensor, weights) -> Tensor:
         raise ContractError(f"weight shape {weights.shape} does not match alpha {alpha.shape}")
     if np.any(weights <= 0.0):
         raise ContractError("component weights must be positive")
-    ok = _finite("l0_penalty")
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = ok(expit(ok(alpha.data - PENALTY_SHIFT)))
-        value = ok(ok(probs * weights).sum(axis=-1))
+        logits = alpha.data - PENALTY_SHIFT
+        T._finite_or_raise("l0_penalty", logits)  # as in _gate_node
+        probs = expit(logits)
+        value = (probs * weights).sum(axis=-1)
 
     def backward(g):
         return [(alpha, np.expand_dims(g, -1) * weights * probs * (1.0 - probs))]
@@ -137,10 +139,9 @@ def sparsity_constraint_loss(sizes: Tensor, target: float) -> Tensor:
     if sizes.ndim != 1 or sizes.size == 0:
         raise ContractError(f"sparsity constraint needs a non-empty vector of sizes, "
                             f"got shape {sizes.shape}")
-    ok = _finite("sparsity_constraint_loss")
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = ok(sizes.data - target)
-        value = ok(np.add.accumulate(ok(np.abs(diff)))[-1])
+        diff = sizes.data - target
+        value = np.add.accumulate(np.abs(diff))[-1]
 
     def backward(g):
         # the subgradient of |d| at 0 is 0
@@ -187,12 +188,11 @@ def diversity_loss(gate_matrix: Tensor, prior: np.ndarray) -> Tensor:
         )
     mask = prior * (1.0 - np.eye(n_lang))
     gates = gate_matrix.data
-    ok = _finite("diversity_loss")
     with np.errstate(over="ignore", invalid="ignore"):
         # a C-order copy: BLAS may round a product with a transposed view differently
-        gates_t = ok(np.ascontiguousarray(gates.T))
-        masked = ok(ok(gates @ gates_t) * mask)
-        value = ok(ok(np.abs(masked)).sum())
+        gates_t = np.ascontiguousarray(gates.T)
+        masked = (gates @ gates_t) * mask
+        value = np.abs(masked).sum()
 
     def backward(g):
         g_gram = g * np.sign(masked) * mask

@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode autodiff on an explicit tape.
 
 Every operation validates shapes, computes the forward value with numpy,
-rejects non-finite results, and, when any input tracks gradients, records
-a backward closure on the active tape.  ``backward`` replays
+and, when any input tracks gradients, records a backward closure on the
+active tape.  ``_make`` rejects a non-finite output, naming the node: the one
+finite check a node needs, but where an intermediate can turn finite before
+the output (a saturated sigmoid, exp(-inf), 1/sqrt(inf)).  ``backward`` replays
 the tape once in reverse, leaves gradients on the leaf tensors and clears
 the tape.  Every backward closure returns each gradient in its operand's
 shape.

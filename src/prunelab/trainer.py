@@ -2,8 +2,9 @@
 
 Pretraining and every pruning run share one loop, ``_train``: the batch
 streams (one mixed stream when shared, one per language otherwise), the
-round robin over gate rows, the finite check, the backward, and each
-optimizer from its first step on.  A run kind supplies one step function.
+round robin over gate rows, the backward, and each optimizer from its
+first step on.  A run kind supplies one step function; its loss is a tape
+node's output, which the tape has checked finite.
 Gradient pruning trains under hard gates frozen at the target.  L0 pruning
 learns gate parameters with the weights, whose optimizer starts after the
 alpha-only warmup.  Dynamic sparsification trains one weight set under
@@ -26,7 +27,7 @@ from .corpus import PAD_ID, Corpus, ProbeSplits, mlm_batches
 from .ds import DEFAULT_GRID, DSParams, check_grid, gate_values_at, init_ds
 from .encoder import (GateSet, Model, ModelConfig, component_weights, encoder_forward,
                       encoder_hidden, gate_tensors, mlm_loss, retained_fraction)
-from .exceptions import ConfigError, ContractError, InputError, NumericError, RunError
+from .exceptions import ConfigError, ContractError, InputError, NumericError
 from .grad_prune import NON_SHARED, SHARED, ImportanceTable, build_profile, importance_tables
 from .l0 import (ALPHA_INIT_STD, build_prior, diversity_loss, expected_gate, inference_gate,
                  l0_penalty, sample_gate, sparsity_constraint_loss, total_loss)
@@ -222,11 +223,6 @@ def write_manifest(run_dir, schedule: TrainSchedule, config: ModelConfig, extra=
                       {"schedule": asdict(schedule), "model": config.to_dict()}, extra)
 
 
-def _check_finite(value: float, step: int):
-    if not np.isfinite(value):
-        raise RunError(f"loss diverged at step {step}")
-
-
 def _batches(corpus, schedule, n_batches: int, seed, languages=None):
     return mlm_batches(corpus, n_batches=n_batches, batch_size=schedule.batch_size,
                        seq_len=schedule.seq_len, mask_rate=schedule.mask_rate, seed=seed,
@@ -268,7 +264,6 @@ def _train(corpus: Corpus, schedule: TrainSchedule, rows: list[str], salt: int,
         lang = rows[row]
         loss, fields = step(k, row, lang, next(streams[lang]))
         v = loss.item()
-        _check_finite(v, k)
         T.backward(loss)
         scale = lr_at(k, n, WARMUP_FRACTION)
         for opt, first in optimizers:

@@ -633,11 +633,18 @@ def test_sweep_and_eval_probe_probe_each_distinct_subnetwork_once(two_language_d
      "this run holds dynamic sparsification tables; pass --t"),
     ("eval-probe --corpus {corpus} --run {baseline} --t 0.5",
      "--t applies only to a ds-train run (no ds.csv found)"),
+    ("sweep --corpus {corpus} --run {run} --config {missing}",
+     "config {missing} cannot be read: No such file or directory"),
+    ("bench --run {run} --language xx", "--language 'xx' has no table in this run; it has "),
+    ("bench --run {baseline} --language xx",
+     "--language applies only to a ds-train run (no ds.csv found)"),
 ], ids=["sweep-reps", "bench-reps", "t-above-1", "t-below-0", "sweep-without-ds",
-        "ds-without-t", "t-without-ds"])
+        "ds-without-t", "t-without-ds", "missing-config", "bench-unknown-language",
+        "language-without-ds"])
 def test_configuration_errors_exit_2_before_any_work(two_language_ds_run, monkeypatch, capsys,
-                                                    argv, message):
+                                                    tmp_path, argv, message):
     corpus, baseline, run = two_language_ds_run
+    paths = dict(corpus=corpus, baseline=baseline, run=run, missing=tmp_path / "nope.json")
 
     def refuse(*args, **kwargs):
         raise AssertionError("input read before the configuration was checked")
@@ -645,5 +652,5 @@ def test_configuration_errors_exit_2_before_any_work(two_language_ds_run, monkey
     monkeypatch.setattr(Corpus, "load", refuse)
     monkeypatch.setattr(Model, "load", refuse)
     capsys.readouterr()
-    assert main(argv.format(corpus=corpus, baseline=baseline, run=run).split()) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    assert main(argv.format(**paths).split()) == 2
+    assert f"config error: {message.format(**paths)}" in capsys.readouterr().err

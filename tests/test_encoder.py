@@ -260,6 +260,114 @@ def test_ffn_block_rejects_an_overflowing_layer_norm_variance():
                 ffn_block(big, model.params, TOY, 0)
 
 
+def test_attention_block_rejects_a_score_that_exp_would_zero():
+    # every query is 1e200 along each dimension and key 0 is -1e200, so the
+    # scores against key 0 overflow to -inf while the others stay finite:
+    # softmax would give key 0 a weight of exactly 0, and the residual row of
+    # position 0 is constant, so the output would be finite
+    model = Model.init(TOY, seed=18)
+    d = TOY.model_dim
+    x = np.ones((1, 3, d))
+    x[0, 0] = -1e200
+    params = {**model.params, "layers.0.attn.wq": T.Tensor(np.zeros((d, d))),
+              "layers.0.attn.bq": T.Tensor(np.full(d, 1e200)),
+              "layers.0.attn.wk": T.Tensor(np.eye(d)),
+              "layers.0.attn.bk": T.Tensor(np.zeros(d))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="attention_block"):
+            attention_block(T.Tensor(x), params, TOY, 0)
+
+
+def test_non_finite_intermediates_reach_a_checked_value():
+    # every node input is finite; one intermediate overflows, and it reaches
+    # the node's output or a check the node keeps through a sum, a product,
+    # inf - inf or inf * 0.  Intermediates that finite operands cannot make
+    # non-finite are left out: the token-row gather, scores * scale (scale <
+    # 1), the softmax, the context (a convex combination of values), hp * cdf
+    # (cdf in [0, 1]) and the masked-row gather of the checked logits.
+    model = Model.init(TOY, seed=18)
+    d, f, v = TOY.model_dim, TOY.ffn_dim, TOY.vocab_size
+    ones = T.Tensor(np.ones((1, 3, d)))
+    ids = np.array([[0, 1, 2]])
+
+    def full(shape, value):
+        return T.Tensor(np.full(shape, value))
+
+    def embed(tok, proj, pos=0.0, g_rank=None):
+        params = {**model.params, "embed.tok": full((v, d), tok),
+                  "embed.proj": full((d, d), proj), "embed.pos": full((TOY.max_seq_len, d), pos)}
+        return lambda: embed_forward(ids, params, TOY, g_rank)
+
+    def attention(x=ones, g_head=None, **weights):
+        params = {**model.params, **{f"layers.0.attn.{k}": full(model.params[
+            f"layers.0.attn.{k}"].shape, w) for k, w in weights.items()}}
+        return lambda: attention_block(x, params, TOY, 0, g_head)
+
+    def ffn(x=ones, g_hidden=None, **weights):
+        params = {**model.params, **{f"layers.0.ffn.{k}": full(model.params[
+            f"layers.0.ffn.{k}"].shape, w) for k, w in weights.items()}}
+        return lambda: ffn_block(x, params, TOY, 0, g_hidden)
+
+    def head(proj, g_rank=None):
+        return lambda: mlm_head(ones, {**model.params, "embed.proj": full((d, d), proj)}, g_rank)
+
+    def loss(rows):
+        logits = np.zeros((1, 3, 4))
+        logits[0, :len(rows)] = rows
+        mask = np.array([[True] * len(rows) + [False] * (3 - len(rows))])
+        return lambda: mlm_loss(T.Tensor(logits), mask, np.zeros((1, 3), dtype=int))
+
+    wide = [-0.75e308, 0.75e308, 0.75e308, 0.75e308]
+    cases = {
+        "embed_forward": {
+            "rows * g_rank": embed(1e300, 1.0, g_rank=full(d, 1e300)),
+            "gated @ proj": embed(1.0, 1e308),
+            "+ pos": embed(1.0, 1e307, pos=1.7e308),
+        },
+        "attention_block": {
+            "x @ wq": attention(wq=1e308),
+            "+ bq": attention(wq=1e307, bq=1.7e308),
+            "x @ wk": attention(wk=1e308),
+            "+ bk": attention(wk=1e307, bk=1.7e308),
+            "x @ wv": attention(wv=1e308),
+            "x @ wv, negative": attention(wv=-1e308),
+            "+ bv": attention(wv=1e307, bv=1.7e308),
+            "q @ k.T": attention(wq=1e153, wk=1e153),
+            "ctx * gate": attention(g_head=full(TOY.n_heads, 1e300), wv=1e200),
+            "merged @ wo": attention(wv=1.0, wo=1e308),
+            "+ bo": attention(wv=1.0, wo=1e306, bo=1.7e308),
+            "+ x": attention(full((1, 3, d), 1e308), wq=0.0, wk=0.0, wv=0.0, bq=0.0, bk=0.0,
+                             bv=0.0, bo=1.5e308),
+        },
+        "ffn_block": {
+            "x @ w1": ffn(w1=1e308),
+            # erf(-inf / sqrt 2) is -1, so cdf is 0 and hp * cdf is -inf * 0
+            "x @ w1, negative": ffn(w1=-1e308),
+            "+ b1": ffn(w1=1e307, b1=1.7e308),
+            "h * g_hidden": ffn(g_hidden=full(f, 1e300), w1=1e199),
+            "gated @ w2": ffn(w1=1.0, w2=1e308),
+            "+ b2": ffn(w1=1.0, w2=1e306, b2=1.7e308),
+            "+ x": ffn(full((1, 3, d), 1e308), w1=0.0, b1=0.0, b2=1e308),
+        },
+        "mlm_head": {
+            "x @ proj.T": head(1e308),
+            "z * g_rank": head(1e199, full(d, 1e200)),
+        },
+        "mlm_loss": {
+            "rows - max": loss([[-1e308, 1e308, 0.0, 0.0]]),
+            "sum of log-probabilities": loss([wide, wide]),
+        },
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, runs in cases.items():
+            for what, run in runs.items():
+                with pytest.raises(NumericError, match=name):
+                    run()
+                    pytest.fail(f"{name}: {what} overflowed and nothing raised")
+
+
 def test_embed_forward_rejects_bad_ids():
     model = Model.init(TOY, seed=14)
     for ids in (np.array([[0, TOY.vocab_size]]), np.array([[-1, 0]])):

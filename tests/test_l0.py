@@ -1,10 +1,12 @@
 """Hard-concrete gates, L0 penalty, sparsity constraint, diversity prior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from prunelab import tensor as T
-from prunelab.exceptions import ContractError, InputError
+from prunelab.exceptions import ContractError, InputError, NumericError
 from prunelab.l0 import (
     ALPHA_INIT_STD,
     ONE_THRESHOLD,
@@ -127,6 +129,49 @@ def test_l0_penalty_stacked_gradient_matches_per_vector_gradients():
         row = T.Tensor(alphas[i], requires_grad=True)
         T.backward(T.multiply(l0_penalty(row, w), c))
         assert np.array_equal(mat.grad[i], row.grad)
+
+
+def test_saturating_logits_are_checked_before_the_sigmoid():
+    # the sigmoid sends +-inf to a finite 1 or 0, so the gate or expected
+    # size would be finite although its logit is not
+    cases = {
+        "sample_gate": lambda: sample_gate(T.Tensor([1.5e308]), np.array([0.5])),
+        "expected_gate": lambda: expected_gate(T.Tensor([0.0, np.inf])),
+        "l0_penalty": lambda: l0_penalty(T.Tensor([0.0, -np.inf]), np.ones(2)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, run in cases.items():
+            with pytest.raises(NumericError, match=name):
+                run()
+
+
+def test_non_finite_intermediates_of_the_objectives_reach_their_outputs():
+    # finite inputs whose intermediates overflow.  The others cannot: noise is
+    # at most about 37 in size, target lies in [0, 1], probs in [0, 1], and
+    # |.| and the transposed copy keep magnitudes
+    cross = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases = {
+        "sum of weighted probabilities": (
+            "l0_penalty", lambda: l0_penalty(T.Tensor([50.0, 50.0]), np.array([1e308, 1e308]))),
+        "sum of |size - t|": (
+            "sparsity_constraint_loss",
+            lambda: sparsity_constraint_loss(T.Tensor([1e308, 1e308]), 0.0)),
+        "gates @ gates.T": (
+            "diversity_loss", lambda: diversity_loss(T.Tensor(np.full((2, 2), 1e160)), cross)),
+        # an overflowing diagonal, masked to inf * 0
+        "gram * mask": (
+            "diversity_loss", lambda: diversity_loss(T.Tensor(1e160 * np.eye(2)), cross)),
+        "sum of |masked|": (
+            "diversity_loss",
+            lambda: diversity_loss(T.Tensor([[1e154, 0.0], [1e154, 0.0]]), cross)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for what, (name, run) in cases.items():
+            with pytest.raises(NumericError, match=name):
+                run()
+                pytest.fail(f"{name}: {what} overflowed and nothing raised")
 
 
 def test_sparsity_constraint_hand_value():

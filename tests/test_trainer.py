@@ -21,7 +21,7 @@ from prunelab.encoder import (
     component_universe,
     component_weights,
 )
-from prunelab.exceptions import ConfigError, ContractError, NumericError, RunError
+from prunelab.exceptions import ConfigError, ContractError, NumericError
 from prunelab.grad_prune import NON_SHARED, SHARED, importance_scores
 from prunelab.l0 import ALPHA_INIT_STD, inference_gate
 from prunelab.tensor import Tensor
@@ -704,16 +704,6 @@ def test_manifest_contents(tmp_path):
     assert os.path.basename(path) == "manifest.json"
 
 
-def test_non_finite_loss_raises_run_error():
-    from prunelab.trainer import _check_finite
-
-    _check_finite(1.25, 3)
-    with pytest.raises(RunError, match="step 7"):
-        _check_finite(float("nan"), 7)
-    with pytest.raises(RunError):
-        _check_finite(float("inf"), 0)
-
-
 def test_manifest_git_hash_names_the_package_checkout(tmp_path, monkeypatch):
     import subprocess
 
@@ -745,8 +735,11 @@ EIGHT = [("en", "Indo-European"), ("de", "Indo-European"), ("ar", "Afro-Asiatic"
          ("fi", "Uralic"), ("hu", "Uralic")]
 
 
-def _tape_nodes_at_last_backward(monkeypatch, runner, schedule):
-    """Nodes on the tape when the run's last backward starts."""
+def _last_step(monkeypatch, runner, schedule):
+    """(tape nodes, finite checks) of the run's last step, counted at its backward.
+
+    The checks are those made since the backward before, or since the start.
+    """
     from prunelab.corpus import build_inventories
 
     specs = build_inventories([LanguageSpec(c, f, 60, 100 + i)
@@ -754,16 +747,27 @@ def _tape_nodes_at_last_backward(monkeypatch, runner, schedule):
     corpus = gen_corpus(specs, seed=7)
     config = ModelConfig(n_layers=2, n_heads=2, model_dim=16, ffn_dim=32,
                          vocab_size=len(corpus.vocab), max_seq_len=32)
-    seen = []
-    original = T.backward
+    seen, checks = [], [0]
+    backward, check = T.backward, T._finite_or_raise
+
+    def counting_check(op, arr):
+        checks[0] += 1
+        return check(op, arr)
 
     def counting(loss):
-        seen.append(len(T.active_tape().nodes))
-        return original(loss)
+        seen.append((len(T.active_tape().nodes), checks[0]))
+        checks[0] = 0
+        return backward(loss)
 
+    monkeypatch.setattr(T, "_finite_or_raise", counting_check)
     monkeypatch.setattr(T, "backward", counting)
     runner(Model.init(config, 1), corpus, schedule)
     return seen[-1]
+
+
+def _tape_nodes_at_last_backward(monkeypatch, runner, schedule):
+    """Nodes on the tape when the run's last backward starts."""
+    return _last_step(monkeypatch, runner, schedule)[0]
 
 
 # The model forward of a step is 7 nodes: the embedding, one node per
@@ -805,3 +809,24 @@ def test_pretrain_step_records_no_gate_nodes(monkeypatch):
     nodes = _tape_nodes_at_last_backward(
         monkeypatch, lambda model, corpus, s: pretrain_baseline(model.config, corpus, s), sched)
     assert nodes == 7
+
+
+# tensor._make checks every node's output once, gate slices of a constant
+# gate vector included.  On top of that each of the 2 layers checks its
+# attention scores and both layer-norm variances (6 in all), and the gate
+# objectives check the logits their sigmoid saturates: the sampled gate's and
+# the expected gate's once each, and the penalty's.
+CHECKS_PER_STEP = {"pretrain": 7 + 6, "grad": 7 + 5 + 6, "l0_vanilla": 20 + 6 + 2,
+                   "l0_improved": 24 + 6 + 3, "ds_grad": 7 + 5 + 6, "ds_l0": 21 + 6 + 2}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKS_PER_STEP))
+def test_finite_checks_per_step(monkeypatch, kind):
+    runners = {"pretrain": lambda model, corpus, s: pretrain_baseline(model.config, corpus, s),
+               "grad": run_grad_pruning, "l0_vanilla": run_l0_pruning,
+               "l0_improved": run_l0_pruning, "ds_grad": run_ds_training,
+               "ds_l0": run_ds_training}
+    run_kind = {} if kind == "pretrain" else dict(algorithm=kind, setting=NON_SHARED)
+    sched = TrainSchedule(total_steps=1, batch_size=8, seq_len=12, seed=3, importance_batches=1,
+                          **run_kind)
+    assert _last_step(monkeypatch, runners[kind], sched)[1] == CHECKS_PER_STEP[kind]
