@@ -8,7 +8,7 @@ workload figure, the per-operation medians, the per-layer metrics of the
 traced run (the ones known to be stale flagged as such), every run's values
 and the exact commands.
 
-Usage: python3 scripts/bench_trajectory.py RECORDS_DIR --out BENCH_<n>.json [--note TEXT]
+Usage: python3 scripts/bench_trajectory.py RECORDS_DIR --out BENCH_<n>.json
 """
 
 import argparse
@@ -92,7 +92,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("records", help="a checkout's .bench_work/records directory")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
-    ap.add_argument("--note", default="", help="free text stored in the file")
     args = ap.parse_args(argv)
 
     paths = sorted(p for p in glob.glob(os.path.join(args.records, "*.json"))
@@ -140,7 +139,6 @@ def main(argv=None) -> int:
         "commit": env["commit"], "dirty": env["dirty"], "src_sha256": env["src_sha256"],
         "environment": {k: v for k, v in env.items() if k != "seed"},
         "stale_environment_fields": STALE_ENV,
-        "note": args.note,
         "statistics": "median and quartiles (statistics.quantiles, inclusive) over the "
                       "untraced runs; operation medians are medians over runs of each "
                       "run's median over its iterations",
