@@ -3,7 +3,8 @@
 Everything here works from serialized artifacts (gate sets, checkpoints,
 dynamic sparsification tables); no training state is needed.  Benchmarks run
 on physically compacted models, because multiplying by a 0/1 mask would hide
-exactly the speedup being measured.
+exactly the speedup being measured.  One time_forwards call times its models
+in alternating passes, so the sentences/s of one bench.csv or sweep.csv compare.
 """
 
 from __future__ import annotations
@@ -220,39 +221,44 @@ def _await_idle_threads(limit: float = 1.0, window: float = 0.005):
             return
 
 
-MIN_REPS = 3  # fewest timed passes time_forward takes a median of
+MIN_REPS = 3  # fewest timed rounds time_forwards takes a median of
 
 
-def time_forward(cm: CompactModel, seq_len: int, reps: int, batch_size: int = 1) -> float:
-    """Median sentences/second over reps timed forward passes of random ids.
+def time_forwards(cases: list[tuple[CompactModel, int]], seq_len: int, reps: int) -> list[float]:
+    """Median sentences/second of each (model, batch size) case over reps rounds.
 
-    The warm-up pass runs pinned too, since a pass on the full BLAS pool
-    would wake the workers whose spin _await_idle_threads waited out; the
-    garbage collector is off during the timed passes, as in timeit.
+    A round times one pass of random ids per case in case order (A, B, A, B, ...),
+    so all cases see the same phases of the machine's speed.  The warm-up passes
+    run pinned too, since a pass on the full BLAS pool would wake the workers whose
+    spin _await_idle_threads waited out; the collector is off during the rounds.
     """
     if reps < MIN_REPS:
         raise ContractError(f"need at least {MIN_REPS} repetitions, got {reps}")
-    rng = np.random.default_rng(0)
-    ids = rng.integers(0, cm.config.vocab_size, size=(batch_size, seq_len))
+    if not cases or seq_len < 1 or min(batch for _, batch in cases) < 1:
+        raise ContractError("need a case, seq_len >= 1 and every batch size >= 1")
+    ids = [np.random.default_rng(0).integers(0, cm.config.vocab_size, size=(batch, seq_len))
+           for cm, batch in cases]
     resolution = time.get_clock_info("perf_counter").resolution
-    elapsed = []
+    elapsed = np.empty((reps, len(cases)))
     with _single_thread():
         _await_idle_threads()
-        cm.logits(ids)
+        for (cm, _), x in zip(cases, ids):
+            cm.logits(x)
         collecting = gc.isenabled()
         gc.disable()
         try:
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                cm.logits(ids)
-                elapsed.append(time.perf_counter() - t0)
+            for r in range(reps):
+                for c, ((cm, _), x) in enumerate(zip(cases, ids)):
+                    t0 = time.perf_counter()
+                    cm.logits(x)
+                    elapsed[r, c] = time.perf_counter() - t0
         finally:
             if collecting:
                 gc.enable()
-    med = float(np.median(elapsed))
-    if med < 100.0 * resolution:
+    med = np.median(elapsed, axis=0)
+    if med.min() < 100.0 * resolution:
         raise RunError("forward pass too fast for the timer; increase reps or model size")
-    return batch_size / med
+    return [batch / float(m) for (_, batch), m in zip(cases, med)]
 
 
 # ---------------------------------------------------------------------------

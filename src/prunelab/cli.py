@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from .analysis import (MIN_REPS, compact_model, corr_accuracy_size, hamming_matrix,
-                       layer_profile, save_plot, size_curve, time_forward, write_report)
+                       layer_profile, save_plot, size_curve, time_forwards, write_report)
 from .corpus import Corpus, default_language_specs, gen_corpus, probe_batches
 from .ds import DEFAULT_GRID, DSParams, subnetwork_at
 from .encoder import (GateSet, Model, ModelConfig, _parse_floats, component_universe,
@@ -72,6 +72,7 @@ PROBE_FLAGS = ("--config", "--out-root", "--seed", "--batch-size", "--seq-len")
 
 PRUNE_ALGOS = {"grad": "grad", "l0": "l0_vanilla", "l0-improved": "l0_improved"}
 DS_ALGOS = {"ds-grad": "ds_grad", "ds-l0": "ds_l0"}
+PROBE_SEQ_MIN = 2  # a probe row is the CLS id and at least one token
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,10 @@ def load_config(path=None) -> dict:
             cfg[section].update(user[section])
     if "grid" in user:
         grid = user["grid"]
-        if not (isinstance(grid, list) and all(_is_number(g) for g in grid)):
-            raise ConfigError(f"config key 'grid' must be a list of numbers, got {grid!r}")
+        if not (isinstance(grid, list) and grid
+                and all(_is_number(g) and 0.0 <= g <= 1.0 for g in grid)):
+            raise ConfigError(f"config key 'grid' must be a non-empty list of numbers in "
+                              f"[0, 1], got {grid!r}")
         cfg["grid"] = [float(g) for g in grid]
     if "seed" in user:
         _check_type("seed", user["seed"], cfg["seed"])
@@ -168,9 +171,13 @@ def parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"grid must hold numbers, got {text!r}")
-    if step <= 0.0 or not 0.0 <= start <= stop <= 1.0:
-        raise ConfigError(f"grid needs 0 <= start <= stop <= 1 and step > 0, got {text!r}")
-    values = np.round(np.arange(start, stop + 0.5 * step, step), 10)
+    if not (0.0 < step < np.inf and 0.0 <= start <= stop <= 1.0):
+        raise ConfigError(f"grid needs 0 <= start <= stop <= 1 and a finite step > 0, "
+                          f"got {text!r}")
+    try:
+        values = np.round(np.arange(start, stop + 0.5 * step, step), 10)
+    except ValueError as e:  # a step so small that numpy cannot size the array
+        raise ConfigError(f"grid {text!r}: {e}") from None
     return tuple(float(v) for v in values if v <= 1.0)
 
 
@@ -210,6 +217,14 @@ def _run_config(run_dir: str) -> ModelConfig:
     if not os.path.exists(os.path.join(run_dir, "model.json")):
         raise ConfigError(f"no model checkpoint under {run_dir}")
     return ModelConfig.load(run_dir)
+
+
+def _check_batch_shape(config: ModelConfig, batch_size: int, seq_len: int, shortest: int):
+    """ConfigError unless batches of batch_size rows of seq_len ids fit the run's model."""
+    if batch_size < 1 or not shortest <= seq_len <= config.max_seq_len:
+        raise ConfigError(f"need batch_size >= 1 and {shortest} <= seq_len <= "
+                          f"{config.max_seq_len} (the run's max_seq_len), got batch_size "
+                          f"{batch_size} and seq_len {seq_len}")
 
 
 def _load_run_model(run_dir: str) -> Model:
@@ -349,15 +364,16 @@ def _probe_targets(args, run_dir: str, model: Model) -> dict[str, GateSet]:
     return {"dense": GateSet.ones(model.config)}
 
 
-def _probe_once(probed: dict, gs: GateSet, compact, splits, seed: int, epochs: int):
-    """finetune_probe of compact, memoised in probed by gs's gate vector.
+def _probe_once(probed: dict, model: Model, gs: GateSet, splits, seed: int, epochs: int):
+    """(compacted subnetwork, finetune_probe result) of gs, memoised in probed by its gates.
 
-    The probe is deterministic, so equal gates share one result: at t = 1
-    every language of a non-shared DS run keeps every component.
+    Both are deterministic, so equal gates share one entry: at t = 1 every
+    language of a non-shared DS run keeps every component.
     """
     key = gs.values.tobytes()
     if key not in probed:
-        probed[key] = finetune_probe(compact, splits, seed=seed, epochs=epochs)
+        compact = compact_model(model, gs)
+        probed[key] = compact, finetune_probe(compact, splits, seed=seed, epochs=epochs)
     return probed[key]
 
 
@@ -371,6 +387,8 @@ def cmd_eval_probe(args) -> int:
         raise ConfigError("this run holds dynamic sparsification tables; pass --t")
     if args.t is not None and not has_ds:
         raise ConfigError("--t applies only to a ds-train run (no ds.csv found)")
+    _check_batch_shape(_run_config(run_dir), cfg["schedule"]["batch_size"],
+                       cfg["schedule"]["seq_len"], PROBE_SEQ_MIN)
     corpus = Corpus.load(args.corpus)
     model = _load_run_model(run_dir)
     targets = _probe_targets(args, run_dir, model)
@@ -378,8 +396,7 @@ def cmd_eval_probe(args) -> int:
                            seq_len=cfg["schedule"]["seq_len"], seed=cfg["seed"])
     rows, probed = [], {}
     for name in sorted(targets):
-        res = _probe_once(probed, targets[name], compact_model(model, targets[name]), splits,
-                          cfg["seed"], args.epochs)
+        _, res = _probe_once(probed, model, targets[name], splits, cfg["seed"], args.epochs)
         for lang in sorted(res.per_language):
             rows.append({"gates": name, "language": lang,
                          "accuracy": res.per_language[lang]})
@@ -399,34 +416,37 @@ def cmd_sweep(args) -> int:
     if args.reps < MIN_REPS:
         raise ConfigError(f"--reps must be at least {MIN_REPS}, got {args.reps}")
     run_dir = _find_run_dir(args, args.run)
-    ds = _run_ds(run_dir, _run_config(run_dir))
+    config = _run_config(run_dir)
+    ds = _run_ds(run_dir, config)
     if ds is None:
         raise ConfigError("sweep needs a ds-train run (no ds.csv found)")
+    bench_seq = cfg["schedule"]["seq_len"]
+    _check_batch_shape(config, cfg["schedule"]["batch_size"], bench_seq, PROBE_SEQ_MIN)
     corpus = Corpus.load(args.corpus)
     model = _load_run_model(run_dir)
     grid = tuple(cfg["grid"])
     splits = probe_batches(corpus, batch_size=cfg["schedule"]["batch_size"],
-                           seq_len=cfg["schedule"]["seq_len"], seed=cfg["seed"])
+                           seq_len=bench_seq, seed=cfg["seed"])
     weights = component_weights(model.config)
-    bench_seq = cfg["schedule"]["seq_len"]
-    rows, probed = [], {}
+    rows, keys, probed = [], [], {}
     for t in grid:
         for lang in ds.languages:
             gs = subnetwork_at(ds, t, lang, model.config)
-            compact = compact_model(model, gs)
-            res = _probe_once(probed, gs, compact, splits, cfg["seed"], args.epochs)
-            acc = res.per_language.get(lang, res.mean)
+            _, res = _probe_once(probed, model, gs, splits, cfg["seed"], args.epochs)
             counts = count_params(model.config, gs)
-            sps = time_forward(compact, bench_seq, reps=args.reps)
             rows.append({
                 "t": float(t),
                 "language": lang,
                 "overall_sparsity": 1.0 - retained_fraction(gs.values, weights),
                 "encoder_sparsity": encoder_sparsity(gs, weights),
                 "total_params": counts["total_params"],
-                "probe_accuracy": acc,
-                "sentences_per_sec": sps,
+                "probe_accuracy": res.per_language.get(lang, res.mean),
             })
+            keys.append(gs.values.tobytes())
+    rates = dict(zip(probed, time_forwards([(compact, 1) for compact, _ in probed.values()],
+                                           bench_seq, args.reps)))
+    for row, key in zip(rows, keys):
+        row["sentences_per_sec"] = rates[key]
     out = os.path.join(run_dir, "sweep.csv")
     write_report(rows, ("t", "language", "overall_sparsity", "encoder_sparsity",
                         "total_params", "probe_accuracy", "sentences_per_sec"), out)
@@ -444,13 +464,15 @@ def cmd_bench(args) -> int:
     if args.reps < MIN_REPS:
         raise ConfigError(f"--reps must be at least {MIN_REPS}, got {args.reps}")
     run_dir = _find_run_dir(args, args.run)
-    ds = _run_ds(run_dir, _run_config(run_dir))
+    config = _run_config(run_dir)
+    ds = _run_ds(run_dir, config)
     if args.language is not None:
         if ds is None:
             raise ConfigError("--language applies only to a ds-train run (no ds.csv found)")
         if args.language not in ds.languages:
             raise ConfigError(f"--language {args.language!r} has no table in this run; "
                               f"it has {', '.join(ds.languages)}")
+    _check_batch_shape(config, args.batch_size, args.seq_len, 1)
     model = _load_run_model(run_dir)
     weights = component_weights(model.config)
 
@@ -471,13 +493,12 @@ def cmd_bench(args) -> int:
         for gs in stored.values():
             gatesets.setdefault(overall(gs), gs)
     hardware = platform.processor() or platform.machine()
-    rows = []
-    for sparsity in sorted(gatesets):
-        sps = time_forward(compact_model(model, gatesets[sparsity]), args.seq_len, args.reps,
-                           args.batch_size)
-        rows.append({"sparsity": float(sparsity), "sentences_per_sec": sps,
-                     "batch_size": args.batch_size, "seq_len": args.seq_len,
-                     "hardware": hardware})
+    sparsities = sorted(gatesets)
+    rates = time_forwards([(compact_model(model, gatesets[s]), args.batch_size)
+                           for s in sparsities], args.seq_len, args.reps)
+    rows = [{"sparsity": float(sparsity), "sentences_per_sec": sps,
+             "batch_size": args.batch_size, "seq_len": args.seq_len, "hardware": hardware}
+            for sparsity, sps in zip(sparsities, rates)]
     out = os.path.join(run_dir, "bench.csv")
     write_report(rows, ("sparsity", "sentences_per_sec", "batch_size", "seq_len", "hardware"),
                  out)
@@ -627,7 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=10)
     p.set_defaults(func=cmd_eval_probe)
 
-    p = sub.add_parser("sweep", help="accuracy/size/throughput across a size grid")
+    p = sub.add_parser("sweep", help="accuracy/size/throughput across a size grid; memory "
+                       "grows with the distinct subnetworks, all timed in one call")
     common(p, *PROBE_FLAGS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--run", required=True, help="ds-train run to sweep")
@@ -636,7 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="CPU throughput of compacted subnetworks")
+    p = sub.add_parser("bench", help="CPU throughput of compacted subnetworks, all timed in "
+                       "one call, so memory grows with their number")
     # --seed changes no figure; manifest_bench.json records it
     common(p, "--config", "--out-root", "--seed")
     p.add_argument("--run", required=True)

@@ -819,7 +819,8 @@ def mlm_loss(logits: Tensor, mask_positions: np.ndarray, gold_ids: np.ndarray) -
         rows = logits.data.reshape(b * s, v)[flat_idx]
         shifted = rows - rows.max(axis=-1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        value = (logp * onehot).sum() * scale
+        # selected, not multiplied: an overflowed -inf off the gold id times 0 is NaN
+        value = np.where(onehot > 0, logp, 0.0).sum() * scale
 
     def backward(g):
         g_logp = (g * scale) * onehot

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from prunelab.analysis import compact_model, hamming_matrix, time_forward
+from prunelab.analysis import compact_model, hamming_matrix, time_forwards
 from prunelab.cli import main as cli_main
 from prunelab.corpus import LanguageSpec, build_inventories, gen_corpus, mlm_batches
 from prunelab.ds import DEFAULT_GRID, ds_gate, init_ds, solve_ds_params, subnetwork_at
@@ -29,7 +29,7 @@ from prunelab.grad_prune import (NON_SHARED, SHARED, ImportanceTable, build_prof
                                  select_threshold)
 from prunelab.trainer import TrainSchedule, pretrain_baseline, run_l0_pruning
 
-from conftest import in_turn, record_verdict
+from conftest import record_verdict
 from fdcheck import ALL_OPS, run_case
 
 TOY = ModelConfig(n_layers=2, n_heads=2, model_dim=16, ffn_dim=32,
@@ -365,10 +365,8 @@ def test_criterion_08_throughput_direction():
         language=SHARED, n_batches=1)
     sparse_cm = compact_model(model, select_threshold(table, weights, 0.1, config))
     dense_cm = compact_model(model, select_threshold(table, weights, 0.9, config))
-    sparse_sps, dense_sps, doubled_sps = (float(np.median(f)) for f in in_turn(
-        lambda: time_forward(sparse_cm, 64, reps=5, batch_size=8),
-        lambda: time_forward(dense_cm, 64, reps=5, batch_size=8),
-        lambda: time_forward(sparse_cm, 64, reps=5, batch_size=16)))
+    sparse_sps, dense_sps, doubled_sps = time_forwards(
+        [(sparse_cm, 8), (dense_cm, 8), (sparse_cm, 16)], 64, reps=25)
     elapsed = time.perf_counter() - start
     assert sparse_sps > dense_sps, (
         f"90%-sparse {sparse_sps:.0f} sent/s not above 10%-sparse {dense_sps:.0f}")

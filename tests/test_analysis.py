@@ -17,7 +17,7 @@ from prunelab.analysis import (
     layer_profile,
     save_plot,
     size_curve,
-    time_forward,
+    time_forwards,
     write_report,
 )
 from prunelab.ds import DEFAULT_GRID, init_ds
@@ -34,8 +34,6 @@ from prunelab.encoder import (
 )
 from prunelab.exceptions import ContractError, InputError, NumericError, RunError
 from prunelab.grad_prune import ImportanceTable
-
-from conftest import in_turn
 
 TOY = ModelConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=6, vocab_size=29, max_seq_len=16)
 
@@ -310,40 +308,38 @@ def test_throughput_sparse_is_faster_and_stable():
     model = Model.init(BENCH, 11)
     dense = compact_model(model, GateSet.ones(BENCH))
     sparse = compact_model(model, sparse_gateset(BENCH, 0.9))
-    # the dense shape is timed again by a third call, each call in turn
-    dense_runs, sparse_runs, again = in_turn(lambda: time_forward(dense, 32, reps=9),
-                                             lambda: time_forward(sparse, 32, reps=9),
-                                             lambda: time_forward(dense, 32, reps=9))
-    assert np.median(sparse_runs) > np.median(dense_runs)
-    assert min(dense_runs + sparse_runs + again) > 0
+    # the dense shape is timed again as a third case
+    rates = time_forwards([(dense, 1), (sparse, 1), (dense, 1)], 32, reps=45)
+    dense_rate, sparse_rate, again = rates
+    assert sparse_rate > dense_rate
+    assert min(rates) > 0
     # identical shape timed twice lands close
-    a, b = float(np.median(dense_runs)), float(np.median(again))
-    assert abs(a - b) / max(a, b) < 0.25
+    assert abs(dense_rate - again) / max(dense_rate, again) < 0.25
 
 
 def test_throughput_batch_doubling_increases_rate():
     model = Model.init(BENCH, 12)
     cm = compact_model(model, GateSet.ones(BENCH))
-    one, two = (float(np.median(f)) for f in in_turn(
-        lambda: time_forward(cm, 32, reps=7, batch_size=1),
-        lambda: time_forward(cm, 32, reps=7, batch_size=2)))
+    one, two = time_forwards([(cm, 1), (cm, 2)], 32, reps=35)
     assert two > one
 
 
 def test_throughput_validation_and_timer_floor(monkeypatch):
     cm = compact_model(Model.init(TOY, 13), GateSet.ones(TOY))
-    with pytest.raises(ContractError):
-        time_forward(cm, 8, reps=1)
+    for cases, seq_len, reps in (([(cm, 1)], 8, 1), ([], 8, 3), ([(cm, 1)], 0, 3),
+                                 ([(cm, 1), (cm, 0)], 8, 3)):
+        with pytest.raises(ContractError):
+            time_forwards(cases, seq_len, reps)
 
     class FakeClock:
         resolution = 1.0
 
     monkeypatch.setattr("time.get_clock_info", lambda name: FakeClock)
     with pytest.raises(RunError, match="reps"):
-        time_forward(cm, 8, reps=3)
+        time_forwards([(cm, 1)], 8, reps=3)
 
 
-def test_time_forward_pins_the_warm_up_and_times_without_the_collector(monkeypatch):
+def test_time_forwards_waits_once_warms_each_case_and_times_rounds_in_case_order(monkeypatch):
     from prunelab import analysis
 
     events, depth = [], [0]
@@ -358,14 +354,24 @@ def test_time_forward_pins_the_warm_up_and_times_without_the_collector(monkeypat
 
     monkeypatch.setattr(analysis, "_single_thread", pinned)
     monkeypatch.setattr(analysis, "_await_idle_threads", lambda: events.append("idle"))
-    cm = compact_model(Model.init(TOY, 13), GateSet.ones(TOY))
-    forward = cm.logits
-    cm.logits = lambda ids: events.append((depth[0], gc.isenabled())) or forward(ids)
+
+    def logged(name):
+        cm = compact_model(Model.init(TOY, 13), GateSet.ones(TOY))
+        forward = cm.logits
+        cm.logits = lambda ids: (events.append((name, ids.shape, depth[0], gc.isenabled()))
+                                 or forward(ids))
+        return cm
+
+    cases = [(logged("a"), 1), (logged("b"), 2), (logged("c"), 1)]
     assert gc.isenabled()
-    time_forward(cm, 8, reps=3)
-    # waited for idle workers and warmed up under the pin, then three timed
-    # passes with the collector off, which is back on afterwards
-    assert events == ["idle", (1, True), (1, False), (1, False), (1, False)]
+    rates = time_forwards(cases, 8, reps=3)
+    assert len(rates) == 3 and min(rates) > 0
+    # one wait for idle workers, one warm-up per case under the pin, then
+    # three rounds of every case in order with the collector off, which is
+    # back on afterwards
+    passes = [("a", (1, 8), 1), ("b", (2, 8), 1), ("c", (1, 8), 1)]
+    assert events == ["idle", *[(*p, True) for p in passes],
+                      *[(*p, False) for p in passes * 3]]
     assert gc.isenabled()
 
 

@@ -598,9 +598,18 @@ def two_language_ds_run(tmp_path_factory):
 def test_sweep_and_eval_probe_probe_each_distinct_subnetwork_once(two_language_ds_run,
                                                                    monkeypatch, capsys):
     corpus, _, run = two_language_ds_run
-    calls = []
-    probe = cli.finetune_probe
-    monkeypatch.setattr(cli, "finetune_probe", lambda *a, **kw: calls.append(1) or probe(*a, **kw))
+    calls = {"finetune_probe": 0, "compact_model": 0, "time_forwards": 0}
+
+    def counted(name):
+        call = getattr(cli, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+
+    for name in calls:
+        counted(name)
     config = ModelConfig.load(run)
     ds = cli._run_ds(run, config)
     grid = (0.5, 1.0)
@@ -613,14 +622,26 @@ def test_sweep_and_eval_probe_probe_each_distinct_subnetwork_once(two_language_d
     rows = (Path(run) / "sweep.csv").read_text().strip().split("\n")[1:]
     assert [row.split(",")[:2] for row in rows] == [[str(t), lang] for t in grid
                                                    for lang in ds.languages]
-    assert len(calls) == 3
-    calls.clear()
+    # the t = 1 subnetwork of both languages is compacted, probed and timed once,
+    # and both of its rows carry that one figure
+    assert calls == {"finetune_probe": 3, "compact_model": 3, "time_forwards": 1}
+    assert rows[2].split(",")[-1] == rows[3].split(",")[-1]
+    calls.update(dict.fromkeys(calls, 0))
     assert main(["eval-probe", "--corpus", corpus, "--run", run, "--t", "1.0",
                  "--epochs", "1", *DS_SMALL]) == 0
     probed = (Path(run) / "probe.csv").read_text()
-    assert len(calls) == 1
+    assert calls == {"finetune_probe": 1, "compact_model": 1, "time_forwards": 0}
     assert all(f"\n{lang},{lang}," in probed for lang in ds.languages)
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["bench", "--run", run, "--grid", "0.5:1.0:0.5", "--seq-len", "8",
+                 "--reps", "3"]) == 0
+    assert calls == {"finetune_probe": 0, "compact_model": 2, "time_forwards": 1}
     capsys.readouterr()
+
+
+# the two-language run's max_seq_len is 8
+SHAPE = ("need batch_size >= 1 and {} <= seq_len <= 8 (the run's max_seq_len), got batch_size {} "
+         "and seq_len {}")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -638,13 +659,39 @@ def test_sweep_and_eval_probe_probe_each_distinct_subnetwork_once(two_language_d
     ("bench --run {run} --language xx", "--language 'xx' has no table in this run; it has "),
     ("bench --run {baseline} --language xx",
      "--language applies only to a ds-train run (no ds.csv found)"),
+    ("bench --run {run} --grid 0:1:inf", "grid needs 0 <= start <= stop <= 1 and a finite step"),
+    ("bench --run {run} --grid 0:1:nan", "grid needs 0 <= start <= stop <= 1 and a finite step"),
+    ("sweep --corpus {corpus} --run {run} --config {configs}/grid-high.json",
+     "config key 'grid' must be a non-empty list of numbers in [0, 1], got [0.5, 2.0]"),
+    ("bench --run {run} --config {configs}/grid-empty.json",
+     "config key 'grid' must be a non-empty list of numbers in [0, 1], got []"),
+    ("bench --run {run} --seq-len 0", SHAPE.format(1, 1, 0)),
+    ("bench --run {run} --batch-size -1", SHAPE.format(1, -1, 32)),
+    ("bench --run {run} --batch-size 0 --seq-len 8", SHAPE.format(1, 0, 8)),
+    ("bench --run {run} --seq-len 9", SHAPE.format(1, 1, 9)),
+    ("sweep --corpus {corpus} --run {run} --batch-size 8 --seq-len 1", SHAPE.format(2, 8, 1)),
+    ("sweep --corpus {corpus} --run {run} --batch-size 0 --seq-len 8", SHAPE.format(2, 0, 8)),
+    ("sweep --corpus {corpus} --run {run} --batch-size 8 --seq-len 9", SHAPE.format(2, 8, 9)),
+    ("eval-probe --corpus {corpus} --run {run} --t 0.5 --batch-size 8 --seq-len 1",
+     SHAPE.format(2, 8, 1)),
+    ("eval-probe --corpus {corpus} --run {run} --t 0.5 --batch-size 0 --seq-len 8",
+     SHAPE.format(2, 0, 8)),
+    ("eval-probe --corpus {corpus} --run {run} --t 0.5 --batch-size 8 --seq-len 9",
+     SHAPE.format(2, 8, 9)),
 ], ids=["sweep-reps", "bench-reps", "t-above-1", "t-below-0", "sweep-without-ds",
         "ds-without-t", "t-without-ds", "missing-config", "bench-unknown-language",
-        "language-without-ds"])
+        "language-without-ds", "grid-step-inf", "grid-step-nan", "config-grid-above-1",
+        "config-grid-empty", "bench-seq-len-0", "bench-batch-size-negative",
+        "bench-batch-size-0", "bench-seq-len-above-max", "sweep-seq-len-1",
+        "sweep-batch-size-0", "sweep-seq-len-above-max", "eval-probe-seq-len-1",
+        "eval-probe-batch-size-0", "eval-probe-seq-len-above-max"])
 def test_configuration_errors_exit_2_before_any_work(two_language_ds_run, monkeypatch, capsys,
                                                     tmp_path, argv, message):
     corpus, baseline, run = two_language_ds_run
-    paths = dict(corpus=corpus, baseline=baseline, run=run, missing=tmp_path / "nope.json")
+    for name, grid in (("grid-high", [0.5, 2.0]), ("grid-empty", [])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"grid": grid}))
+    paths = dict(corpus=corpus, baseline=baseline, run=run, missing=tmp_path / "nope.json",
+                 configs=tmp_path)
 
     def refuse(*args, **kwargs):
         raise AssertionError("input read before the configuration was checked")

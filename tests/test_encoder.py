@@ -440,6 +440,12 @@ def test_mlm_loss_confident_correct():
     assert loss.item() < 1e-6
 
 
+def test_mlm_loss_is_finite_when_only_a_non_gold_log_probability_overflows():
+    # rows - max is -1e308 - 1e308 = -inf off the gold id, which has log-probability 0
+    logits = T.Tensor(np.array([[[-1e308, 1e308]]]))
+    assert mlm_loss(logits, np.array([[True]]), np.array([[1]])).item() == 0.0
+
+
 def test_mlm_loss_matches_hand_rolled():
     rng = np.random.default_rng(9)
     b, s, v = 3, 5, 11
