@@ -227,10 +227,9 @@ MIN_REPS = 3  # fewest timed rounds time_forwards takes a median of
 def time_forwards(cases: list[tuple[CompactModel, int]], seq_len: int, reps: int) -> list[float]:
     """Median sentences/second of each (model, batch size) case over reps rounds.
 
-    A round times one pass of random ids per case in case order (A, B, A, B, ...),
-    so all cases see the same phases of the machine's speed.  The warm-up passes
-    run pinned too, since a pass on the full BLAS pool would wake the workers whose
-    spin _await_idle_threads waited out; the collector is off during the rounds.
+    A round times one pass per case in case order (A, B, A, B, ...) with the collector
+    off, so all cases share the machine's speed phases.  Warm-ups run pinned too: a pass
+    on the full BLAS pool would wake the workers whose spin _await_idle_threads waited out.
     """
     if reps < MIN_REPS:
         raise ContractError(f"need at least {MIN_REPS} repetitions, got {reps}")

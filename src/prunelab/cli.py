@@ -433,13 +433,12 @@ def cmd_sweep(args) -> int:
         for lang in ds.languages:
             gs = subnetwork_at(ds, t, lang, model.config)
             _, res = _probe_once(probed, model, gs, splits, cfg["seed"], args.epochs)
-            counts = count_params(model.config, gs)
             rows.append({
                 "t": float(t),
                 "language": lang,
                 "overall_sparsity": 1.0 - retained_fraction(gs.values, weights),
                 "encoder_sparsity": encoder_sparsity(gs, weights),
-                "total_params": counts["total_params"],
+                "total_params": count_params(model.config, gs)["total_params"],
                 "probe_accuracy": res.per_language.get(lang, res.mean),
             })
             keys.append(gs.values.tobytes())
@@ -648,8 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=10)
     p.set_defaults(func=cmd_eval_probe)
 
-    p = sub.add_parser("sweep", help="accuracy/size/throughput across a size grid; memory "
-                       "grows with the distinct subnetworks, all timed in one call")
+    p = sub.add_parser("sweep", help="accuracy/size/speed over a grid; all subnetworks in memory")
     common(p, *PROBE_FLAGS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--run", required=True, help="ds-train run to sweep")
@@ -658,8 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="CPU throughput of compacted subnetworks, all timed in "
-                       "one call, so memory grows with their number")
+    p = sub.add_parser("bench", help="CPU throughput of compacted subnetworks, all held in memory")
     # --seed changes no figure; manifest_bench.json records it
     common(p, "--config", "--out-root", "--seed")
     p.add_argument("--run", required=True)
